@@ -30,7 +30,6 @@ from .exponents import (
 )
 from .generator import GenParams, GeneratorError, SplitMix64, gen_model, gen_rep
 from .jordan import (
-    NilpotentOp,
     Partition,
     nilpotent_rank,
     tensor_partition,
@@ -51,6 +50,7 @@ from .model import (
     ModelStructureError,
     PairingTable,
     ValidationReport,
+    complete_pairing,
     dualized,
     is_minimal_class,
     load_model,

@@ -35,13 +35,11 @@ from .model import (
     UNRAMIFIED_ID,
     IrreducibleClass,
     ModelInstance,
-    PairingTable,
+    complete_pairing,
     validate_model,
 )
 from .rationals import format_rational
 from .rep import Indecomposable, WDRep, format_rep, rep_dual
-
-THEOREM_LABELS = ("A", "AS", "B", "B_indec", "BS", "BS_irr", "C", "C_irr", "CS", "CS_irr")
 
 # Top-level selectors accepted by sweeps, with the labels they produce.
 SWEEP_FAMILIES = {
@@ -211,24 +209,14 @@ def gl_pair_artin_from_swan(sw_pair: int, m: int, n: int, d: int = 0) -> int:
 # -- sharpness witnesses -----------------------------------------------------
 
 
-def _witness_model(extra_classes, pairing_entries) -> ModelInstance:
+def witness_model(extra_classes=(), pairing_entries=None) -> ModelInstance:
+    """The unramified orbit plus `extra_classes`, with the given pairing
+    entries completed by `complete_pairing` and every dimension-1 class a
+    character; validated.  With no arguments it is the unit model."""
     classes = [IrreducibleClass(UNRAMIFIED_ID, 1, Fraction(0), 1, UNRAMIFIED_ID, True, True)]
     classes += extra_classes
-    entries = dict(pairing_entries)
-    ids = [c.id for c in classes]
-    by_id = {c.id: c for c in classes}
-    for a_idx, a in enumerate(ids):
-        for b in ids[a_idx:]:
-            key = (a, b) if a <= b else (b, a)
-            if key in entries:
-                continue
-            if a == UNRAMIFIED_ID or b == UNRAMIFIED_ID:
-                other = b if a == UNRAMIFIED_ID else a
-                entries[key] = by_id[other].slope
-            else:
-                entries[key] = max(by_id[a].slope, by_id[b].slope)
     chars = [c.id for c in classes if c.dim == 1]
-    model = ModelInstance(classes, PairingTable(entries), chars)
+    model = ModelInstance(classes, complete_pairing(classes, pairing_entries or {}), chars)
     report = validate_model(model)
     if not report.ok:
         raise AssertionError(f"witness model invalid: {[str(v) for v in report.violations]}")
@@ -239,7 +227,7 @@ def dim2_witness_model() -> ModelInstance:
     """Self-dual dimension-2 class of slope 1/2 with full twist degeneracy
     and self-pairing 1/4: attains equality in the A-, AS- and B-bounds."""
     cls = IrreducibleClass("w", 2, Fraction(1, 2), 2, "w", True, True)
-    return _witness_model([cls], {("w", "w"): Fraction(1, 4)})
+    return witness_model([cls], {("w", "w"): Fraction(1, 4)})
 
 
 def prime_dim_witness_model(ell: int) -> ModelInstance:
@@ -247,14 +235,14 @@ def prime_dim_witness_model(ell: int) -> ModelInstance:
     is (1 - 1/ell): twisting the self-dual tensor slope strictly above the
     one-half floor."""
     cls = IrreducibleClass(f"p{ell}", ell, Fraction(1), 1, f"p{ell}", True, True)
-    return _witness_model([cls], {(f"p{ell}", f"p{ell}"): 1 - Fraction(1, ell)})
+    return witness_model([cls], {(f"p{ell}", f"p{ell}"): 1 - Fraction(1, ell)})
 
 
 def tame_character_witness_model() -> ModelInstance:
     """Self-dual tame character (slope 0, Artin exponent 1): attains
     equality in the general C-bound against the unramified orbit."""
     cls = IrreducibleClass("t", 1, Fraction(0), 1, "t", True, False)
-    return _witness_model([cls], {("t", "t"): Fraction(0)})
+    return witness_model([cls], {("t", "t"): Fraction(0)})
 
 
 def sharpness_suite() -> list[CheckResult]:
@@ -348,6 +336,12 @@ def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
     families.  Returns (results, summary); ordering is fixed by
     (model index, pair index, label) regardless of scheduling.  When given,
     sample_hook(model, x, y) sees every drawn pair."""
+    if models < 1 or pairs_per_model < 1:
+        raise ValueError("model and pair counts must be >= 1")
+    if max_terms < 1 or max_r < 1:
+        raise ValueError("max_terms and max_r must be >= 1")
+    if not theorems:
+        raise ValueError("select at least one theorem family")
     for t in theorems:
         if t not in SWEEP_FAMILIES:
             raise ValueError(f"unknown theorem selector {t!r}")

@@ -10,46 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from .bounds import (
-    SWEEP_FAMILIES,
-    results_to_json,
-    run_sweep,
-    sharpness_suite,
-)
+from .bounds import results_to_json, run_sweep, sharpness_suite, witness_model
 from .exponents import exponents_of, is_minimal_rep, tensor_exponents
 from .generator import GeneratorError, GenParams, gen_model_with_stats
 from .jordan import Partition, nilpotent_rank, tensor_partition, unramified_oracle_artin
 from .maxplus import mp_degree_weight, mp_vee, optimal_witness, pair_upper_bound
-from .model import ModelStructureError, UNRAMIFIED_ID, load_model, validate_model
+from .model import ModelStructureError, UNRAMIFIED_ID, dump_model, load_model, validate_model
 from .rationals import format_rational, parse_rational
 from .rep import Indecomposable, RepSyntaxError, WDRep, parse_rep
 
 DEFAULT_LEVELS = "0,1/2,1,2"
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    theorems: tuple[str, ...]
-    models: int
-    pairs_per_model: int
-    seed: int
-    gen: GenParams
-    out_path: str | None
-    format: str
-    max_terms: int = 3
-    max_r: int = 4
-
-    def __post_init__(self):
-        if self.models < 1 or self.pairs_per_model < 1:
-            raise ValueError("model and pair counts must be >= 1")
-        for t in self.theorems:
-            if t not in SWEEP_FAMILIES:
-                raise ValueError(f"unknown theorem label {t!r}")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.format!r}")
 
 
 def _gen_params_from_args(args, seed: int) -> GenParams:
@@ -114,9 +86,7 @@ def _cmd_minimal(args) -> int:
 def _cmd_gen_model(args) -> int:
     params = _gen_params_from_args(args, args.seed)
     model, stats = gen_model_with_stats(params)
-    text = model.to_json()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    dump_model(model, args.out)
     print(f"model {model.digest()} ({len(model.classes)} classes, "
           f"{stats.repair_rounds} repair rounds) -> {args.out}")
     return 0
@@ -124,24 +94,12 @@ def _cmd_gen_model(args) -> int:
 
 def _cmd_check(args) -> int:
     theorems = tuple(t.strip() for t in args.theorems.split(",") if t.strip())
-    cfg = SweepConfig(
-        theorems=theorems,
-        models=args.models,
-        pairs_per_model=args.pairs,
-        seed=args.seed,
-        gen=_gen_params_from_args(args, args.seed),
-        out_path=args.out,
-        format=args.format,
-        max_terms=args.max_terms,
-        max_r=args.max_r,
-    )
-    results, summary = run_sweep(
-        cfg.theorems, cfg.models, cfg.pairs_per_model, cfg.gen, cfg.seed,
-        cfg.max_terms, cfg.max_r,
-    )
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
-            fh.write(results_to_json(results) if cfg.format == "json" else summary.csv())
+    gen = _gen_params_from_args(args, args.seed)
+    results, summary = run_sweep(theorems, args.models, args.pairs, gen, args.seed,
+                                 args.max_terms, args.max_r)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(results_to_json(results) if args.format == "json" else summary.csv())
     for t in sorted(summary.samples):
         print(
             f"{t}: samples={summary.samples[t]} violations={summary.violations[t]} "
@@ -153,53 +111,36 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .model import IrreducibleClass, ModelInstance, PairingTable
-
-    unit = ModelInstance(
-        [IrreducibleClass(UNRAMIFIED_ID, 1, Fraction(0), 1, UNRAMIFIED_ID, True, True)],
-        PairingTable({(UNRAMIFIED_ID, UNRAMIFIED_ID): Fraction(0)}),
-        [UNRAMIFIED_ID],
-    )
-    reps = _unramified_reps(args.max_terms, args.max_r)
+    if args.max_r < 1 or args.max_terms < 1:
+        raise ValueError("--max-r and --max-terms must be >= 1")
+    unit = witness_model()
+    reps = [
+        WDRep.from_terms([(1, Indecomposable(r, UNRAMIFIED_ID)) for r in combo])
+        for n in range(1, args.max_terms + 1)
+        for combo in combinations_with_replacement(range(1, args.max_r + 1), n)
+    ]
     mismatches = 0
     checked = 0
-    for ai in range(len(reps)):
-        for bi in range(ai, len(reps)):
-            x, y = reps[ai], reps[bi]
-            formula = tensor_exponents(x, y, unit).ar
-            rank = unramified_oracle_artin(x, y)
-            checked += 1
-            if formula != rank:
-                mismatches += 1
-                print(f"MISMATCH: {x} (x) {y}: formula={formula} rank={rank}", file=sys.stderr)
+    for x, y in combinations_with_replacement(reps, 2):
+        formula = tensor_exponents(x, y, unit).ar
+        rank = unramified_oracle_artin(x, y)
+        checked += 1
+        if formula != rank:
+            mismatches += 1
+            print(f"MISMATCH: {x} (x) {y}: formula={formula} rank={rank}", file=sys.stderr)
     block_fail = 0
     for mm in range(1, args.max_r + 1):
         for nn in range(1, args.max_r + 1):
             r = nilpotent_rank(Partition((mm,)), Partition((nn,)))
             part = tensor_partition(mm, nn)
-            if r != mm * nn - min(mm, nn) or len(part) != min(mm, nn) or part.size != mm * nn:
+            # Clebsch-Gordan: J_m (x) J_n has blocks m+n-1, m+n-3, ..., |m-n|+1.
+            clebsch_gordan = tuple(range(mm + nn - 1, abs(mm - nn), -2))
+            if r != mm * nn - min(mm, nn) or part.parts != clebsch_gordan:
                 block_fail += 1
                 print(f"BLOCK LAW FAIL at ({mm},{nn}): rank={r} type={part.parts}", file=sys.stderr)
     print(f"oracle: {checked} tensor pairs checked, {mismatches} mismatches; "
           f"{args.max_r * args.max_r} block pairs, {block_fail} failures")
     return 1 if mismatches or block_fail else 0
-
-
-def _unramified_reps(max_terms: int, max_r: int) -> list[WDRep]:
-    """All unramified-orbit representations with at most max_terms
-    indecomposables (with multiplicity) of Sp-length at most max_r."""
-    out = []
-
-    def rec(start, left, acc):
-        if acc:
-            out.append(WDRep.from_terms([(1, Indecomposable(r, UNRAMIFIED_ID)) for r in acc]))
-        if left == 0:
-            return
-        for r in range(start, max_r + 1):
-            rec(r, left - 1, acc + [r])
-
-    rec(1, max_terms, [])
-    return out
 
 
 def _cmd_bound(args) -> int:

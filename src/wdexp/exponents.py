@@ -14,12 +14,10 @@ additive over direct sums and the tensor expands bilinearly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import UNRAMIFIED_ID, ModelInstance
-from .rationals import format_rational
 from .rep import WDRep, rep_dim
 
 
@@ -39,18 +37,6 @@ class ExponentReport:
     @property
     def varsigma(self) -> Fraction | None:
         return None if self.dim == 0 else Fraction(self.sw, self.dim)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "ar": self.ar,
-            "sw": self.sw,
-            "eta": None if self.eta is None else format_rational(self.eta),
-            "varsigma": None if self.varsigma is None else format_rational(self.varsigma),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _as_int(q: Fraction, what: str) -> int:

@@ -39,32 +39,6 @@ class Partition:
         return len(self.parts)
 
 
-class NilpotentOp:
-    """Dense exact matrix wrapper, verified nilpotent on construction."""
-
-    def __init__(self, entries):
-        rows = [tuple(Fraction(v) for v in row) for row in entries]
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
-        self.n = n
-        self.entries = tuple(rows)
-        if n and rank_of_power(self._sparse(), n) != 0:
-            raise ValueError("matrix is not nilpotent")
-
-    def _sparse(self):
-        return {
-            i: {j: v for j, v in enumerate(row) if v}
-            for i, row in enumerate(self.entries)
-        }
-
-    def rank(self) -> int:
-        return exact_rank(self._sparse().values())
-
-    def jordan_type(self) -> Partition:
-        return jordan_type_from_ranks(self.n, rank_sequence(self._sparse(), self.n))
-
-
 # -- sparse exact elimination ----------------------------------------------
 
 
@@ -124,17 +98,6 @@ def rank_sequence(mat: dict, n: int) -> list[int]:
             return ranks
         power = _sparse_mul(power, mat)
     raise ValueError("matrix is not nilpotent")
-
-
-def rank_of_power(mat: dict, k: int) -> int:
-    """Rank of M^e for the smallest power of two e >= k (by squaring).
-    Used only for nilpotency checks, where rank 0 at any e >= dim decides."""
-    power = mat
-    e = 1
-    while e < k:
-        power = _sparse_mul(power, power)
-        e *= 2
-    return exact_rank(power.values())
 
 
 def jordan_type_from_ranks(n: int, ranks: list[int]) -> Partition:

@@ -36,17 +36,8 @@ class MaxPlusElem:
     def zero() -> "MaxPlusElem":
         return MaxPlusElem()
 
-    @staticmethod
-    def single(alpha, coeff=1) -> "MaxPlusElem":
-        return MaxPlusElem([(alpha, coeff)])
-
     def __add__(self, other: "MaxPlusElem") -> "MaxPlusElem":
         return MaxPlusElem(list(self.coeffs.items()) + list(other.coeffs.items()))
-
-    def __sub__(self, other: "MaxPlusElem") -> "MaxPlusElem":
-        return MaxPlusElem(
-            list(self.coeffs.items()) + [(a, -c) for a, c in other.coeffs.items()]
-        )
 
     def __eq__(self, other):
         return isinstance(other, MaxPlusElem) and self.coeffs == other.coeffs

@@ -19,6 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .rationals import format_rational, parse_rational
 
@@ -54,10 +55,6 @@ class IrreducibleClass:
     minimal_eta: bool = False
 
     @property
-    def is_char(self) -> bool:
-        return self.dim == 1
-
-    @property
     def swan(self) -> Fraction:
         return self.dim * self.slope
 
@@ -70,10 +67,7 @@ class PairingTable:
     """Symmetric map from unordered class-id pairs {i,j} to tensor slopes."""
 
     def __init__(self, entries):
-        d: dict[tuple[str, str], Fraction] = {}
-        for (i, j), v in dict(entries).items() if isinstance(entries, dict) else entries:
-            d[_pair_key(i, j)] = Fraction(v)
-        self._d = d
+        self._d = {_pair_key(i, j): Fraction(v) for (i, j), v in entries.items()}
 
     def get(self, i: str, j: str) -> Fraction:
         try:
@@ -87,24 +81,61 @@ class PairingTable:
     def items(self):
         return sorted(self._d.items())
 
-    def __len__(self):
-        return len(self._d)
-
     def __eq__(self, other):
         return isinstance(other, PairingTable) and self._d == other._d
 
 
+def complete_pairing(classes, entries) -> PairingTable:
+    """The pairing table over `classes` holding `entries` ({(i, j): slope})
+    and every omitted entry that M2 (unit row: s(u,i) = slope_i) or M3
+    (distinct slopes: s(i,j) = the larger slope) forces.
+
+    An omitted entry between two classes of equal slope is ambiguous, and an
+    entry naming an unknown id is ill-formed: both raise ModelStructureError.
+    """
+    by_id = {c.id: c for c in classes}
+    table = {}
+    for (i, j), v in entries.items():
+        if i not in by_id or j not in by_id:
+            raise ModelStructureError(f"pairing names unknown id in {{{i},{j}}}")
+        table[_pair_key(i, j)] = v
+    ids = sorted(by_id)
+    for a, i in enumerate(ids):
+        for j in ids[a:]:
+            if (i, j) in table:
+                continue
+            if i == UNRAMIFIED_ID or j == UNRAMIFIED_ID:
+                table[i, j] = by_id[j if i == UNRAMIFIED_ID else i].slope
+            elif by_id[i].slope != by_id[j].slope:
+                table[i, j] = max(by_id[i].slope, by_id[j].slope)
+            else:
+                raise ModelStructureError(
+                    f"pairing entry {{{i},{j}}} omitted but not forced by the unit row or the max rule"
+                )
+    return PairingTable(table)
+
+
 class ModelInstance:
-    """Immutable-after-validation bundle of classes, pairing, characters."""
+    """Immutable bundle of classes, pairing, characters: `classes` is a
+    read-only mapping from id to class, and no attribute can be rebound."""
+
+    __slots__ = ("classes", "pairing", "characters")
 
     def __init__(self, classes, pairing: PairingTable, characters):
-        self.classes: dict[str, IrreducibleClass] = {}
+        by_id: dict[str, IrreducibleClass] = {}
         for c in classes:
-            if c.id in self.classes:
+            if c.id in by_id:
                 raise ModelStructureError(f"duplicate class id {c.id!r}")
-            self.classes[c.id] = c
-        self.pairing = pairing
-        self.characters = tuple(characters)
+            by_id[c.id] = c
+        object.__setattr__(self, "classes", MappingProxyType(by_id))
+        object.__setattr__(self, "pairing", pairing)
+        object.__setattr__(self, "characters", tuple(characters))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModelInstance is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ModelInstance is immutable: cannot delete {name!r}")
 
     # -- lookups ---------------------------------------------------------
 
@@ -113,9 +144,6 @@ class ModelInstance:
             return self.classes[i]
         except KeyError:
             raise ModelStructureError(f"unknown class id {i!r}") from None
-
-    def class_ids(self) -> list[str]:
-        return list(self.classes)
 
     def dual(self, i: str) -> str:
         return self.cls(i).dual
@@ -372,13 +400,16 @@ def validate_model(m: ModelInstance) -> ValidationReport:
             rep.add("M7", (i,), m.pair(i, c.dual), c.slope / 2)
 
     # M8 irreducible-level lower bound for eta-minimal classes.  The kernel
-    # needs integral Swan exponents; when M1 already failed for a pair, that
-    # violation is on record and the M8 comparison is skipped.
+    # needs integral Swan exponents and both sides divide by dimensions; when
+    # M1 or dim_positive already failed, that violation is on record and the
+    # M8 comparison is skipped.
     for i in ids:
-        if not m.classes[i].minimal_eta:
+        if not m.classes[i].minimal_eta or m.classes[i].dim < 1:
             continue
         eta_i = class_eta(i, m)
         for j in ids:
+            if m.classes[j].dim < 1:
+                continue
             try:
                 ar, _sw, dim = indec_tensor_kernel(1, i, 1, j, m)
             except ValueError:
@@ -402,56 +433,66 @@ def validate_model(m: ModelInstance) -> ValidationReport:
 # -- model files ----------------------------------------------------------
 
 
+def _require_list(doc: dict, key: str, default=None) -> list:
+    value = doc.get(key, default)
+    if not isinstance(value, list):
+        raise ModelStructureError(f"{key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
+# Required keys of class and pairing entries, with their JSON types.
+_FIELD_TYPES = {"id": str, "dim": int, "slope": (str, int), "deg": int, "dual": str,
+                "i": str, "j": str}
+
+
+def _require_fields(entry, keys, where: str) -> list:
+    if not isinstance(entry, dict):
+        raise ModelStructureError(f"{where} must be an object, got {type(entry).__name__}")
+    values = []
+    for key in keys:
+        value = entry.get(key)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[key]):
+            raise ModelStructureError(f"{where}: {key!r} is missing or has the wrong type")
+        values.append(value)
+    return values
+
+
 def model_from_json_dict(doc: dict) -> ModelInstance:
     """Build a ModelInstance from the JSON document format.
 
-    Pairing entries forced by M2 (unit row) or M3 (distinct slopes) may be
-    omitted and are reconstructed; an omitted entry between equal-slope
-    classes is ambiguous and raises ModelStructureError.
+    Omitted pairing entries are filled in by `complete_pairing`.  A document
+    that is not an object, a `classes`, `pairing`, `characters` or `flags`
+    value that is not a list, and a required key that is missing or has the
+    wrong type all raise ModelStructureError.
     """
+    if not isinstance(doc, dict):
+        raise ModelStructureError(f"a model document must be an object, got {type(doc).__name__}")
     classes = []
-    for c in doc["classes"]:
-        flags = c.get("flags", [])
-        classes.append(
-            IrreducibleClass(
-                id=str(c["id"]),
-                dim=int(c["dim"]),
-                slope=parse_rational(c["slope"]),
-                deg=int(c["deg"]),
-                dual=str(c["dual"]),
-                minimal_sigma="minimal_sigma" in flags,
-                minimal_eta="minimal_eta" in flags,
-            )
-        )
-    by_id = {c.id: c for c in classes}
+    for k, c in enumerate(_require_list(doc, "classes")):
+        cid, dim, slope, deg, dual = _require_fields(
+            c, ("id", "dim", "slope", "deg", "dual"), f"class {k}")
+        flags = _require_list(c, "flags", [])
+        classes.append(IrreducibleClass(cid, dim, parse_rational(slope), deg, dual,
+                                        "minimal_sigma" in flags, "minimal_eta" in flags))
     entries = {}
-    for e in doc.get("pairing", []):
-        i, j = str(e["i"]), str(e["j"])
-        if i not in by_id or j not in by_id:
-            raise ModelStructureError(f"pairing names unknown id in {{{i},{j}}}")
-        entries[_pair_key(i, j)] = parse_rational(e["slope"])
-    ids = sorted(by_id)
-    for a, i in enumerate(ids):
-        for j in ids[a:]:
-            if _pair_key(i, j) in entries:
-                continue
-            if i == UNRAMIFIED_ID or j == UNRAMIFIED_ID:
-                other = j if i == UNRAMIFIED_ID else i
-                entries[_pair_key(i, j)] = by_id[other].slope
-            elif by_id[i].slope != by_id[j].slope:
-                entries[_pair_key(i, j)] = max(by_id[i].slope, by_id[j].slope)
-            else:
-                raise ModelStructureError(
-                    f"pairing entry {{{i},{j}}} omitted but not forced by the unit row or the max rule"
-                )
-    model = ModelInstance(classes, PairingTable(entries), doc.get("characters", []))
+    for k, e in enumerate(_require_list(doc, "pairing", [])):
+        i, j, slope = _require_fields(e, ("i", "j", "slope"), f"pairing entry {k}")
+        entries[_pair_key(i, j)] = parse_rational(slope)
+    characters = _require_list(doc, "characters", [])
+    if not all(isinstance(ch, str) for ch in characters):
+        raise ModelStructureError("'characters' must list class ids")
+    model = ModelInstance(classes, complete_pairing(classes, entries), characters)
     model.structural_check()
     return model
 
 
 def load_model(path) -> ModelInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ModelStructureError(f"model file {path} nests too deeply") from None
+    return model_from_json_dict(doc)
 
 
 def dump_model(m: ModelInstance, path):

@@ -9,12 +9,15 @@ from fractions import Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction. Raises ValueError on junk."""
+    """Parse "p/q" or "p" into a Fraction. Raises ValueError on junk,
+    a zero denominator included."""
     if isinstance(text, int):
         return Fraction(text)
     s = str(text).strip()
     if "/" in s:
         num, _, den = s.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 

@@ -71,11 +71,11 @@ def test_criterion_2_single_block_laws():
         for n in range(1, 13):
             if nilpotent_rank(Partition((m,)), Partition((n,))) != m * n - min(m, n):
                 bad += 1
-            p = tensor_partition(m, n)
-            if len(p) != min(m, n) or p.size != m * n:
+            # Clebsch-Gordan: blocks m+n-1, m+n-3, ..., |m-n|+1.
+            if tensor_partition(m, n).parts != tuple(range(m + n - 1, abs(m - n), -2)):
                 bad += 1
     elapsed = time.monotonic() - t0
-    ok = _report(2, bad == 0, f"single-block rank and partition laws up to 12: {bad} failures",
+    ok = _report(2, bad == 0, f"single-block rank and Clebsch-Gordan laws up to 12: {bad} failures",
                  elapsed, 10)
     assert ok
 

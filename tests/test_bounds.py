@@ -234,6 +234,13 @@ def test_sweep_rejects_unknown_selector():
     gen = GenParams.from_strings("1", seed=0)
     with pytest.raises(ValueError):
         run_sweep(("Z",), 1, 1, gen, seed=0)
+    # a sweep that would check nothing is rejected before generating a model
+    for args in (((), 1, 1), (("C",), 0, 1), (("C",), 1, 0)):
+        with pytest.raises(ValueError):
+            run_sweep(*args, gen, seed=0)
+    for max_terms, max_r in ((0, 4), (3, 0)):
+        with pytest.raises(ValueError):
+            run_sweep(("C",), 1, 1, gen, seed=0, max_terms=max_terms, max_r=max_r)
 
 
 def test_summary_csv_shape():

@@ -1,8 +1,12 @@
+import copy
 import json
+from collections import Counter
 
 import pytest
 
+from conftest import ZOO_DOC
 from wdexp.cli import run_command
+from wdexp.generator import SplitMix64
 
 
 def _run(capsys, *argv):
@@ -99,6 +103,13 @@ def test_sharpness(tmp_path, capsys):
 
 def test_usage_error_exit_2(capsys):
     assert _run(capsys, "eval", "-m", "/nonexistent.json", "-e", "Sp_1(u)")[0] == 2
+    assert _run(capsys, "bound", "--d1", "1", "--v1", "1/0", "--d2", "1", "--v2", "1")[0] == 2
+    # a run that would check nothing is a usage error, not a clean run
+    assert _run(capsys, "oracle", "--max-r", "0")[:2] == (2, "")
+    assert _run(capsys, "oracle", "--max-terms", "0")[:2] == (2, "")
+    for flag, value in (("--models", "0"), ("--pairs", "0"), ("--max-terms", "0"),
+                        ("--max-r", "0"), ("--theorems", ",")):
+        assert _run(capsys, "check", flag, value)[:2] == (2, "")
     assert _run(capsys, "no-such-command")[0] == 2
     assert _run(capsys, "minimal", "-m", "x", "-e", "y", "--mode", "weird")[0] == 2
 
@@ -129,3 +140,69 @@ def test_invalid_model_file_exit_2(tmp_path, capsys):
     code, _, err = _run(capsys, "eval", "-m", str(bad), "-e", "Sp_1(u)")
     assert code == 2
     assert "M3" in err
+
+
+def _eval_code(tmp_path, capsys, doc) -> int:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return _run(capsys, "eval", "-m", str(path), "-e", "Sp_1(u)")[0]
+
+
+def test_malformed_model_files_exit_2(tmp_path, capsys):
+    zero_den = copy.deepcopy(ZOO_DOC)
+    zero_den["classes"][1]["slope"] = "1/0"
+    no_dual = copy.deepcopy(ZOO_DOC)
+    del no_dual["classes"][1]["dual"]
+    for doc in (zero_den, no_dual, ZOO_DOC["classes"]):
+        assert _eval_code(tmp_path, capsys, doc) == 2
+    assert _eval_code(tmp_path, capsys, ZOO_DOC) == 0
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert _run(capsys, "eval", "-m", str(deep), "-e", "Sp_1(u)")[0] == 2
+
+
+def _paths(node, prefix=()):
+    """The key path of every entry below node, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, value):
+    """A copy of doc with the entry at path replaced by value, or dropped
+    when value is _DROP."""
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+_DROP = object()
+_JUNK = (None, [], "1/0", "x", 0, -1, {})
+
+
+def test_loader_fuzz_exit_codes(tmp_path, capsys):
+    """Every single-entry mutation of the zoo document, and stacks of random
+    ones, load as a valid model (exit 0) or fail as a usage error (exit 2)."""
+    docs = [[], "model", 7]
+    for path in _paths(ZOO_DOC):
+        docs.extend(_mutate(ZOO_DOC, path, v) for v in (_DROP,) + _JUNK)
+    rng = SplitMix64(2024)
+    for _ in range(150):
+        doc = ZOO_DOC
+        for _ in range(2 + rng.below(3)):
+            paths = list(_paths(doc))
+            if not paths:
+                break
+            doc = _mutate(doc, rng.choice(paths), rng.choice((_DROP,) + _JUNK))
+        docs.append(doc)
+    codes = Counter(_eval_code(tmp_path, capsys, doc) for doc in docs)
+    assert set(codes) <= {0, 2}, codes
+    assert codes[2] > len(docs) // 2

@@ -5,7 +5,6 @@ import pytest
 from wdexp.exponents import tensor_exponents
 from wdexp.generator import SplitMix64
 from wdexp.jordan import (
-    NilpotentOp,
     Partition,
     exact_rank,
     jordan_type_from_ranks,
@@ -83,16 +82,6 @@ def test_rank_sequence_convex_decreasing():
 def test_jordan_type_from_bad_ranks_rejected():
     with pytest.raises(ValueError):
         jordan_type_from_ranks(4, [1, 2, 0])
-
-
-def test_nilpotent_op_wrapper():
-    op = NilpotentOp([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert op.rank() == 2
-    assert op.jordan_type().parts == (3,)
-    with pytest.raises(ValueError):
-        NilpotentOp([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        NilpotentOp([[0, 1, 0], [0, 0, 1]])
 
 
 def test_exact_rank_rational_entries():

@@ -7,6 +7,7 @@ from wdexp.model import (
     ModelInstance,
     ModelStructureError,
     PairingTable,
+    complete_pairing,
     dualized,
     is_minimal_class,
     load_model,
@@ -22,8 +23,9 @@ def test_rational_round_trip():
         q = parse_rational(text)
         assert parse_rational(format_rational(q)) == q
     assert format_rational(Fraction(10, 4)) == "5/2"
-    with pytest.raises(ValueError):
-        parse_rational("x/y")
+    for junk in ("x/y", "1/0", "3/00", "x", ""):
+        with pytest.raises(ValueError):
+            parse_rational(junk)
 
 
 def test_unit_only_model_is_valid(unit_model):
@@ -204,3 +206,96 @@ def test_character_set_must_be_all_dim1():
     doc["characters"] = ["u", "i", "j"]  # k missing
     report = validate_model(model_from_json_dict(doc))
     assert "character_set" in report.labels()
+
+
+def test_malformed_documents_raise_structure_errors():
+    # A non-object document, a non-list section, and a missing or mistyped
+    # required key are ill-formed, never a KeyError or TypeError.
+    bad = [[], "model", 3, {"classes": {}}, {"classes": [], "pairing": None},
+           {"classes": [], "characters": "u"}, {"classes": [], "characters": [[]]}]
+    for key in ("id", "dim", "slope", "deg", "dual"):
+        doc = _small_doc()
+        del doc["classes"][1][key]
+        bad.append(doc)
+        doc = _small_doc()
+        doc["classes"][1][key] = None if key != "dim" else True
+        bad.append(doc)
+    for key in ("i", "j", "slope"):
+        doc = _small_doc()
+        del doc["pairing"][0][key]
+        bad.append(doc)
+    doc = _small_doc()
+    doc["classes"][1]["flags"] = None
+    bad.append(doc)
+    doc = _small_doc()
+    doc["pairing"][0] = "i,j"
+    bad.append(doc)
+    for doc in bad:
+        with pytest.raises(ModelStructureError):
+            model_from_json_dict(doc)
+    doc = _small_doc()
+    doc["classes"][1]["slope"] = "1/0"
+    with pytest.raises(ValueError):
+        model_from_json_dict(doc)
+
+
+def test_complete_pairing_is_the_completion_rule(zoo_model):
+    classes = list(zoo_model.classes.values())
+    given = {(i, j): v for (i, j), v in zoo_model.pairing.items()
+             if {i, j} != {"u", "c3"} and {i, j} != {"a", "b"}}
+    assert complete_pairing(classes, given) == zoo_model.pairing
+    with pytest.raises(ModelStructureError):
+        complete_pairing(classes, {("a", "nope"): Fraction(1)})
+    with pytest.raises(ModelStructureError):  # equal slopes: not forced
+        complete_pairing(classes, {k: v for k, v in given.items() if k != ("a", "a")})
+
+
+def test_model_instance_is_immutable(zoo_model):
+    with pytest.raises(TypeError):
+        zoo_model.classes["x"] = zoo_model.classes["u"]
+    with pytest.raises(TypeError):
+        del zoo_model.classes["u"]
+    for name in ("classes", "pairing", "characters"):
+        with pytest.raises(AttributeError):
+            setattr(zoo_model, name, getattr(zoo_model, name))
+        with pytest.raises(AttributeError):
+            delattr(zoo_model, name)
+    with pytest.raises(AttributeError):
+        zoo_model.extra = 1
+    assert validate_model(zoo_model).ok
+
+
+# Model files and report rows carry these digests, so a change to how a
+# model is built must leave them where they are.
+PINNED_DIGESTS = {
+    "dim2": "b8ad471e2d3b6c990af70cf73d70a4a719336c2fd8337e198a9fbb05bf30053d",
+    "prime3": "dc3487a02d46320ad3a9ca70df856b63c833ffa42bca7c4b4221e0551ebdea4f",
+    "prime5": "0050fd228fe9040f164e73d26d7c24401b6cf10e632ae971ec1ab9e2db39db44",
+    "tame": "5e117e4a037ca9a7f7a0b894dea86df8a7164d36242e44ad4194e08e3978b429",
+    "unit": "8c1c443cb7bdd2a23ee71e28a169adab8b79cf47d584641a967d43623dc04640",
+    "gen0": "e2b6e1666208d80e51e69b79a37d2682cb578dc14b0f9246b9b09546ffb94f50",
+    "gen1": "88c9ebefd07275723e5e6abae9442602aedda44e87f8c75ba8acffece10e973d",
+    "gen2": "08d800f0c567421d23413ef9c1e02a4dd5f88ee1ae11f409d0cf0c70fbf1726f",
+}
+
+
+def test_pinned_digests(unit_model):
+    from wdexp.bounds import (
+        dim2_witness_model,
+        prime_dim_witness_model,
+        tame_character_witness_model,
+        witness_model,
+    )
+    from wdexp.generator import GenParams, gen_model
+
+    got = {
+        "dim2": dim2_witness_model().digest(),
+        "prime3": prime_dim_witness_model(3).digest(),
+        "prime5": prime_dim_witness_model(5).digest(),
+        "tame": tame_character_witness_model().digest(),
+        "unit": witness_model().digest(),
+    }
+    for seed in range(3):
+        got[f"gen{seed}"] = gen_model(GenParams.from_strings("0,1/2,1,2", seed=seed)).digest()
+    assert got == PINNED_DIGESTS
+    assert unit_model.digest() == PINNED_DIGESTS["unit"]
