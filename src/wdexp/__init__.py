@@ -22,11 +22,8 @@ from .exponents import (
     ExponentReport,
     exponents_of,
     indec_tensor_kernel,
-    is_eta_minimal_rep,
-    is_sigma_minimal_rep,
+    is_minimal_rep,
     tensor_exponents,
-    twisted_artin,
-    twisted_swan,
 )
 from .generator import GenParams, GeneratorError, SplitMix64, gen_model, gen_rep
 from .jordan import (

@@ -86,13 +86,6 @@ def _inputs(m: ModelInstance, x: WDRep, y: WDRep, **extra) -> dict:
     return d
 
 
-def _norm(report, mode: str) -> Fraction:
-    val = report.eta if mode == "eta" else report.varsigma
-    if val is None:
-        raise ValueError("normalized exponent undefined for the zero representation")
-    return val
-
-
 def check_bound_A(x: WDRep, y: WDRep, m: ModelInstance, mode: str = "eta") -> CheckResult:
     """Lower bound: norm(x ox y) >= max(norm(x), norm(y)) / 2 when x cannot
     be lowered by any in-model character twist."""
@@ -100,8 +93,8 @@ def check_bound_A(x: WDRep, y: WDRep, m: ModelInstance, mode: str = "eta") -> Ch
         raise ValueError("the A-bound needs nonzero representations")
     label = "A" if mode == "eta" else "AS"
     minimal = is_minimal_rep(x, mode, m)
-    lhs = _norm(tensor_exponents(x, y, m), mode)
-    rhs = max(_norm(exponents_of(x, m), mode), _norm(exponents_of(y, m), mode)) / 2
+    lhs = tensor_exponents(x, y, m).normalized(mode)
+    rhs = max(exponents_of(x, m).normalized(mode), exponents_of(y, m).normalized(mode)) / 2
     return _result(label, lhs, rhs, ">=", _inputs(m, x, y, mode=mode),
                    precondition_failed=not minimal)
 
@@ -120,16 +113,16 @@ def check_bound_B(x: WDRep, y: WDRep, m: ModelInstance, mode: str = "eta",
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "indec_or_irr":
         for z in (x, y):
-            if len(z.terms) != 1 or z.terms[0][0] != 1:
+            if not z.is_indecomposable:
                 raise ValueError("the strong B-variant needs single-term representations")
-            if mode == "sigma" and z.terms[0][1].r != 1:
+            if mode == "sigma" and not z.is_irreducible:
                 raise ValueError("the strong BS-variant needs irreducible representations")
         label = "B_indec" if mode == "eta" else "BS_irr"
     else:
         label = "B" if mode == "eta" else "BS"
-    lhs = _norm(tensor_exponents(x, rep_dual(y, m), m), mode)
-    dx = _norm(tensor_exponents(x, rep_dual(x, m), m), mode)
-    dy = _norm(tensor_exponents(y, rep_dual(y, m), m), mode)
+    lhs = tensor_exponents(x, rep_dual(y, m), m).normalized(mode)
+    dx = tensor_exponents(x, rep_dual(x, m), m).normalized(mode)
+    dy = tensor_exponents(y, rep_dual(y, m), m).normalized(mode)
     rhs = max(dx, dy) if variant == "indec_or_irr" else (dx + dy) / 2
     return _result(label, lhs, rhs, ">=", _inputs(m, x, y, mode=mode, variant=variant))
 
@@ -151,19 +144,15 @@ def check_bound_C(x: WDRep, y: WDRep, m: ModelInstance, mode: str = "eta",
     t = tensor_exponents(x, y, m)
     if variant == "general":
         label = "C" if mode == "eta" else "CS"
-        if mode == "eta":
-            lhs = Fraction(t.ar)
-            rhs = Fraction(ey.dim * ex.ar + ex.dim * ey.ar - min(ex.ar, ey.ar))
-        else:
-            lhs = Fraction(t.sw)
-            rhs = Fraction(ey.dim * ex.sw + ex.dim * ey.sw - min(ex.sw, ey.sw))
+        a, b = ex.exponent(mode), ey.exponent(mode)
+        lhs = t.exponent(mode)
+        rhs = ey.dim * a + ex.dim * b - min(a, b)
     else:
-        for z in (x, y):
-            if len(z.terms) != 1 or z.terms[0][0] != 1 or z.terms[0][1].r != 1:
-                raise ValueError("the irreducible C-variant needs irreducible representations")
+        if not (x.is_irreducible and y.is_irreducible):
+            raise ValueError("the irreducible C-variant needs irreducible representations")
         label = "C_irr" if mode == "eta" else "CS_irr"
-        lhs = _norm(t, mode)
-        rhs = max(_norm(ex, mode), _norm(ey, mode))
+        lhs = t.normalized(mode)
+        rhs = max(ex.normalized(mode), ey.normalized(mode))
     return _result(label, lhs, rhs, "<=", _inputs(m, x, y, mode=mode, variant=variant))
 
 
@@ -365,10 +354,8 @@ def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
 
 def checks_for_pair(theorems, x: WDRep, y: WDRep, m: ModelInstance):
     """All applicable labeled checks for one representation pair."""
-    single_x = len(x.terms) == 1 and x.terms[0][0] == 1
-    single_y = len(y.terms) == 1 and y.terms[0][0] == 1
-    irr_x = single_x and x.terms[0][1].r == 1
-    irr_y = single_y and y.terms[0][1].r == 1
+    indec = x.is_indecomposable and y.is_indecomposable
+    irr = x.is_irreducible and y.is_irreducible
     out = []
     if "A" in theorems:
         out.append(check_bound_A(x, y, m, "eta"))
@@ -376,19 +363,19 @@ def checks_for_pair(theorems, x: WDRep, y: WDRep, m: ModelInstance):
         out.append(check_bound_A(x, y, m, "sigma"))
     if "B" in theorems:
         out.append(check_bound_B(x, y, m, "eta", "sum"))
-        if single_x and single_y:
+        if indec:
             out.append(check_bound_B(x, y, m, "eta", "indec_or_irr"))
     if "BS" in theorems:
         out.append(check_bound_B(x, y, m, "sigma", "sum"))
-        if irr_x and irr_y:
+        if irr:
             out.append(check_bound_B(x, y, m, "sigma", "indec_or_irr"))
     if "C" in theorems:
         out.append(check_bound_C(x, y, m, "eta", "general"))
-        if irr_x and irr_y:
+        if irr:
             out.append(check_bound_C(x, y, m, "eta", "irreducible"))
     if "CS" in theorems:
         out.append(check_bound_C(x, y, m, "sigma", "general"))
-        if irr_x and irr_y:
+        if irr:
             out.append(check_bound_C(x, y, m, "sigma", "irreducible"))
     return out
 

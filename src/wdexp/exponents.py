@@ -1,15 +1,21 @@
 """Artin/Swan exponents of representations and their tensor products.
 
-Everything reduces to one closed kernel on pairs of indecomposables:
+Everything reduces to one closed kernel on pairs of indecomposables,
+evaluated only by `indec_tensor_kernel`:
 
     dim = r*s*m_i*m_j
     sw  = r*s*m_i*m_j*s(i,j)
     ar  = sw + dim - d*min(r,s),   d = deg_i if j is the dual of i else 0
 
-which specializes to ar(Sp_r(unramified)) = r-1, to the additive rule
-ar(Sp_r(sigma)) = r*ar(sigma) for ramified sigma, and to the rank formula
-m*n - min(m,n) for a pair of unramified indecomposables.  Exponents are
-additive over direct sums and the tensor expands bilinearly.
+A pair of unramified indecomposables gives the rank formula r*s - min(r,s),
+and `tensor_exponents` expands the kernel bilinearly.  Twisting by a
+character chi puts Sp_1(chi) on the left; Sp_r of the dual orbit of chi
+then twists into the unramified orbit, with ar = r-1.  `exponents_of` is
+the twist by the unramified orbit Sp_1(u): the unit row s(u,i) = slope_i
+gives sw = r*m_i*slope_i, ar(Sp_r(u)) = r-1 and the additive rule
+ar(Sp_r(sigma)) = r*ar(sigma) for ramified sigma.  `is_minimal_rep` compares
+every character twist with it, and `is_eta_homogeneous` reads the eta of
+each irreducible constituent Sp_1(i) off its twist by Sp_1(u).
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import UNRAMIFIED_ID, ModelInstance
-from .rep import WDRep, rep_dim
+from .model import MODES, UNRAMIFIED_ID, ModelInstance
+from .rep import WDRep
 
 
 @dataclass(frozen=True)
@@ -38,26 +44,17 @@ class ExponentReport:
     def varsigma(self) -> Fraction | None:
         return None if self.dim == 0 else Fraction(self.sw, self.dim)
 
+    def exponent(self, mode: str) -> int:
+        """ar for mode "eta", sw for mode "sigma"; rejects any other mode."""
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        return self.ar if mode == "eta" else self.sw
 
-def _as_int(q: Fraction, what: str) -> int:
-    if q.denominator != 1:
-        raise ValueError(f"{what} is not an integer: {q}")
-    return q.numerator
-
-
-def exponents_of(x: WDRep, m: ModelInstance) -> ExponentReport:
-    """Exponents of a representation, additive over its terms."""
-    ar = 0
-    sw = 0
-    for k, ind in x.terms:
-        c = m.cls(ind.cls)
-        sw_cls = _as_int(c.dim * c.slope, f"Swan exponent of class {ind.cls}")
-        sw += k * ind.r * sw_cls
-        if ind.cls == UNRAMIFIED_ID:
-            ar += k * (ind.r - 1)
-        else:
-            ar += k * ind.r * (sw_cls + c.dim)
-    return ExponentReport(rep_dim(x, m), ar, sw)
+    def normalized(self, mode: str) -> Fraction:
+        """eta for mode "eta", varsigma for mode "sigma"."""
+        if self.dim == 0:
+            raise ValueError("normalized exponent undefined for the zero representation")
+        return Fraction(self.exponent(mode), self.dim)
 
 
 def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tuple[int, int, int]:
@@ -66,10 +63,11 @@ def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tup
         raise ValueError("Sp-lengths must be >= 1")
     ci, cj = m.cls(i), m.cls(j)
     dim = r * s * ci.dim * cj.dim
-    sw = _as_int(Fraction(dim) * m.pair(i, j), f"sw of Sp_{r}({i}) tensor Sp_{s}({j})")
+    sw = dim * m.pair(i, j)
+    if sw.denominator != 1:
+        raise ValueError(f"sw of Sp_{r}({i}) tensor Sp_{s}({j}) is not an integer: {sw}")
     d = ci.deg if j == ci.dual else 0
-    ar = sw + dim - d * min(r, s)
-    return ar, sw, dim
+    return sw.numerator + dim - d * min(r, s), sw.numerator, dim
 
 
 def tensor_exponents(x: WDRep, y: WDRep, m: ModelInstance) -> ExponentReport:
@@ -86,62 +84,31 @@ def tensor_exponents(x: WDRep, y: WDRep, m: ModelInstance) -> ExponentReport:
     return ExponentReport(dim, ar, sw)
 
 
-def twisted_artin(chi: str, x: WDRep, m: ModelInstance) -> int:
-    """Artin exponent of (character chi) tensor x.
-
-    Needs only pairing values: each term Sp_r(i) contributes
-    r*m_i*(s(chi,i)+1), except that it contributes r-1 when dim_i = 1 and
-    chi is the dual orbit of i, the twist then landing in the unramified
-    orbit.  Equals ar(x) when chi is the unramified orbit.
-    """
-    if chi not in m.characters:
-        raise ValueError(f"{chi!r} is not a character class of the model")
-    total = 0
+def _twist(chi: str, x: WDRep, m: ModelInstance) -> ExponentReport:
+    """Exponents of Sp_1(chi) tensor x, term by term through the kernel."""
+    ar = 0
+    sw = 0
+    dim = 0
     for k, ind in x.terms:
-        c = m.cls(ind.cls)
-        if c.dim == 1 and chi == c.dual:
-            total += k * (ind.r - 1)
-        else:
-            total += k * ind.r * _as_int(
-                c.dim * (m.pair(chi, ind.cls) + 1), "twisted Artin exponent"
-            )
-    return total
+        a, w, d = indec_tensor_kernel(1, chi, ind.r, ind.cls, m)
+        ar += k * a
+        sw += k * w
+        dim += k * d
+    return ExponentReport(dim, ar, sw)
 
 
-def twisted_swan(chi: str, x: WDRep, m: ModelInstance) -> int:
-    """Swan exponent of (character chi) tensor x; no special case needed,
-    the dual-orbit coincidence already has pairing slope 0."""
-    if chi not in m.characters:
-        raise ValueError(f"{chi!r} is not a character class of the model")
-    total = Fraction(0)
-    for k, ind in x.terms:
-        c = m.cls(ind.cls)
-        total += k * ind.r * c.dim * m.pair(chi, ind.cls)
-    return _as_int(total, "twisted Swan exponent")
-
-
-def is_eta_minimal_rep(x: WDRep, m: ModelInstance) -> bool:
-    """No in-model character twist lowers the Artin exponent of x."""
-    if x.is_zero:
-        raise ValueError("minimality is undefined for the zero representation")
-    ar = exponents_of(x, m).ar
-    return all(twisted_artin(chi, x, m) >= ar for chi in m.characters)
-
-
-def is_sigma_minimal_rep(x: WDRep, m: ModelInstance) -> bool:
-    """No in-model character twist lowers the Swan exponent of x."""
-    if x.is_zero:
-        raise ValueError("minimality is undefined for the zero representation")
-    sw = exponents_of(x, m).sw
-    return all(twisted_swan(chi, x, m) >= sw for chi in m.characters)
+def exponents_of(x: WDRep, m: ModelInstance) -> ExponentReport:
+    """Exponents of a representation: its twist by the unramified orbit."""
+    return _twist(UNRAMIFIED_ID, x, m)
 
 
 def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:
-    if mode == "eta":
-        return is_eta_minimal_rep(x, m)
-    if mode == "sigma":
-        return is_sigma_minimal_rep(x, m)
-    raise ValueError(f"mode must be 'eta' or 'sigma', got {mode!r}")
+    """No in-model character twist lowers the Artin exponent of x (mode
+    "eta") or its Swan exponent (mode "sigma")."""
+    if x.is_zero:
+        raise ValueError("minimality is undefined for the zero representation")
+    own = exponents_of(x, m).exponent(mode)
+    return all(_twist(chi, x, m).exponent(mode) >= own for chi in m.characters)
 
 
 def swan_profile(x: WDRep, m: ModelInstance) -> list[tuple[int, Fraction]]:
@@ -160,8 +127,6 @@ def is_eta_homogeneous(x: WDRep, m: ModelInstance) -> bool:
         raise ValueError("homogeneity is undefined for the zero representation")
     values = set()
     for _, ind in x.terms:
-        if ind.cls == UNRAMIFIED_ID:
-            values.add(Fraction(0))
-        else:
-            values.add(m.slope(ind.cls) + 1)
+        ar, _sw, dim = indec_tensor_kernel(1, UNRAMIFIED_ID, 1, ind.cls, m)
+        values.add(Fraction(ar, dim))
     return len(values) == 1

@@ -58,6 +58,16 @@ class WDRep:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def is_indecomposable(self) -> bool:
+        """A single term Sp_r(i) of multiplicity 1."""
+        return len(self.terms) == 1 and self.terms[0][0] == 1
+
+    @property
+    def is_irreducible(self) -> bool:
+        """A single term Sp_1(i) of multiplicity 1."""
+        return self.is_indecomposable and self.terms[0][1].r == 1
+
     def __add__(self, other: "WDRep") -> "WDRep":
         return WDRep.from_terms(list(self.terms) + list(other.terms))
 

@@ -66,6 +66,19 @@ def test_bound_A_zero_rep_rejected(unit_model):
         check_bound_A(WDRep.zero(), parse_rep("Sp_1(u)", unit_model), unit_model)
 
 
+@pytest.mark.parametrize("check, variant", [
+    (check_bound_A, ()),
+    (check_bound_B, ("sum",)),
+    (check_bound_B, ("indec_or_irr",)),
+    (check_bound_C, ("general",)),
+    (check_bound_C, ("irreducible",)),
+])
+def test_bounds_reject_unknown_mode(zoo_model, check, variant):
+    x = parse_rep("Sp_1(a)", zoo_model)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        check(x, x, zoo_model, "bogus", *variant)
+
+
 def test_bound_B_sum_equality_on_equal_inputs(zoo_model):
     x = parse_rep("Sp_2(a) + Sp_1(b)", zoo_model)
     r = check_bound_B(x, x, zoo_model, "eta", "sum")
@@ -182,19 +195,18 @@ def test_sp_level_triple_ultrametric(zoo_model):
 def test_homogeneous_minimal_twist_formula(zoo_model):
     # for an eta-minimal eta-homogeneous x, twisting by any character gives
     # eta = max(eta(x), eta(chi))
-    from wdexp.exponents import exponents_of, is_eta_homogeneous, is_eta_minimal_rep, twisted_artin
-    from wdexp.rep import rep_dim
+    from wdexp.exponents import exponents_of, is_eta_homogeneous, is_minimal_rep, tensor_exponents
 
     rng = SplitMix64(21)
     tested = 0
     for _ in range(400):
         x = gen_rep(zoo_model, 3, 4, rng.next64())
-        if not (is_eta_homogeneous(x, zoo_model) and is_eta_minimal_rep(x, zoo_model)):
+        if not (is_eta_homogeneous(x, zoo_model) and is_minimal_rep(x, "eta", zoo_model)):
             continue
         tested += 1
         ex = exponents_of(x, zoo_model).eta
         for chi in zoo_model.characters:
-            lhs = Fraction(twisted_artin(chi, x, zoo_model), rep_dim(x, zoo_model))
+            lhs = tensor_exponents(parse_rep(f"Sp_1({chi})", zoo_model), x, zoo_model).eta
             c = zoo_model.cls(chi)
             eta_chi = Fraction(0) if chi == "u" else c.slope + 1
             assert lhs == max(ex, eta_chi), (x, chi)

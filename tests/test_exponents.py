@@ -6,15 +6,18 @@ from wdexp.exponents import (
     exponents_of,
     indec_tensor_kernel,
     is_eta_homogeneous,
-    is_eta_minimal_rep,
-    is_sigma_minimal_rep,
+    is_minimal_rep,
     swan_profile,
     tensor_exponents,
-    twisted_artin,
-    twisted_swan,
 )
-from wdexp.generator import SplitMix64, gen_rep
+from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
+from wdexp.model import MODES, UNRAMIFIED_ID, is_minimal_class
 from wdexp.rep import WDRep, parse_rep
+
+
+def twist(chi, x, m):
+    """Exponents of (character chi) tensor x."""
+    return tensor_exponents(parse_rep(f"Sp_1({chi})", m), x, m)
 
 
 def test_unramified_special_values(unit_model):
@@ -102,46 +105,56 @@ def test_twisted_artin_by_unit_is_artin(zoo_model):
     rng = SplitMix64(13)
     for _ in range(20):
         x = gen_rep(zoo_model, 3, 4, rng.next64())
-        assert twisted_artin("u", x, zoo_model) == exponents_of(x, zoo_model).ar
+        assert twist("u", x, zoo_model).ar == exponents_of(x, zoo_model).ar
 
 
 def test_twisted_artin_dominant_character(zoo_model):
     # slope-2 character against the slope-1/2 class: max rule binds
     x = parse_rep("Sp_1(a)", zoo_model)
-    assert twisted_artin("g", x, zoo_model) == 2 * (2 + 1)
+    assert twist("g", x, zoo_model).ar == 2 * (2 + 1)
 
 
 def test_twisted_artin_inverse_orbit(zoo_model):
     # twisting the slope-2 character by its dual lands in the unramified orbit
     x = parse_rep("Sp_1(g)", zoo_model)
-    assert twisted_artin("gd", x, zoo_model) == 0
-    assert twisted_artin("gd", parse_rep("Sp_3(g)", zoo_model), zoo_model) == 2
-
-
-def test_twisted_artin_consistent_with_kernel(zoo_model):
-    # twisting equals tensoring with the character class
-    rng = SplitMix64(14)
-    for _ in range(30):
-        x = gen_rep(zoo_model, 3, 4, rng.next64())
-        chi = ("u", "t", "g", "gd")[rng.below(4)]
-        chi_rep = parse_rep(f"Sp_1({chi})", zoo_model)
-        assert twisted_artin(chi, x, zoo_model) == tensor_exponents(chi_rep, x, zoo_model).ar
-        assert twisted_swan(chi, x, zoo_model) == tensor_exponents(chi_rep, x, zoo_model).sw
-
-
-def test_twisted_artin_rejects_non_character(zoo_model):
-    with pytest.raises(ValueError):
-        twisted_artin("a", parse_rep("Sp_1(u)", zoo_model), zoo_model)
+    assert twist("gd", x, zoo_model).ar == 0
+    assert twist("gd", parse_rep("Sp_3(g)", zoo_model), zoo_model).ar == 2
 
 
 def test_minimality_of_reps(zoo_model):
-    assert is_eta_minimal_rep(parse_rep("Sp_2(u) + Sp_3(u)", zoo_model), zoo_model)
-    assert not is_eta_minimal_rep(parse_rep("Sp_1(t)", zoo_model), zoo_model)
-    assert is_sigma_minimal_rep(parse_rep("Sp_1(t)", zoo_model), zoo_model)
+    assert is_minimal_rep(parse_rep("Sp_2(u) + Sp_3(u)", zoo_model), "eta", zoo_model)
+    assert not is_minimal_rep(parse_rep("Sp_1(t)", zoo_model), "eta", zoo_model)
+    assert is_minimal_rep(parse_rep("Sp_1(t)", zoo_model), "sigma", zoo_model)
     # sum of eta-minimal-flagged classes at one slope level
-    assert is_eta_minimal_rep(parse_rep("Sp_1(a) + 2*Sp_3(a)", zoo_model), zoo_model)
+    assert is_minimal_rep(parse_rep("Sp_1(a) + 2*Sp_3(a)", zoo_model), "eta", zoo_model)
     with pytest.raises(ValueError):
-        is_eta_minimal_rep(WDRep.zero(), zoo_model)
+        is_minimal_rep(WDRep.zero(), "eta", zoo_model)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        is_minimal_rep(parse_rep("Sp_1(a)", zoo_model), "bogus", zoo_model)
+
+
+def test_minimal_rep_agrees_with_validator_on_classes(zoo_model):
+    # the kernel path against the validator's own definition, per class
+    models = [zoo_model] + [gen_model(GenParams.from_strings("0,1/2,1,2", seed=s))
+                            for s in range(10)]
+    cases = 0
+    for m in models:
+        for i in sorted(m.classes):
+            x = parse_rep(f"Sp_1({i})", m)
+            for mode in MODES:
+                assert is_minimal_rep(x, mode, m) == is_minimal_class(i, mode, m), (i, mode)
+                cases += 1
+    assert cases > 200
+
+
+def test_exponents_of_single_term_closed_form(zoo_model, generated_model):
+    # ar(Sp_r(u)) = r-1; ar(Sp_r(i)) = r*dim*(slope+1) otherwise; sw = r*dim*slope
+    for m in (zoo_model, generated_model):
+        for i, c in m.classes.items():
+            for r in range(1, 7):
+                e = exponents_of(parse_rep(f"Sp_{r}({i})", m), m)
+                ar = r - 1 if i == UNRAMIFIED_ID else r * c.dim * (c.slope + 1)
+                assert (e.dim, e.ar, e.sw) == (r * c.dim, ar, r * c.dim * c.slope), (i, r)
 
 
 def test_length_one_kernel_identity(zoo_model):
