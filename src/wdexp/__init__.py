@@ -10,6 +10,7 @@ against genuine nilpotent linear algebra.
 from .bounds import (
     CheckResult,
     GLPair,
+    PairExponents,
     check_bound_A,
     check_bound_B,
     check_bound_C,

@@ -11,6 +11,10 @@ CheckResult carrying both sides as rationals.  Labels:
     C_irr, CS_irr   eta/varsigma(x ox y) <= max(eta/varsigma) for
                     irreducible inputs
 
+Every check reads its pair through one `PairExponents` record, so a pair
+is evaluated once however many labels read it.  `SWEEP_FAMILIES` is the
+one table of sweep selectors, their labels and where each label applies.
+
 Minimality preconditions are checked and failures are surfaced as distinct
 results (precondition_failed=True), never skipped silently: the A-bound is
 vacuous without its hypothesis and a sweep must report how many samples
@@ -22,34 +26,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
-from .exponents import (
-    exponents_of,
-    is_minimal_rep,
-    swan_profile,
-    tensor_exponents,
-)
+from .exponents import exponents_of, is_minimal_rep, swan_profile, tensor_exponents
 from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_rep
 from .maxplus import mp_degree_weight, mp_vee, optimal_witness, pair_upper_bound, s_map
-from .model import (
-    UNRAMIFIED_ID,
-    IrreducibleClass,
-    ModelInstance,
-    complete_pairing,
-    validate_model,
-)
+from .model import UNRAMIFIED_ID, IrreducibleClass, ModelInstance, complete_pairing, validate_model
 from .rationals import format_rational
 from .rep import Indecomposable, WDRep, format_rep, rep_dual
-
-# Top-level selectors accepted by sweeps, with the labels they produce.
-SWEEP_FAMILIES = {
-    "A": ("A",),
-    "AS": ("AS",),
-    "B": ("B", "B_indec"),
-    "BS": ("BS", "BS_irr"),
-    "C": ("C", "C_irr"),
-    "CS": ("CS", "CS_irr"),
-}
 
 
 @dataclass(frozen=True)
@@ -80,39 +64,48 @@ def _result(theorem, lhs, rhs, direction, inputs, precondition_failed=False):
     return CheckResult(theorem, lhs, rhs, holds, lhs == rhs, inputs, precondition_failed)
 
 
-def _inputs(m: ModelInstance, x: WDRep, y: WDRep, **extra) -> dict:
-    d = {"model": m.digest(), "x": format_rep(x), "y": format_rep(y)}
-    d.update(extra)
-    return d
+class PairExponents:
+    """What the bound checks read of a nonzero pair (x, y) in model m, each
+    evaluated on first use and at most once; `x_ydual` is x ox dual(y)."""
+
+    def __init__(self, x: WDRep, y: WDRep, m: ModelInstance):
+        if x.is_zero or y.is_zero:
+            raise ValueError("the bound checks need nonzero representations")
+        self.x, self.y, self.m = x, y, m
+
+    ex = cached_property(lambda p: exponents_of(p.x, p.m))
+    ey = cached_property(lambda p: exponents_of(p.y, p.m))
+    y_dual = cached_property(lambda p: rep_dual(p.y, p.m))
+    x_y = cached_property(lambda p: tensor_exponents(p.x, p.y, p.m))
+    x_ydual = cached_property(lambda p: tensor_exponents(p.x, p.y_dual, p.m))
+    x_xdual = cached_property(lambda p: tensor_exponents(p.x, rep_dual(p.x, p.m), p.m))
+    y_ydual = cached_property(lambda p: tensor_exponents(p.y, p.y_dual, p.m))
+    x_minimal_eta = cached_property(lambda p: is_minimal_rep(p.x, "eta", p.m))
+    x_minimal_sigma = cached_property(lambda p: is_minimal_rep(p.x, "sigma", p.m))
+    inputs = cached_property(
+        lambda p: {"model": p.m.digest(), "x": format_rep(p.x), "y": format_rep(p.y)})
 
 
-def check_bound_A(x: WDRep, y: WDRep, m: ModelInstance, mode: str = "eta") -> CheckResult:
+def check_bound_A(p: PairExponents, mode: str = "eta") -> CheckResult:
     """Lower bound: norm(x ox y) >= max(norm(x), norm(y)) / 2 when x cannot
     be lowered by any in-model character twist."""
-    if x.is_zero or y.is_zero:
-        raise ValueError("the A-bound needs nonzero representations")
     label = "A" if mode == "eta" else "AS"
-    minimal = is_minimal_rep(x, mode, m)
-    lhs = tensor_exponents(x, y, m).normalized(mode)
-    rhs = max(exponents_of(x, m).normalized(mode), exponents_of(y, m).normalized(mode)) / 2
-    return _result(label, lhs, rhs, ">=", _inputs(m, x, y, mode=mode),
-                   precondition_failed=not minimal)
+    rhs = max(p.ex.normalized(mode), p.ey.normalized(mode)) / 2
+    return _result(label, p.x_y.normalized(mode), rhs, ">=", dict(p.inputs, mode=mode),
+                   precondition_failed=not (p.x_minimal_eta if mode == "eta" else p.x_minimal_sigma))
 
 
-def check_bound_B(x: WDRep, y: WDRep, m: ModelInstance, mode: str = "eta",
-                  variant: str = "sum") -> CheckResult:
+def check_bound_B(p: PairExponents, mode: str = "eta", variant: str = "sum") -> CheckResult:
     """Symmetric lower bound on norm(x ox dual(y)).
 
     variant "sum": rhs is the average of the two self-dual tensor norms.
     variant "indec_or_irr": rhs is their max; requires single-term inputs
     (any Sp-length for mode eta, length 1 for mode sigma).
     """
-    if x.is_zero or y.is_zero:
-        raise ValueError("the B-bound needs nonzero representations")
     if variant not in ("sum", "indec_or_irr"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "indec_or_irr":
-        for z in (x, y):
+        for z in (p.x, p.y):
             if not z.is_indecomposable:
                 raise ValueError("the strong B-variant needs single-term representations")
             if mode == "sigma" and not z.is_irreducible:
@@ -120,15 +113,13 @@ def check_bound_B(x: WDRep, y: WDRep, m: ModelInstance, mode: str = "eta",
         label = "B_indec" if mode == "eta" else "BS_irr"
     else:
         label = "B" if mode == "eta" else "BS"
-    lhs = tensor_exponents(x, rep_dual(y, m), m).normalized(mode)
-    dx = tensor_exponents(x, rep_dual(x, m), m).normalized(mode)
-    dy = tensor_exponents(y, rep_dual(y, m), m).normalized(mode)
+    dx, dy = p.x_xdual.normalized(mode), p.y_ydual.normalized(mode)
     rhs = max(dx, dy) if variant == "indec_or_irr" else (dx + dy) / 2
-    return _result(label, lhs, rhs, ">=", _inputs(m, x, y, mode=mode, variant=variant))
+    return _result(label, p.x_ydual.normalized(mode), rhs, ">=",
+                   dict(p.inputs, mode=mode, variant=variant))
 
 
-def check_bound_C(x: WDRep, y: WDRep, m: ModelInstance, mode: str = "eta",
-                  variant: str = "general") -> CheckResult:
+def check_bound_C(p: PairExponents, mode: str = "eta", variant: str = "general") -> CheckResult:
     """Upper bounds on the tensor exponent.
 
     variant "general": ar(x ox y) <= dim(y)ar(x) + dim(x)ar(y) - min(ar)
@@ -136,24 +127,20 @@ def check_bound_C(x: WDRep, y: WDRep, m: ModelInstance, mode: str = "eta",
     exponent of the tensor is at most the max of the factors'; requires
     irreducible (length-1 single-term) inputs.
     """
-    if x.is_zero or y.is_zero:
-        raise ValueError("the C-bound needs nonzero representations")
     if variant not in ("general", "irreducible"):
         raise ValueError(f"unknown variant {variant!r}")
-    ex, ey = exponents_of(x, m), exponents_of(y, m)
-    t = tensor_exponents(x, y, m)
     if variant == "general":
         label = "C" if mode == "eta" else "CS"
-        a, b = ex.exponent(mode), ey.exponent(mode)
-        lhs = t.exponent(mode)
-        rhs = ey.dim * a + ex.dim * b - min(a, b)
+        a, b = p.ex.exponent(mode), p.ey.exponent(mode)
+        lhs = p.x_y.exponent(mode)
+        rhs = p.ey.dim * a + p.ex.dim * b - min(a, b)
     else:
-        if not (x.is_irreducible and y.is_irreducible):
+        if not (p.x.is_irreducible and p.y.is_irreducible):
             raise ValueError("the irreducible C-variant needs irreducible representations")
         label = "C_irr" if mode == "eta" else "CS_irr"
-        lhs = t.normalized(mode)
-        rhs = max(ex.normalized(mode), ey.normalized(mode))
-    return _result(label, lhs, rhs, "<=", _inputs(m, x, y, mode=mode, variant=variant))
+        lhs = p.x_y.normalized(mode)
+        rhs = max(p.ex.normalized(mode), p.ey.normalized(mode))
+    return _result(label, lhs, rhs, "<=", dict(p.inputs, mode=mode, variant=variant))
 
 
 # -- the exponent dictionary for pairs ---------------------------------------
@@ -242,20 +229,22 @@ def sharpness_suite() -> list[CheckResult]:
 
     m2 = dim2_witness_model()
     x = WDRep.from_terms([(1, Indecomposable(1, "w"))])
-    out.append(check_bound_A(x, x, m2, "eta"))
-    out.append(check_bound_A(x, x, m2, "sigma"))
-    out.append(check_bound_B(x, x, m2, "eta", "sum"))
+    p = PairExponents(x, x, m2)
+    out.append(check_bound_A(p, "eta"))
+    out.append(check_bound_A(p, "sigma"))
+    out.append(check_bound_B(p, "eta", "sum"))
 
     for ell in (3, 5):
         mw = prime_dim_witness_model(ell)
         xw = WDRep.from_terms([(1, Indecomposable(1, f"p{ell}"))])
-        out.append(check_bound_B(xw, xw, mw, "sigma", "indec_or_irr"))
-        out.append(check_bound_A(xw, xw, mw, "sigma"))
+        p = PairExponents(xw, xw, mw)
+        out.append(check_bound_B(p, "sigma", "indec_or_irr"))
+        out.append(check_bound_A(p, "sigma"))
 
     mt = tame_character_witness_model()
     xt = WDRep.from_terms([(1, Indecomposable(1, "t"))])
     yu = WDRep.from_terms([(1, Indecomposable(1, UNRAMIFIED_ID))])
-    out.append(check_bound_C(xt, yu, mt, "eta", "general"))
+    out.append(check_bound_C(PairExponents(xt, yu, mt), "eta", "general"))
 
     d1, v1, d2, v2 = 2, Fraction(3), 1, Fraction(5)
     w1, w2 = optimal_witness(d1, v1, d2, v2)
@@ -275,6 +264,30 @@ def sharpness_suite() -> list[CheckResult]:
 
 
 # -- sweeps -------------------------------------------------------------------
+
+
+# Sweep selector -> its labels in emission order, each with the check that
+# produces it and the WDRep property both x and y need (None: every pair).
+# The checks are called by their module names, so a wrapped checker is the
+# one a sweep runs.
+SWEEP_FAMILIES = {
+    "A": (("A", lambda p: check_bound_A(p, "eta"), None),),
+    "AS": (("AS", lambda p: check_bound_A(p, "sigma"), None),),
+    "B": (("B", lambda p: check_bound_B(p, "eta", "sum"), None),
+          ("B_indec", lambda p: check_bound_B(p, "eta", "indec_or_irr"), "is_indecomposable")),
+    "BS": (("BS", lambda p: check_bound_B(p, "sigma", "sum"), None),
+           ("BS_irr", lambda p: check_bound_B(p, "sigma", "indec_or_irr"), "is_irreducible")),
+    "C": (("C", lambda p: check_bound_C(p, "eta", "general"), None),
+          ("C_irr", lambda p: check_bound_C(p, "eta", "irreducible"), "is_irreducible")),
+    "CS": (("CS", lambda p: check_bound_C(p, "sigma", "general"), None),
+           ("CS_irr", lambda p: check_bound_C(p, "sigma", "irreducible"), "is_irreducible")),
+}
+
+
+def _require_selectors(theorems):
+    for t in theorems:
+        if t not in SWEEP_FAMILIES:
+            raise ValueError(f"unknown theorem selector {t!r}")
 
 
 @dataclass
@@ -331,9 +344,7 @@ def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
         raise ValueError("max_terms and max_r must be >= 1")
     if not theorems:
         raise ValueError("select at least one theorem family")
-    for t in theorems:
-        if t not in SWEEP_FAMILIES:
-            raise ValueError(f"unknown theorem selector {t!r}")
+    _require_selectors(theorems)
     results: list[CheckResult] = []
     summary = SweepSummary()
     for mi in range(models):
@@ -353,31 +364,13 @@ def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
 
 
 def checks_for_pair(theorems, x: WDRep, y: WDRep, m: ModelInstance):
-    """All applicable labeled checks for one representation pair."""
-    indec = x.is_indecomposable and y.is_indecomposable
-    irr = x.is_irreducible and y.is_irreducible
-    out = []
-    if "A" in theorems:
-        out.append(check_bound_A(x, y, m, "eta"))
-    if "AS" in theorems:
-        out.append(check_bound_A(x, y, m, "sigma"))
-    if "B" in theorems:
-        out.append(check_bound_B(x, y, m, "eta", "sum"))
-        if indec:
-            out.append(check_bound_B(x, y, m, "eta", "indec_or_irr"))
-    if "BS" in theorems:
-        out.append(check_bound_B(x, y, m, "sigma", "sum"))
-        if irr:
-            out.append(check_bound_B(x, y, m, "sigma", "indec_or_irr"))
-    if "C" in theorems:
-        out.append(check_bound_C(x, y, m, "eta", "general"))
-        if irr:
-            out.append(check_bound_C(x, y, m, "eta", "irreducible"))
-    if "CS" in theorems:
-        out.append(check_bound_C(x, y, m, "sigma", "general"))
-        if irr:
-            out.append(check_bound_C(x, y, m, "sigma", "irreducible"))
-    return out
+    """All applicable labeled checks for one representation pair, in the
+    order of `SWEEP_FAMILIES`, all reading one `PairExponents` record."""
+    _require_selectors(theorems)
+    p = PairExponents(x, y, m)
+    return [check(p) for family, labels in SWEEP_FAMILIES.items() if family in theorems
+            for _label, check, needs in labels
+            if needs is None or (getattr(x, needs) and getattr(y, needs))]
 
 
 def swan_bridge_gap(x: WDRep, y: WDRep, m: ModelInstance) -> Fraction:

@@ -462,8 +462,9 @@ def model_from_json_dict(doc: dict) -> ModelInstance:
 
     Omitted pairing entries are filled in by `complete_pairing`.  A document
     that is not an object, a `classes`, `pairing`, `characters` or `flags`
-    value that is not a list, and a required key that is missing or has the
-    wrong type all raise ModelStructureError.
+    value that is not a list, a required key that is missing or has the
+    wrong type, two pairing entries for the same unordered pair and a
+    repeated character id all raise ModelStructureError.
     """
     if not isinstance(doc, dict):
         raise ModelStructureError(f"a model document must be an object, got {type(doc).__name__}")
@@ -477,10 +478,14 @@ def model_from_json_dict(doc: dict) -> ModelInstance:
     entries = {}
     for k, e in enumerate(_require_list(doc, "pairing", [])):
         i, j, slope = _require_fields(e, ("i", "j", "slope"), f"pairing entry {k}")
+        if _pair_key(i, j) in entries:
+            raise ModelStructureError(f"pairing entry {k} repeats the pair {{{i},{j}}}")
         entries[_pair_key(i, j)] = parse_rational(slope)
     characters = _require_list(doc, "characters", [])
     if not all(isinstance(ch, str) for ch in characters):
         raise ModelStructureError("'characters' must list class ids")
+    if len(set(characters)) != len(characters):
+        raise ModelStructureError("'characters' lists a class id twice")
     model = ModelInstance(classes, complete_pairing(classes, entries), characters)
     model.structural_check()
     return model

@@ -1,9 +1,13 @@
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from wdexp.bounds import (
+    SWEEP_FAMILIES,
     GLPair,
+    PairExponents,
     check_bound_A,
     check_bound_B,
     check_bound_C,
@@ -12,6 +16,7 @@ from wdexp.bounds import (
     gl_pair_artin_from_swan,
     gl_pair_dictionary,
     prime_dim_witness_model,
+    results_to_json,
     run_sweep,
     sharpness_suite,
     swan_bridge_gap,
@@ -21,10 +26,12 @@ from wdexp.exponents import indec_tensor_kernel
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
 from wdexp.rep import WDRep, parse_rep
 
+ALL_FAMILIES = ("A", "AS", "B", "BS", "C", "CS")
+
 
 def test_bound_A_trivial_unit(unit_model):
     x = parse_rep("Sp_1(u)", unit_model)
-    r = check_bound_A(x, x, unit_model, "eta")
+    r = check_bound_A(PairExponents(x, x, unit_model), "eta")
     assert r.theorem == "A" and r.holds and r.equality and not r.precondition_failed
     assert (r.lhs, r.rhs) == (0, 0)
 
@@ -33,7 +40,7 @@ def test_bound_A_unramified_is_stronger(zoo_model):
     x = parse_rep("Sp_2(u) + Sp_3(u)", zoo_model)
     for ytext in ("Sp_1(a)", "Sp_2(c3) + Sp_1(t)", "Sp_1(g)"):
         y = parse_rep(ytext, zoo_model)
-        r = check_bound_A(x, y, zoo_model, "eta")
+        r = check_bound_A(PairExponents(x, y, zoo_model), "eta")
         assert r.holds and not r.precondition_failed
         from wdexp.exponents import exponents_of
 
@@ -45,25 +52,29 @@ def test_bound_A_unramified_is_stronger(zoo_model):
 
 def test_bound_A_precondition_reported(zoo_model):
     x = parse_rep("Sp_1(t)", zoo_model)  # tame character: not eta-minimal
-    r = check_bound_A(x, x, zoo_model, "eta")
+    p = PairExponents(x, x, zoo_model)
+    r = check_bound_A(p, "eta")
     assert r.precondition_failed
-    r = check_bound_A(x, x, zoo_model, "sigma")
+    r = check_bound_A(p, "sigma")
     assert not r.precondition_failed  # but it is sigma-minimal
 
 
 def test_bound_A_dim2_witness_equality():
     m = dim2_witness_model()
     x = parse_rep("Sp_1(w)", m)
-    r = check_bound_A(x, x, m, "eta")
+    p = PairExponents(x, x, m)
+    r = check_bound_A(p, "eta")
     assert r.holds and r.equality
     assert r.lhs == Fraction(3, 4) == r.rhs
-    rs = check_bound_A(x, x, m, "sigma")
+    rs = check_bound_A(p, "sigma")
     assert rs.equality and rs.lhs == Fraction(1, 4)
 
 
 def test_bound_A_zero_rep_rejected(unit_model):
-    with pytest.raises(ValueError):
-        check_bound_A(WDRep.zero(), parse_rep("Sp_1(u)", unit_model), unit_model)
+    x = parse_rep("Sp_1(u)", unit_model)
+    for pair in ((WDRep.zero(), x), (x, WDRep.zero())):
+        with pytest.raises(ValueError, match="nonzero"):
+            PairExponents(*pair, unit_model)
 
 
 @pytest.mark.parametrize("check, variant", [
@@ -76,31 +87,32 @@ def test_bound_A_zero_rep_rejected(unit_model):
 def test_bounds_reject_unknown_mode(zoo_model, check, variant):
     x = parse_rep("Sp_1(a)", zoo_model)
     with pytest.raises(ValueError, match="mode must be one of"):
-        check(x, x, zoo_model, "bogus", *variant)
+        check(PairExponents(x, x, zoo_model), "bogus", *variant)
 
 
 def test_bound_B_sum_equality_on_equal_inputs(zoo_model):
     x = parse_rep("Sp_2(a) + Sp_1(b)", zoo_model)
-    r = check_bound_B(x, x, zoo_model, "eta", "sum")
+    r = check_bound_B(PairExponents(x, x, zoo_model), "eta", "sum")
     assert r.theorem == "B" and r.holds and r.equality
 
 
 def test_bound_B_indec_variant(zoo_model):
     x = parse_rep("Sp_2(a)", zoo_model)
     y = parse_rep("Sp_1(b)", zoo_model)
-    r = check_bound_B(x, y, zoo_model, "eta", "indec_or_irr")
+    p = PairExponents(x, y, zoo_model)
+    r = check_bound_B(p, "eta", "indec_or_irr")
     assert r.theorem == "B_indec" and r.holds
     with pytest.raises(ValueError):
-        check_bound_B(parse_rep("Sp_1(a) + Sp_1(b)", zoo_model), y, zoo_model,
+        check_bound_B(PairExponents(parse_rep("Sp_1(a) + Sp_1(b)", zoo_model), y, zoo_model),
                       "eta", "indec_or_irr")
     with pytest.raises(ValueError):
-        check_bound_B(x, y, zoo_model, "sigma", "indec_or_irr")  # needs r = 1
+        check_bound_B(p, "sigma", "indec_or_irr")  # needs r = 1
 
 
 def test_bound_B_distinct_slopes_hit_max(zoo_model):
     x = parse_rep("Sp_1(a)", zoo_model)
     y = parse_rep("Sp_1(b)", zoo_model)
-    r = check_bound_B(x, y, zoo_model, "sigma", "indec_or_irr")
+    r = check_bound_B(PairExponents(x, y, zoo_model), "sigma", "indec_or_irr")
     assert r.theorem == "BS_irr" and r.holds
     assert r.lhs == max(zoo_model.slope("a"), zoo_model.slope("b"))
 
@@ -108,24 +120,25 @@ def test_bound_B_distinct_slopes_hit_max(zoo_model):
 def test_bound_C_examples(unit_model, zoo_model):
     x = parse_rep("Sp_2(u)", unit_model)
     y = parse_rep("Sp_3(u)", unit_model)
-    r = check_bound_C(x, y, unit_model, "eta", "general")
+    r = check_bound_C(PairExponents(x, y, unit_model), "eta", "general")
     assert (r.lhs, r.rhs) == (4, 6) and r.holds
     # tame character against the unit orbit attains the bound
     mt = tame_character_witness_model()
-    r = check_bound_C(parse_rep("Sp_1(t)", mt), parse_rep("Sp_1(u)", mt), mt)
+    r = check_bound_C(PairExponents(parse_rep("Sp_1(t)", mt), parse_rep("Sp_1(u)", mt), mt))
     assert r.equality and r.lhs == 1
-    r = check_bound_C(parse_rep("Sp_1(u)", unit_model), parse_rep("Sp_1(u)", unit_model),
-                      unit_model, "eta", "general")
+    u = parse_rep("Sp_1(u)", unit_model)
+    r = check_bound_C(PairExponents(u, u, unit_model), "eta", "general")
     assert r.holds and (r.lhs, r.rhs) == (0, 0)
 
 
 def test_bound_C_irreducible_variant(zoo_model):
     x = parse_rep("Sp_1(a)", zoo_model)
     y = parse_rep("Sp_1(c3)", zoo_model)
-    r = check_bound_C(x, y, zoo_model, "eta", "irreducible")
+    r = check_bound_C(PairExponents(x, y, zoo_model), "eta", "irreducible")
     assert r.theorem == "C_irr" and r.holds
     with pytest.raises(ValueError):
-        check_bound_C(parse_rep("Sp_2(a)", zoo_model), y, zoo_model, "eta", "irreducible")
+        check_bound_C(PairExponents(parse_rep("Sp_2(a)", zoo_model), y, zoo_model), "eta",
+                      "irreducible")
 
 
 def test_gl_pair_dictionary():
@@ -224,28 +237,76 @@ def test_swan_bridge(zoo_model):
 def test_checks_for_pair_labels(zoo_model):
     x = parse_rep("Sp_1(a)", zoo_model)
     y = parse_rep("Sp_1(b)", zoo_model)
-    labels = {r.theorem for r in checks_for_pair(("A", "AS", "B", "BS", "C", "CS"), x, y, zoo_model)}
-    assert labels == {"A", "AS", "B", "B_indec", "BS", "BS_irr", "C", "C_irr", "CS", "CS_irr"}
+    every = ["A", "AS", "B", "B_indec", "BS", "BS_irr", "C", "C_irr", "CS", "CS_irr"]
+    # labels come out in the table's fixed order, whatever the selector order
+    for theorems in (ALL_FAMILIES, ALL_FAMILIES[::-1]):
+        assert [r.theorem for r in checks_for_pair(theorems, x, y, zoo_model)] == every
+    assert [label for labels in SWEEP_FAMILIES.values() for label, _, _ in labels] == every
     x2 = parse_rep("Sp_2(a) + Sp_1(b)", zoo_model)
-    labels = {r.theorem for r in checks_for_pair(("B", "C"), x2, y, zoo_model)}
-    assert labels == {"B", "C"}
+    assert [r.theorem for r in checks_for_pair(("C", "B"), x2, y, zoo_model)] == ["B", "C"]
 
 
 def test_small_sweep_clean():
     gen = GenParams.from_strings("0,1/2,1,2", seed=0)
-    results, summary = run_sweep(("A", "AS", "B", "BS", "C", "CS"), 3, 10, gen, seed=0)
+    results, summary = run_sweep(ALL_FAMILIES, 3, 10, gen, seed=0)
     assert summary.total_violations() == 0
     assert summary.models == 3
     assert summary.samples["B"] == 30
     # results are reproducible
-    results2, _ = run_sweep(("A", "AS", "B", "BS", "C", "CS"), 3, 10, gen, seed=0)
+    results2, _ = run_sweep(ALL_FAMILIES, 3, 10, gen, seed=0)
     assert [r.to_json_dict() for r in results] == [r.to_json_dict() for r in results2]
+
+
+def test_sweep_output_is_pinned():
+    # sha256 of the JSON report and the CSV summary of a fixed sweep,
+    # recorded before the bound checks shared one evaluation per pair.
+    gen = GenParams.from_strings("0,1/2,1,2")
+    results, summary = run_sweep(ALL_FAMILIES, 4, 25, gen, seed=0)
+    assert len(results) == 618
+    assert hashlib.sha256(results_to_json(results).encode()).hexdigest() == (
+        "466b989cedf3a41aa6ce85fd09d2ffbb9897fd6fba02ca5ab028aab861bae54a")
+    assert hashlib.sha256(summary.csv().encode()).hexdigest() == (
+        "061d9cac08dd40b74a71d200304195367062b9dbcbcbc3d13f1e4cce3c169197")
+
+
+def test_sweep_evaluates_each_pair_once(monkeypatch):
+    # Every label of a pair reads one evaluation: four distinct tensors,
+    # the exponents and minimality of x and y, one digest and two printed
+    # expressions.
+    import wdexp.bounds as bounds
+    from wdexp.model import ModelInstance
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("tensor_exponents", "exponents_of", "is_minimal_rep", "rep_dual", "format_rep"):
+        monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
+    monkeypatch.setattr(ModelInstance, "digest", counting("digest", ModelInstance.digest))
+    models, pairs = 4, 25
+    run_sweep(ALL_FAMILIES, models, pairs, GenParams.from_strings("0,1/2,1,2"), seed=0)
+    n = models * pairs
+    assert calls["tensor_exponents"] <= 4 * n
+    assert calls["exponents_of"] <= 2 * n
+    assert calls["is_minimal_rep"] <= 2 * n
+    assert calls["rep_dual"] <= 2 * n
+    assert calls["format_rep"] <= 2 * n
+    assert calls["digest"] <= n
 
 
 def test_sweep_rejects_unknown_selector():
     gen = GenParams.from_strings("1", seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown theorem selector"):
         run_sweep(("Z",), 1, 1, gen, seed=0)
+    m = gen_model(gen)
+    x = gen_rep(m, 3, 4, 1)
+    for theorems in (("Z",), ("C", "Z")):
+        with pytest.raises(ValueError, match="unknown theorem selector 'Z'"):
+            checks_for_pair(theorems, x, x, m)
     # a sweep that would check nothing is rejected before generating a model
     for args in (((), 1, 1), (("C",), 0, 1), (("C",), 1, 0)):
         with pytest.raises(ValueError):

@@ -230,6 +230,17 @@ def test_malformed_documents_raise_structure_errors():
     doc = _small_doc()
     doc["pairing"][0] = "i,j"
     bad.append(doc)
+    # a repeated pairing entry (either order) or character id is ambiguous,
+    # never "the last one wins"
+    doc = _small_doc()
+    doc["pairing"].append({"i": "i", "j": "i", "slope": "2"})
+    bad.append(doc)
+    doc = _small_doc()
+    doc["pairing"].append({"i": "j", "j": "i", "slope": "0"})
+    bad.append(doc)
+    doc = _small_doc()
+    doc["characters"].append("u")
+    bad.append(doc)
     for doc in bad:
         with pytest.raises(ModelStructureError):
             model_from_json_dict(doc)
