@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from wdexp.model import (
     load_model,
     dump_model,
     model_from_json_dict,
+    Violation,
     validate_model,
 )
 from wdexp.rationals import format_rational, parse_rational
@@ -89,6 +92,27 @@ def test_diagonal_minimality_violation_reported():
     }
     report = validate_model(model_from_json_dict(doc))
     assert "M5" in report.labels()
+
+
+# Three self-dual classes at one slope with s(a,c) = 1 above s(a,b) =
+# s(b,c) = 1/2: M1-M5 hold, and D(a,c) = D(c,a) = 1 > max(1/2, 1/2) through b.
+M6_DOC = {
+    "classes": [{"id": i, "dim": d, "slope": sl, "deg": 1, "dual": i,
+                 "flags": ["minimal_sigma", "minimal_eta"]}
+                for i, d, sl in (("u", 1, "0"), ("a", 2, "1"), ("b", 2, "1"), ("c", 2, "1"))],
+    "pairing": [{"i": i, "j": j, "slope": sl} for i, j, sl in (
+        ("a", "a", "1/2"), ("b", "b", "1/2"), ("c", "c", "1/2"),
+        ("a", "b", "1/2"), ("b", "c", "1/2"), ("a", "c", "1"))],
+    "characters": ["u"],
+}
+
+
+def test_ultrametric_violation_reported():
+    report = validate_model(model_from_json_dict(M6_DOC))
+    assert report.violations == [
+        Violation("M6", ("a", "c", "b"), Fraction(1), Fraction(1, 2)),
+        Violation("M6", ("c", "a", "b"), Fraction(1), Fraction(1, 2)),
+    ]
 
 
 def test_character_self_pairing_enforced():
@@ -310,3 +334,122 @@ def test_pinned_digests(unit_model):
         got[f"gen{seed}"] = gen_model(GenParams.from_strings("0,1/2,1,2", seed=seed)).digest()
     assert got == PINNED_DIGESTS
     assert unit_model.digest() == PINNED_DIGESTS["unit"]
+
+
+def test_digest_is_computed_once(monkeypatch):
+    from wdexp.bounds import run_sweep
+    from wdexp.generator import GenParams, gen_model
+
+    m = gen_model(GenParams.from_strings("0,1/2,1,2", seed=4))
+    assert m.digest() == hashlib.sha256(m.to_json().encode()).hexdigest()
+    assert m.digest() is m.digest()
+    serialized, to_json = [], ModelInstance.to_json
+
+    def counting_to_json(self):
+        serialized.append(self)
+        return to_json(self)
+
+    monkeypatch.setattr(ModelInstance, "to_json", counting_to_json)
+    results, _ = run_sweep(("A", "C"), 2, 10, GenParams.from_strings("0,1/2,1,2"), seed=0)
+    assert len({r.inputs["model"] for r in results}) == 2
+    assert len(serialized) == 2 and serialized[0] is not serialized[1]
+
+
+# -- M6: the O(n^2) check against the triple loop it stands in for ---------
+
+# Labels recorded before and after the M6 block of validate_model.
+_AFTER_M6 = ("M7", "M8", "flag_sigma", "flag_eta")
+
+
+def _reference_m6(m):
+    """M6 as the triple loop over all (i, j, k) checks it, in that order.
+    The loop compares the ranks of the entries among the table's values,
+    which order them as the entries themselves do, but as ints."""
+    ids = sorted(m.classes)
+    value = sorted({m.pair(i, m.dual(j)) for i in ids for j in ids})
+    rank = {v: r for r, v in enumerate(value)}
+    dist = {(i, j): rank[m.pair(i, m.dual(j))] for i in ids for j in ids}
+    out = []
+    for i in ids:
+        for j in ids:
+            dij = dist[i, j]
+            for k in ids:
+                bound = max(dist[i, k], dist[k, j])
+                if dij > bound:
+                    out.append(Violation("M6", (i, j, k), value[dij], value[bound]))
+    return out
+
+
+def _reference_violations(m, report):
+    """`report` with its M6 violations replaced by the triple loop's."""
+    before = [v for v in report.violations if v.axiom not in ("M6",) + _AFTER_M6]
+    after = [v for v in report.violations if v.axiom in _AFTER_M6]
+    return before + _reference_m6(m) + after
+
+
+def _perturbed(m, rng, with_dual_image):
+    """`m` with one pairing entry moved to another value of the table; with
+    `with_dual_image`, the entry {dual i, dual j} moves with it, so M4 still
+    holds and the O(n^2) check rather than the M4 gate decides M6."""
+    entries = dict(m.pairing.items())
+    values = sorted(set(entries.values()))
+    (i, j), old = rng.choice(sorted(entries.items()))
+    new = rng.choice([v for v in values if v != old] or [old + 1])
+    entries[i, j] = new
+    if with_dual_image:
+        di, dj = m.dual(i), m.dual(j)
+        entries[min(di, dj), max(di, dj)] = new
+    return ModelInstance(m.classes.values(), PairingTable(entries), m.characters)
+
+
+@pytest.mark.parametrize("cpl", range(2, 6))
+def test_m6_check_matches_triple_loop(cpl):
+    from wdexp.generator import GenParams, gen_model
+
+    seen = set()
+    for seed in range(30):
+        m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl, seed=seed))
+        rng = random.Random(1000 * cpl + seed)
+        for model in [m] + [_perturbed(m, rng, k % 2 == 1) for k in range(6)]:
+            report = validate_model(model)
+            assert report.violations == _reference_violations(model, report)
+            seen.add(("M6" in report.labels(), bool(report.labels() & {"M4", "M5"})))
+    # perturbations reach M6 violations both with M4 and M5 holding (the
+    # O(n^2) check says no) and with one of them failing (the gate)
+    assert (True, False) in seen and (True, True) in seen
+
+
+def test_m6_gate_falls_back_when_m4_or_m5_fails():
+    flags = ["minimal_sigma", "minimal_eta"]
+    # a and ad are duals with s(a,a) != s(ad,ad): M4 fails, and D(ad,a) = 1
+    # exceeds max(D(ad,c), D(c,a)) = 1/2.
+    m4 = model_from_json_dict({
+        "classes": [{"id": i, "dim": d, "slope": sl, "deg": 1, "dual": du, "flags": flags}
+                    for i, d, sl, du in (("u", 1, "0", "u"), ("a", 2, "1", "ad"),
+                                         ("ad", 2, "1", "a"), ("c", 2, "1", "c"))],
+        "pairing": [{"i": i, "j": j, "slope": sl} for i, j, sl in (
+            ("a", "a", "1/2"), ("ad", "ad", "1"), ("a", "ad", "1/2"),
+            ("a", "c", "1/2"), ("ad", "c", "1/2"), ("c", "c", "1/2"))],
+        "characters": ["u"],
+    })
+    # s(a,a) = 1/2 above s(a,b) = 1/4: M5 fails, and with it the diagonal
+    # triples (a,a,b) and (b,b,a) of M6, which the spanning tree never sees.
+    m5_doc = dict(M6_DOC, classes=[c for c in M6_DOC["classes"] if c["id"] != "c"],
+                  pairing=[{"i": "a", "j": "a", "slope": "1/2"},
+                           {"i": "b", "j": "b", "slope": "1/2"},
+                           {"i": "a", "j": "b", "slope": "1/4"}])
+    m5 = model_from_json_dict(m5_doc)
+    for model, gate, witnesses in ((m4, "M4", [("ad", "a", "c")]),
+                                   (m5, "M5", [("a", "a", "b"), ("b", "b", "a")])):
+        report = validate_model(model)
+        assert gate in report.labels()
+        assert [v.witness for v in report.violations if v.axiom == "M6"] == witnesses
+        assert report.violations == _reference_violations(model, report)
+
+
+def test_large_generated_model_validates():
+    from wdexp.generator import GenParams, gen_model
+
+    m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=40))
+    assert len(m.classes) == 163
+    assert validate_model(m).ok
