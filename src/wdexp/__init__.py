@@ -9,13 +9,10 @@ against genuine nilpotent linear algebra.
 
 from .bounds import (
     CheckResult,
-    GLPair,
     PairExponents,
     check_bound_A,
     check_bound_B,
     check_bound_C,
-    gl_pair_artin_from_swan,
-    gl_pair_dictionary,
     run_sweep,
     sharpness_suite,
 )
@@ -49,7 +46,6 @@ from .model import (
     PairingTable,
     ValidationReport,
     complete_pairing,
-    dualized,
     is_minimal_class,
     load_model,
     dump_model,

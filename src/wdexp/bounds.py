@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .exponents import exponents_of, is_minimal_rep, swan_profile, tensor_exponents
+from .exponents import (character_twists, exponents_of, is_minimal_among, swan_profile,
+                        tensor_exponents)
 from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_rep
 from .maxplus import mp_degree_weight, mp_vee, optimal_witness, pair_upper_bound, s_map
 from .model import UNRAMIFIED_ID, IrreducibleClass, ModelInstance, complete_pairing, validate_model
@@ -80,8 +81,9 @@ class PairExponents:
     x_ydual = cached_property(lambda p: tensor_exponents(p.x, p.y_dual, p.m))
     x_xdual = cached_property(lambda p: tensor_exponents(p.x, rep_dual(p.x, p.m), p.m))
     y_ydual = cached_property(lambda p: tensor_exponents(p.y, p.y_dual, p.m))
-    x_minimal_eta = cached_property(lambda p: is_minimal_rep(p.x, "eta", p.m))
-    x_minimal_sigma = cached_property(lambda p: is_minimal_rep(p.x, "sigma", p.m))
+    x_twists = cached_property(lambda p: character_twists(p.x, p.m, p.ex))
+    x_minimal_eta = cached_property(lambda p: is_minimal_among(p.ex, p.x_twists, "eta"))
+    x_minimal_sigma = cached_property(lambda p: is_minimal_among(p.ex, p.x_twists, "sigma"))
     inputs = cached_property(
         lambda p: {"model": p.m.digest(), "x": format_rep(p.x), "y": format_rep(p.y)})
 
@@ -141,45 +143,6 @@ def check_bound_C(p: PairExponents, mode: str = "eta", variant: str = "general")
         lhs = p.x_y.normalized(mode)
         rhs = max(p.ex.normalized(mode), p.ey.normalized(mode))
     return _result(label, lhs, rhs, "<=", dict(p.inputs, mode=mode, variant=variant))
-
-
-# -- the exponent dictionary for pairs ---------------------------------------
-
-
-@dataclass(frozen=True)
-class GLPair:
-    """Exponent data of a pair of irreducible representations of general
-    linear groups: dimensions, the pair's Artin exponent, and the count d of
-    unramified twists carrying one factor to the dual of the other."""
-
-    m: int
-    n: int
-    ar_pair: int
-    d: int = 0
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be >= 1")
-        if self.d < 0:
-            raise ValueError("twist count must be >= 0")
-        if self.d != 0 and (self.m != self.n or self.n % self.d != 0):
-            raise ValueError("a nonzero twist count forces m = n and d | n")
-
-
-def gl_pair_dictionary(p: GLPair) -> tuple[int, Fraction]:
-    """(sw_pair, varsigma_pair) from Artin data: sw = ar - mn + d."""
-    sw = p.ar_pair - p.m * p.n + p.d
-    if sw < 0:
-        raise ValueError(f"inconsistent pair data: sw would be {sw} < 0")
-    return sw, Fraction(sw, p.m * p.n)
-
-
-def gl_pair_artin_from_swan(sw_pair: int, m: int, n: int, d: int = 0) -> int:
-    """Inverse direction of the dictionary: ar = sw + mn - d."""
-    if sw_pair < 0:
-        raise ValueError("Swan exponent must be >= 0")
-    GLPair(m, n, sw_pair + m * n - d, d)
-    return sw_pair + m * n - d
 
 
 # -- sharpness witnesses -----------------------------------------------------

@@ -13,9 +13,10 @@ character chi puts Sp_1(chi) on the left; Sp_r of the dual orbit of chi
 then twists into the unramified orbit, with ar = r-1.  `exponents_of` is
 the twist by the unramified orbit Sp_1(u): the unit row s(u,i) = slope_i
 gives sw = r*m_i*slope_i, ar(Sp_r(u)) = r-1 and the additive rule
-ar(Sp_r(sigma)) = r*ar(sigma) for ramified sigma.  `is_minimal_rep` compares
-every character twist with it, and `is_eta_homogeneous` reads the eta of
-each irreducible constituent Sp_1(i) off its twist by Sp_1(u).
+ar(Sp_r(sigma)) = r*ar(sigma) for ramified sigma.  `character_twists`
+lists the character twists of x once, and `is_minimal_among` compares them
+with `exponents_of(x)` for either mode.  The kernel computes in integers
+on the model's integer view (`ModelInstance.compiled()`).
 """
 
 from __future__ import annotations
@@ -58,16 +59,19 @@ class ExponentReport:
 
 
 def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tuple[int, int, int]:
-    """(ar, sw, dim) of Sp_r(class_i) tensor Sp_s(class_j)."""
+    """(ar, sw, dim) of Sp_r(class_i) tensor Sp_s(class_j), in integers on
+    the model's integer view: sw = dim*S[i][j]/L must be exact."""
     if r < 1 or s < 1:
         raise ValueError("Sp-lengths must be >= 1")
-    ci, cj = m.cls(i), m.cls(j)
-    dim = r * s * ci.dim * cj.dim
-    sw = dim * m.pair(i, j)
-    if sw.denominator != 1:
-        raise ValueError(f"sw of Sp_{r}({i}) tensor Sp_{s}({j}) is not an integer: {sw}")
-    d = ci.deg if j == ci.dual else 0
-    return sw.numerator + dim - d * min(r, s), sw.numerator, dim
+    v = m.compiled()
+    a, b = v.at(i), v.at(j)
+    dim = r * s * v.dim[a] * v.dim[b]
+    sw, rest = divmod(dim * v.S[a][b], v.L)
+    if rest:
+        raise ValueError(f"sw of Sp_{r}({i}) tensor Sp_{s}({j}) is not an integer: "
+                         f"{Fraction(dim * v.S[a][b], v.L)}")
+    d = v.deg[a] if b == v.dual[a] else 0
+    return sw + dim - d * min(r, s), sw, dim
 
 
 def tensor_exponents(x: WDRep, y: WDRep, m: ModelInstance) -> ExponentReport:
@@ -102,31 +106,29 @@ def exponents_of(x: WDRep, m: ModelInstance) -> ExponentReport:
     return _twist(UNRAMIFIED_ID, x, m)
 
 
+def character_twists(x: WDRep, m: ModelInstance, own: ExponentReport) -> list[ExponentReport]:
+    """x twisted by each in-model character; `own` = exponents_of(x) stands
+    in for the twist by the unramified orbit, which it equals."""
+    return [own if chi == UNRAMIFIED_ID else _twist(chi, x, m) for chi in m.characters]
+
+
+def is_minimal_among(own: ExponentReport, twists, mode: str) -> bool:
+    """The minimality rule: no twist has a lower Artin exponent (mode
+    "eta") or Swan exponent (mode "sigma") than `own`."""
+    least = own.exponent(mode)
+    return all(t.exponent(mode) >= least for t in twists)
+
+
 def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:
     """No in-model character twist lowers the Artin exponent of x (mode
     "eta") or its Swan exponent (mode "sigma")."""
     if x.is_zero:
         raise ValueError("minimality is undefined for the zero representation")
-    own = exponents_of(x, m).exponent(mode)
-    return all(_twist(chi, x, m).exponent(mode) >= own for chi in m.characters)
+    own = exponents_of(x, m)
+    return is_minimal_among(own, character_twists(x, m, own), mode)
 
 
 def swan_profile(x: WDRep, m: ModelInstance) -> list[tuple[int, Fraction]]:
     """(dimension, slope) of each group of irreducible constituents of the
     restriction of x to the Weil group; feeds the max-plus S-map."""
     return [(k * ind.r * m.dim(ind.cls), m.slope(ind.cls)) for k, ind in x.terms]
-
-
-def is_eta_homogeneous(x: WDRep, m: ModelInstance) -> bool:
-    """All irreducible constituents share one normalized Artin exponent.
-
-    Unramified constituents have the value 0; any ramified class i
-    contributes slope_i + 1.
-    """
-    if x.is_zero:
-        raise ValueError("homogeneity is undefined for the zero representation")
-    values = set()
-    for _, ind in x.terms:
-        ar, _sw, dim = indec_tensor_kernel(1, UNRAMIFIED_ID, 1, ind.cls, m)
-        values.add(Fraction(ar, dim))
-    return len(values) == 1

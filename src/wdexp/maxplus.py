@@ -58,9 +58,6 @@ class MaxPlusElem:
             parts.append(f"{head}[{format_rational(a)}]")
         return " + ".join(parts)
 
-    def in_positive_cone(self) -> bool:
-        return all(a >= 0 and c >= 0 for a, c in self.coeffs.items())
-
 
 def mp_vee(x: MaxPlusElem, y: MaxPlusElem) -> MaxPlusElem:
     """Bi-additive extension of [a] v [b] = [max(a,b)]."""

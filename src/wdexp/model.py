@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -54,10 +55,6 @@ class IrreducibleClass:
     minimal_sigma: bool = False
     minimal_eta: bool = False
 
-    @property
-    def swan(self) -> Fraction:
-        return self.dim * self.slope
-
 
 def _pair_key(i: str, j: str) -> tuple[str, str]:
     return (i, j) if i <= j else (j, i)
@@ -74,9 +71,6 @@ class PairingTable:
             return self._d[_pair_key(i, j)]
         except KeyError:
             raise ModelStructureError(f"missing pairing entry for {{{i},{j}}}") from None
-
-    def has(self, i: str, j: str) -> bool:
-        return _pair_key(i, j) in self._d
 
     def items(self):
         return sorted(self._d.items())
@@ -115,12 +109,67 @@ def complete_pairing(classes, entries) -> PairingTable:
     return PairingTable(table)
 
 
+class CompiledModel:
+    """The integer view of a model, built by `ModelInstance.compiled()`.
+
+    Class a is the a-th id in sorted order; `chars` lists the indices of
+    the characters.  L is the lcm of the denominators of every slope and
+    pairing entry, so `slope[a]` = L*slope and `S[a][b]` = L*s(i,j) are
+    exact ints for any input, and the validator, the kernel and minimality
+    compare integers.  The tables are tuples, read-only like the model.
+    """
+
+    __slots__ = ("ids", "index", "dim", "deg", "dual", "chars", "L", "slope", "S")
+
+    def __init__(self, m: "ModelInstance"):
+        # The order of the checks fixes which defect a message names.
+        for c in m.classes.values():
+            if c.dual not in m.classes:
+                raise ModelStructureError(f"dual of {c.id!r} is unknown id {c.dual!r}")
+        for c in m.classes.values():
+            if m.classes[c.dual].dual != c.id:
+                raise ModelStructureError(f"dual map is not an involution at {c.id!r}")
+        self.ids = tuple(sorted(m.classes))
+        self.index = index = {i: a for a, i in enumerate(self.ids)}
+        classes = [m.classes[i] for i in self.ids]
+        entries = m.pairing._d
+        self.L = L = math.lcm(*{c.slope.denominator for c in classes},
+                              *{v.denominator for v in entries.values()})
+        n = len(classes)
+        S = [[None] * n for _ in range(n)]
+        for (i, j), v in entries.items():
+            if i not in index or j not in index:
+                raise ModelStructureError(f"pairing names unknown id in {{{i},{j}}}")
+            S[index[i]][index[j]] = S[index[j]][index[i]] = v.numerator * (L // v.denominator)
+        for a, row in enumerate(S):
+            if None in row:
+                raise ModelStructureError(
+                    f"missing pairing entry for {{{self.ids[a]},{self.ids[row.index(None)]}}}")
+        for ch in m.characters:
+            if ch not in index:
+                raise ModelStructureError(f"character list names unknown id {ch!r}")
+        self.S = tuple(map(tuple, S))
+        self.dim = tuple(c.dim for c in classes)
+        self.deg = tuple(c.deg for c in classes)
+        self.dual = tuple(index[c.dual] for c in classes)
+        self.slope = tuple(c.slope.numerator * (L // c.slope.denominator) for c in classes)
+        self.chars = tuple(index[ch] for ch in m.characters)
+
+    def at(self, i: str) -> int:
+        try:
+            return self.index[i]
+        except KeyError:
+            raise ModelStructureError(f"unknown class id {i!r}") from None
+
+
 class ModelInstance:
     """Immutable bundle of classes, pairing, characters: `classes` is a
     read-only mapping from id to class, and no attribute can be rebound.
-    Immutability is what lets `digest()` serialize the model only once."""
+    Immutability is what lets `digest()` serialize the model only once and
+    `compiled()` build its integer view only once.  Neither cache is
+    serialized."""
 
-    __slots__ = ("classes", "pairing", "characters", "_digest")
+    __slots__ = ("classes", "pairing", "characters", "_digest", "_compiled")
 
     def __init__(self, classes, pairing: PairingTable, characters):
         by_id: dict[str, IrreducibleClass] = {}
@@ -132,6 +181,7 @@ class ModelInstance:
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "characters", tuple(characters))
         object.__setattr__(self, "_digest", None)
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ModelInstance is immutable: cannot set {name!r}")
@@ -163,25 +213,13 @@ class ModelInstance:
         self.cls(i), self.cls(j)
         return self.pairing.get(i, j)
 
-    # -- structure -------------------------------------------------------
-
-    def structural_check(self):
-        """Raise ModelStructureError unless ids resolve, dual is an
+    def compiled(self) -> CompiledModel:
+        """The integer view, built on the first call and kept.  Building it
+        raises ModelStructureError unless ids resolve, dual is an
         involution and every pairing entry is present."""
-        ids = set(self.classes)
-        for c in self.classes.values():
-            if c.dual not in ids:
-                raise ModelStructureError(f"dual of {c.id!r} is unknown id {c.dual!r}")
-        for c in self.classes.values():
-            if self.classes[c.dual].dual != c.id:
-                raise ModelStructureError(f"dual map is not an involution at {c.id!r}")
-        for i in ids:
-            for j in ids:
-                if not self.pairing.has(i, j):
-                    raise ModelStructureError(f"missing pairing entry for {{{i},{j}}}")
-        for ch in self.characters:
-            if ch not in ids:
-                raise ModelStructureError(f"character list names unknown id {ch!r}")
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", CompiledModel(self))
+        return self._compiled
 
     # -- serialization ---------------------------------------------------
 
@@ -220,18 +258,6 @@ class ModelInstance:
         return self._digest
 
 
-def dualized(m: ModelInstance) -> ModelInstance:
-    """The model with every class replaced by its dual.
-
-    Class data is dual-invariant apart from the dual pointer itself, so the
-    effect is to re-source each pairing entry {i,j} from {dual(i),dual(j)}.
-    """
-    entries = {}
-    for (i, j), _ in m.pairing.items():
-        entries[_pair_key(i, j)] = m.pairing.get(m.dual(i), m.dual(j))
-    return ModelInstance(m.classes.values(), PairingTable(entries), m.characters)
-
-
 # -- validation -----------------------------------------------------------
 
 
@@ -267,74 +293,53 @@ def is_minimal_class(i: str, mode: str, m: ModelInstance) -> bool:
 
     mode "sigma": every character chi satisfies dim_i * s(chi,i) >= sw_i.
     mode "eta":   every character chi satisfies ar(chi ox sigma_i) >= ar_i,
-    where the twisted Artin exponent is dim_i*(s(chi,i)+1) except that it is
+    where ar_i is 0 for the unramified orbit and dim_i*(slope_i+1) otherwise,
+    and the twisted Artin exponent is dim_i*(s(chi,i)+1) except that it is
     0 when dim_i = 1 and chi is the dual orbit (the twist lands in the
     unramified orbit).  Minimality is relative to the model's character set.
+    Both sides are compared times L, and never divided by dim_i.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    c = m.cls(i)
+    v = m.compiled()
+    a = v.at(i)
+    dim, L = v.dim[a], v.L
     if mode == "sigma":
-        sw = c.swan
-        return all(c.dim * m.pair(chi, i) >= sw for chi in m.characters)
-    ar_i = class_artin(i, m)
-    for chi in m.characters:
-        if c.dim == 1 and chi == c.dual:
-            twisted = Fraction(0)
-        else:
-            twisted = c.dim * (m.pair(chi, i) + 1)
-        if twisted < ar_i:
+        sw = dim * v.slope[a]
+        return all(dim * v.S[chi][a] >= sw for chi in v.chars)
+    ar = 0 if i == UNRAMIFIED_ID else dim * (v.slope[a] + L)
+    for chi in v.chars:
+        twisted = 0 if dim == 1 and chi == v.dual[a] else dim * (v.S[chi][a] + L)
+        if twisted < ar:
             return False
     return True
 
 
-def class_artin(i: str, m: ModelInstance) -> Fraction:
-    """Artin exponent of a single class: 0 for the unramified orbit,
-    dim*(slope+1) otherwise."""
-    if i == UNRAMIFIED_ID:
-        return Fraction(0)
-    c = m.cls(i)
-    return c.dim * (c.slope + 1)
-
-
-def class_eta(i: str, m: ModelInstance) -> Fraction:
-    return class_artin(i, m) / m.dim(i)
-
-
-def _is_ultrametric(ids, dist) -> bool:
-    """Whether the symmetric matrix `dist` over `ids` is an ultrametric off
-    the diagonal: dist[i, j] <= max(dist[i, k], dist[k, j]) for distinct
-    i, j, k.  O(n^2).
-
-    Such a matrix is an ultrametric exactly when it equals its subdominant
-    ultrametric: the largest entry on the path from i to j in a minimum
-    spanning tree (Gower & Ross 1969, single linkage).  Prim's algorithm
-    builds the tree, and a walk from each id gives those path maxima.  The
-    walks compare every ordered pair of distinct ids, so True is sound even
-    for a matrix that is not symmetric.
-    """
-    if not ids:
-        return True
-    best = {j: dist[ids[0], j] for j in ids[1:]}  # cheapest edge into the tree
-    via = dict.fromkeys(ids[1:], ids[0])
-    tree = {i: [] for i in ids}
-    while best:
-        j = min(best, key=best.__getitem__)
-        w = best.pop(j)
-        i = via.pop(j)
-        tree[i].append((j, w))
-        tree[j].append((i, w))
-        for k, bk in best.items():
-            if dist[j, k] < bk:
-                best[k], via[k] = dist[j, k], j
-    for root in ids:
-        stack = [(j, root, w) for j, w in tree[root]]
-        while stack:
-            j, parent, path_max = stack.pop()
-            if dist[root, j] != path_max:
-                return False
-            stack.extend((k, j, max(path_max, w)) for k, w in tree[j] if k != parent)
-    return True
+def _subdominant_ultrametric(W) -> list[list[int]]:
+    """U[a][b], a != b: the least over all a-b paths of the largest
+    symmetric weight W on the path, which is the largest weight on the a-b
+    path of a minimum spanning tree (Gower & Ross 1969).  Prim's algorithm
+    hangs each new vertex b from p by weight w, so U[b][c] = max(U[p][c], w)
+    for every c already in the tree.  O(n^2)."""
+    n = len(W)
+    U = [[None] * n for _ in range(n)]
+    if not n:
+        return U
+    best, via = list(W[0]), [0] * n  # cheapest edge into the tree
+    tree, rest = [0], list(range(1, n))
+    while rest:
+        b = min(rest, key=best.__getitem__)
+        rest.remove(b)
+        p, w = via[b], best[b]
+        Ub, Up = U[b], U[p]
+        for c in tree:
+            Ub[c] = U[c][b] = w if c == p or Up[c] < w else Up[c]
+        tree.append(b)
+        Wb = W[b]
+        for c in rest:
+            if Wb[c] < best[c]:
+                best[c], via[c] = Wb[c], b
+    return U
 
 
 def validate_model(m: ModelInstance) -> ValidationReport:
@@ -342,21 +347,30 @@ def validate_model(m: ModelInstance) -> ValidationReport:
 
     Deterministic; every failed check is recorded with witness ids and both
     sides of the failed comparison.  Structural problems raise instead.
+    The comparisons are between the exact ints of the model's integer view
+    (`ModelInstance.compiled()`), and a violation reports Fraction(S, L).
 
-    M6 is checked in O(n^2) when M4 and M5 hold: a minimum spanning tree of
-    D(i,j) = s(i, dual j) shows whether D is an ultrametric.  When M4 or M5
-    failed, or D is not an ultrametric, the O(n^3) loop over all triples
-    runs and records every witness (i, j, k) in order.
+    M6 has one path.  Let U be the subdominant ultrametric of
+    min(D, D^T), D(i,j) = s(i, dual j).  Any two-step path i-k-j has a
+    largest weight of at least U(i,j), so an off-diagonal pair with
+    D(i,j) <= U(i,j) has no witness k, and the loop over k runs only on the
+    diagonal and on the pairs with D(i,j) > U(i,j).  On a valid model that
+    is O(n^2); the worst case, many pairs above U, is still O(n^3).
     """
     from .exponents import indec_tensor_kernel  # deferred: exponents imports model
 
-    m.structural_check()
+    v = m.compiled()
     rep = ValidationReport()
-    ids = sorted(m.classes)
+    ids, S, L, slope, dim, dual = v.ids, v.S, v.L, v.slope, v.dim, v.dual
+    n = len(ids)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    classes = [m.classes[i] for i in ids]
+
+    def q(x):
+        return Fraction(x, L)
 
     # Type invariants on classes.
-    for i in ids:
-        c = m.classes[i]
+    for i, c in zip(ids, classes):
         if c.dim < 1:
             rep.add("dim_positive", (i,), c.dim, 1)
         if c.deg < 1:
@@ -388,91 +402,84 @@ def validate_model(m: ModelInstance) -> ValidationReport:
         rep.add("character_set", tuple(sorted(chars.symmetric_difference(dim1))), len(chars), len(dim1))
 
     # A character orbit tensored with its dual is unramified: slope 0.
-    for i in ids:
-        c = m.classes[i]
-        if c.dim == 1 and m.pair(i, c.dual) != 0:
-            rep.add("char_self_pairing", (i, c.dual), m.pair(i, c.dual), 0)
+    for a in range(n):
+        if dim[a] == 1 and S[a][dual[a]] != 0:
+            rep.add("char_self_pairing", (ids[a], ids[dual[a]]), q(S[a][dual[a]]), 0)
 
     # M1 integrality, and non-negativity of entries.
-    for (i, j), s in m.pairing.items():
-        if s < 0:
-            rep.add("M1", (i, j), s, 0)
-        elif (m.dim(i) * m.dim(j) * s).denominator != 1:
-            rep.add("M1", (i, j), m.dim(i) * m.dim(j) * s, 0)
+    for a, b in pairs:
+        if S[a][b] < 0:
+            rep.add("M1", (ids[a], ids[b]), q(S[a][b]), 0)
+        elif dim[a] * dim[b] * S[a][b] % L:
+            rep.add("M1", (ids[a], ids[b]), q(dim[a] * dim[b] * S[a][b]), 0)
 
     # M2 unit row.
     if UNRAMIFIED_ID in m.classes:
-        for i in ids:
-            if m.pair(UNRAMIFIED_ID, i) != m.slope(i):
-                rep.add("M2", (UNRAMIFIED_ID, i), m.pair(UNRAMIFIED_ID, i), m.slope(i))
+        unit_row = S[v.index[UNRAMIFIED_ID]]
+        for a in range(n):
+            if unit_row[a] != slope[a]:
+                rep.add("M2", (UNRAMIFIED_ID, ids[a]), q(unit_row[a]), q(slope[a]))
 
     # M3 max rule.
-    for a, i in enumerate(ids):
-        for j in ids[a:]:
-            s = m.pair(i, j)
-            hi = max(m.slope(i), m.slope(j))
-            if s > hi:
-                rep.add("M3", (i, j), s, hi)
-            elif m.slope(i) != m.slope(j) and s != hi:
-                rep.add("M3", (i, j), s, hi)
+    for a, b in pairs:
+        hi = max(slope[a], slope[b])
+        if S[a][b] > hi or (slope[a] != slope[b] and S[a][b] != hi):
+            rep.add("M3", (ids[a], ids[b]), q(S[a][b]), q(hi))
 
     # M4 dual symmetry.
-    for a, i in enumerate(ids):
-        for j in ids[a:]:
-            if m.pair(i, j) != m.pair(m.dual(i), m.dual(j)):
-                rep.add("M4", (i, j), m.pair(i, j), m.pair(m.dual(i), m.dual(j)))
+    for a, b in pairs:
+        if S[a][b] != S[dual[a]][dual[b]]:
+            rep.add("M4", (ids[a], ids[b]), q(S[a][b]), q(S[dual[a]][dual[b]]))
 
     # M5 diagonal minimality.
-    for i in ids:
-        diag = m.pair(i, m.dual(i))
-        for k in ids:
-            if diag > m.pair(i, k):
-                rep.add("M5", (i, k), diag, m.pair(i, k))
+    for a in range(n):
+        diag = S[a][dual[a]]
+        for k in range(n):
+            if diag > S[a][k]:
+                rep.add("M5", (ids[a], ids[k]), q(diag), q(S[a][k]))
 
-    # M6 ultrametric on D(i,j) = s(i, dual j).  With M4, D is symmetric:
-    # D(j,i) = s(dual i, j) = s(i, dual j).  With M5, D(i,i) <= D(i,k) for
-    # every k, so only triples of three distinct ids can fail.  Then the
-    # O(n^2) check decides, and the triple loop that lists the witnesses
-    # runs only when M4 or M5 failed or that check found D not ultrametric.
-    dist = {(i, j): m.pair(i, m.dual(j)) for i in ids for j in ids}
-    if rep.labels() & {"M4", "M5"} or not _is_ultrametric(ids, dist):
-        for i in ids:
-            for j in ids:
-                dij = dist[i, j]
-                for k in ids:
-                    bound = max(dist[i, k], dist[k, j])
-                    if dij > bound:
-                        rep.add("M6", (i, j, k), dij, bound)
+    # M6 ultrametric on D(i,j) = s(i, dual j): witnesses (i, j, k) in order.
+    D = [[row[d] for d in dual] for row in S]
+    Dt = list(zip(*D))
+    U = _subdominant_ultrametric([list(map(min, row, col)) for row, col in zip(D, Dt)])
+    for a in range(n):
+        Da, Ua = D[a], U[a]
+        for b in range(n):
+            dab, Db = Da[b], Dt[b]
+            if a != b and dab <= Ua[b]:
+                continue
+            for k in range(n):
+                bound = max(Da[k], Db[k])
+                if dab > bound:
+                    rep.add("M6", (ids[a], ids[b], ids[k]), q(dab), q(bound))
 
     # M7 minimal self-pairing.
-    for i in ids:
-        c = m.classes[i]
-        if c.minimal_sigma and m.pair(i, c.dual) < c.slope / 2:
-            rep.add("M7", (i,), m.pair(i, c.dual), c.slope / 2)
+    for a, c in enumerate(classes):
+        if c.minimal_sigma and 2 * S[a][dual[a]] < slope[a]:
+            rep.add("M7", (ids[a],), q(S[a][dual[a]]), c.slope / 2)
 
-    # M8 irreducible-level lower bound for eta-minimal classes.  The kernel
-    # needs integral Swan exponents and both sides divide by dimensions; when
-    # M1 or dim_positive already failed, that violation is on record and the
-    # M8 comparison is skipped.
-    for i in ids:
-        if not m.classes[i].minimal_eta or m.classes[i].dim < 1:
+    # M8 irreducible-level lower bound for eta-minimal classes:
+    # ar/dim >= max(eta_i, eta_j)/2, with eta = slope + 1 (0 for u) times L.
+    # The kernel needs integral Swan exponents and both sides divide by
+    # dimensions; when M1 or dim_positive already failed, that violation is
+    # on record and the M8 comparison is skipped.
+    eta = [0 if i == UNRAMIFIED_ID else sl + L for i, sl in zip(ids, slope)]
+    for a, i in enumerate(ids):
+        if not classes[a].minimal_eta or dim[a] < 1:
             continue
-        eta_i = class_eta(i, m)
-        for j in ids:
-            if m.classes[j].dim < 1:
+        for b, j in enumerate(ids):
+            if dim[b] < 1:
                 continue
             try:
-                ar, _sw, dim = indec_tensor_kernel(1, i, 1, j, m)
+                ar, _sw, d = indec_tensor_kernel(1, i, 1, j, m)
             except ValueError:
                 continue
-            lhs = Fraction(ar, dim)
-            rhs = max(eta_i, class_eta(j, m)) / 2
-            if lhs < rhs:
-                rep.add("M8", (i, j), lhs, rhs)
+            top = max(eta[a], eta[b])
+            if 2 * L * ar < d * top:
+                rep.add("M8", (i, j), Fraction(ar, d), Fraction(top, 2 * L))
 
     # Flags re-verified against the character set, both directions.
-    for i in ids:
-        c = m.classes[i]
+    for i, c in zip(ids, classes):
         for mode, flag in (("sigma", c.minimal_sigma), ("eta", c.minimal_eta)):
             actual = is_minimal_class(i, mode, m)
             if flag != actual:
@@ -538,7 +545,7 @@ def model_from_json_dict(doc: dict) -> ModelInstance:
     if len(set(characters)) != len(characters):
         raise ModelStructureError("'characters' lists a class id twice")
     model = ModelInstance(classes, complete_pairing(classes, entries), characters)
-    model.structural_check()
+    model.compiled()
     return model
 
 

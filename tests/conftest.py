@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from wdexp.exponents import indec_tensor_kernel
 from wdexp.generator import GenParams, gen_model
-from wdexp.model import model_from_json_dict
+from wdexp.model import UNRAMIFIED_ID, model_from_json_dict
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +79,16 @@ def frac(s) -> Fraction:
     from wdexp.rationals import parse_rational
 
     return parse_rational(s)
+
+
+def is_eta_homogeneous(x, m) -> bool:
+    """All irreducible constituents of x share one normalized Artin
+    exponent: 0 for unramified constituents and slope_i + 1 for a ramified
+    class i, read off the twist of Sp_1(i) by Sp_1(u)."""
+    if x.is_zero:
+        raise ValueError("homogeneity is undefined for the zero representation")
+    values = set()
+    for _, ind in x.terms:
+        ar, _sw, dim = indec_tensor_kernel(1, UNRAMIFIED_ID, 1, ind.cls, m)
+        values.add(Fraction(ar, dim))
+    return len(values) == 1

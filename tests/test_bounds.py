@@ -1,20 +1,18 @@
 import hashlib
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from wdexp.bounds import (
     SWEEP_FAMILIES,
-    GLPair,
     PairExponents,
     check_bound_A,
     check_bound_B,
     check_bound_C,
     checks_for_pair,
     dim2_witness_model,
-    gl_pair_artin_from_swan,
-    gl_pair_dictionary,
     prime_dim_witness_model,
     results_to_json,
     run_sweep,
@@ -141,6 +139,46 @@ def test_bound_C_irreducible_variant(zoo_model):
                       "irreducible")
 
 
+# The exponent dictionary for pairs of irreducible representations of
+# general linear groups, kept beside the test that is its only caller.
+
+
+@dataclass(frozen=True)
+class GLPair:
+    """Exponent data of a pair of irreducible representations of general
+    linear groups: dimensions, the pair's Artin exponent, and the count d of
+    unramified twists carrying one factor to the dual of the other."""
+
+    m: int
+    n: int
+    ar_pair: int
+    d: int = 0
+
+    def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise ValueError("dimensions must be >= 1")
+        if self.d < 0:
+            raise ValueError("twist count must be >= 0")
+        if self.d != 0 and (self.m != self.n or self.n % self.d != 0):
+            raise ValueError("a nonzero twist count forces m = n and d | n")
+
+
+def gl_pair_dictionary(p: GLPair) -> tuple[int, Fraction]:
+    """(sw_pair, varsigma_pair) from Artin data: sw = ar - mn + d."""
+    sw = p.ar_pair - p.m * p.n + p.d
+    if sw < 0:
+        raise ValueError(f"inconsistent pair data: sw would be {sw} < 0")
+    return sw, Fraction(sw, p.m * p.n)
+
+
+def gl_pair_artin_from_swan(sw_pair: int, m: int, n: int, d: int = 0) -> int:
+    """Inverse direction of the dictionary: ar = sw + mn - d."""
+    if sw_pair < 0:
+        raise ValueError("Swan exponent must be >= 0")
+    GLPair(m, n, sw_pair + m * n - d, d)
+    return sw_pair + m * n - d
+
+
 def test_gl_pair_dictionary():
     sw, vs = gl_pair_dictionary(GLPair(2, 2, 3, 2))
     assert (sw, vs) == (1, Fraction(1, 4))
@@ -208,7 +246,8 @@ def test_sp_level_triple_ultrametric(zoo_model):
 def test_homogeneous_minimal_twist_formula(zoo_model):
     # for an eta-minimal eta-homogeneous x, twisting by any character gives
     # eta = max(eta(x), eta(chi))
-    from wdexp.exponents import exponents_of, is_eta_homogeneous, is_minimal_rep, tensor_exponents
+    from conftest import is_eta_homogeneous
+    from wdexp.exponents import exponents_of, is_minimal_rep, tensor_exponents
 
     rng = SplitMix64(21)
     tested = 0
@@ -272,8 +311,10 @@ def test_sweep_output_is_pinned():
 def test_sweep_evaluates_each_pair_once(monkeypatch):
     # Every label of a pair reads one evaluation: four distinct tensors,
     # the exponents and minimality of x and y, one digest and two printed
-    # expressions.
+    # expressions.  Both minimality modes read one list of the twists of x,
+    # whose twist by the unramified orbit is the exponents of x.
     import wdexp.bounds as bounds
+    import wdexp.exponents as exponents
     from wdexp.model import ModelInstance
 
     calls = Counter()
@@ -284,15 +325,25 @@ def test_sweep_evaluates_each_pair_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("tensor_exponents", "exponents_of", "is_minimal_rep", "rep_dual", "format_rep"):
+    for name in ("tensor_exponents", "exponents_of", "character_twists", "rep_dual", "format_rep"):
         monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
     monkeypatch.setattr(ModelInstance, "digest", counting("digest", ModelInstance.digest))
+    twists, twist = Counter(), exponents._twist
+
+    def counting_twist(chi, x, m):
+        twists[m] += 1
+        return twist(chi, x, m)
+
+    monkeypatch.setattr(exponents, "_twist", counting_twist)
     models, pairs = 4, 25
     run_sweep(ALL_FAMILIES, models, pairs, GenParams.from_strings("0,1/2,1,2"), seed=0)
     n = models * pairs
+    assert len(twists) == models
+    for m, count in twists.items():
+        assert count <= pairs * (len(m.characters) + 1)
     assert calls["tensor_exponents"] <= 4 * n
     assert calls["exponents_of"] <= 2 * n
-    assert calls["is_minimal_rep"] <= 2 * n
+    assert calls["character_twists"] <= n
     assert calls["rep_dual"] <= 2 * n
     assert calls["format_rep"] <= 2 * n
     assert calls["digest"] <= n

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_eta_homogeneous
 from wdexp.exponents import (
     exponents_of,
     indec_tensor_kernel,
-    is_eta_homogeneous,
     is_minimal_rep,
     swan_profile,
     tensor_exponents,

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from wdexp.model import (
     ModelStructureError,
     PairingTable,
     complete_pairing,
-    dualized,
     is_minimal_class,
     load_model,
     dump_model,
@@ -175,6 +175,14 @@ def test_json_round_trip(zoo_model, tmp_path):
     again = load_model(path)
     assert again.to_json() == zoo_model.to_json()
     assert again.digest() == zoo_model.digest()
+
+
+def dualized(m):
+    """The model with every class replaced by its dual: class data is
+    dual-invariant apart from the dual pointer, so each pairing entry
+    {i,j} is re-sourced from {dual(i),dual(j)}."""
+    entries = {(i, j): m.pair(m.dual(i), m.dual(j)) for (i, j), _ in m.pairing.items()}
+    return ModelInstance(m.classes.values(), PairingTable(entries), m.characters)
 
 
 def test_dualized_model_validates_identically(zoo_model):
@@ -448,8 +456,100 @@ def test_m6_gate_falls_back_when_m4_or_m5_fails():
 
 
 def test_large_generated_model_validates():
+    from time import perf_counter
+
     from wdexp.generator import GenParams, gen_model
 
     m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=40))
     assert len(m.classes) == 163
-    assert validate_model(m).ok
+    fresh = ModelInstance(m.classes.values(), m.pairing, m.characters)  # no view built yet
+    start = perf_counter()
+    assert validate_model(fresh).ok
+    assert perf_counter() - start < 0.3
+
+
+# -- the integer view: same reports as the rational comparisons ------------
+
+
+def _perturbations(m, rng):
+    """Single-entry and single-class perturbations of the valid model `m`:
+    entries moved to other table values, to negative or finer values, and
+    classes with dim 0 or negative, a slope with a new denominator, a deg
+    that does not divide dim, flipped flags, or a changed character list."""
+    classes = [m.classes[i] for i in sorted(m.classes)]
+    entries = dict(m.pairing.items())
+    values = sorted(set(entries.values()))
+    keys = sorted(entries)
+    out = []
+    for k in range(20):
+        key = rng.choice(keys)
+        old = entries[key]
+        new = (rng.choice(values), old + Fraction(1, 3), old - Fraction(1, 2), old / 2,
+               Fraction(0))[k % 5]
+        out.append(ModelInstance(classes, PairingTable({**entries, key: new}), m.characters))
+    changes = (
+        lambda c: replace(c, dim=0),
+        lambda c: replace(c, dim=-c.dim),
+        lambda c: replace(c, dim=c.dim + 1),
+        lambda c: replace(c, slope=c.slope + Fraction(1, 7)),
+        lambda c: replace(c, slope=2 * c.slope),
+        lambda c: replace(c, deg=0),
+        lambda c: replace(c, deg=c.dim + 1),
+        lambda c: replace(c, minimal_sigma=not c.minimal_sigma),
+        lambda c: replace(c, minimal_eta=not c.minimal_eta),
+        lambda c: replace(c, minimal_sigma=not c.minimal_sigma, minimal_eta=not c.minimal_eta),
+    )
+    for k in range(12):
+        a = rng.randrange(len(classes))
+        changed = classes[:a] + [changes[k % len(changes)](classes[a])] + classes[a + 1:]
+        out.append(ModelInstance(changed, m.pairing, m.characters))
+    dropped = rng.choice([ch for ch in m.characters if ch != "u"])
+    added = rng.choice([c.id for c in classes if c.id not in m.characters])
+    out.append(ModelInstance(classes, m.pairing, [ch for ch in m.characters if ch != dropped]))
+    out.append(ModelInstance(classes, m.pairing, list(m.characters) + [added]))
+    return out
+
+
+def _validation_lines():
+    from wdexp.generator import GenParams, gen_model
+
+    from conftest import ZOO_DOC
+
+    bases = [model_from_json_dict(ZOO_DOC)]
+    bases += [gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl, seed=seed))
+              for cpl, seed in ((2, 0), (2, 1), (2, 2), (3, 3), (3, 4))]
+    for n, m in enumerate(bases):
+        rng = random.Random(n)
+        for k, model in enumerate(_perturbations(m, rng)):
+            yield f"-- {n}.{k}"
+            for v in validate_model(model).violations:
+                yield str(v)
+
+
+def test_validation_reports_are_pinned():
+    # sha256 of every violation line over about 200 perturbations, recorded
+    # when the validator still compared Fractions read through `pair`.
+    lines = list(_validation_lines())
+    assert sum(line.startswith("-- ") for line in lines) == 204
+    assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest() == (
+        "1946fca2e34ce038d614eb322d9b447fb92fbd96267367df03f38ca84732389e")
+
+
+def test_integer_view_holds_the_pairing(zoo_model):
+    from wdexp.generator import GenParams, gen_model
+
+    models = [zoo_model] + [gen_model(GenParams.from_strings("0,1/2,1,2", seed=seed))
+                            for seed in range(10)]
+    for m in models:
+        v = m.compiled()
+        assert v is m.compiled()
+        assert v.ids == tuple(sorted(m.classes))
+        for a, i in enumerate(v.ids):
+            assert v.index[i] == a
+            assert (v.dim[a], v.deg[a], v.ids[v.dual[a]]) == (m.dim(i), m.deg(i), m.dual(i))
+            assert Fraction(v.slope[a], v.L) == m.slope(i)
+            for b, j in enumerate(v.ids):
+                assert Fraction(v.S[a][b], v.L) == m.pair(i, j)
+        assert tuple(v.ids[c] for c in v.chars) == m.characters
+    with pytest.raises(ModelStructureError, match="unknown class id 'nope'"):
+        zoo_model.compiled().at("nope")
