@@ -43,7 +43,6 @@ from .model import (
     IrreducibleClass,
     ModelInstance,
     ModelStructureError,
-    PairingTable,
     ValidationReport,
     complete_pairing,
     is_minimal_class,

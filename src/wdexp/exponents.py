@@ -16,7 +16,7 @@ gives sw = r*m_i*slope_i, ar(Sp_r(u)) = r-1 and the additive rule
 ar(Sp_r(sigma)) = r*ar(sigma) for ramified sigma.  `character_twists`
 lists the character twists of x once, and `is_minimal_among` compares them
 with `exponents_of(x)` for either mode.  The kernel computes in integers
-on the model's integer view (`ModelInstance.compiled()`).
+on the model's integer tables (`ModelInstance.S`, `dim`, `deg`, `dual`).
 """
 
 from __future__ import annotations
@@ -60,17 +60,16 @@ class ExponentReport:
 
 def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tuple[int, int, int]:
     """(ar, sw, dim) of Sp_r(class_i) tensor Sp_s(class_j), in integers on
-    the model's integer view: sw = dim*S[i][j]/L must be exact."""
+    the model's integer tables: sw = dim*S[i][j]/L must be exact."""
     if r < 1 or s < 1:
         raise ValueError("Sp-lengths must be >= 1")
-    v = m.compiled()
-    a, b = v.at(i), v.at(j)
-    dim = r * s * v.dim[a] * v.dim[b]
-    sw, rest = divmod(dim * v.S[a][b], v.L)
+    a, b = m.at(i), m.at(j)
+    dim = r * s * m.dim[a] * m.dim[b]
+    sw, rest = divmod(dim * m.S[a][b], m.L)
     if rest:
         raise ValueError(f"sw of Sp_{r}({i}) tensor Sp_{s}({j}) is not an integer: "
-                         f"{Fraction(dim * v.S[a][b], v.L)}")
-    d = v.deg[a] if b == v.dual[a] else 0
+                         f"{Fraction(dim * m.S[a][b], m.L)}")
+    d = m.deg[a] if b == m.dual[a] else 0
     return sw + dim - d * min(r, s), sw, dim
 
 
@@ -131,4 +130,4 @@ def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:
 def swan_profile(x: WDRep, m: ModelInstance) -> list[tuple[int, Fraction]]:
     """(dimension, slope) of each group of irreducible constituents of the
     restriction of x to the Weil group; feeds the max-plus S-map."""
-    return [(k * ind.r * m.dim(ind.cls), m.slope(ind.cls)) for k, ind in x.terms]
+    return [(k * ind.r * m.cls(ind.cls).dim, m.cls(ind.cls).slope) for k, ind in x.terms]

@@ -5,7 +5,8 @@ tree) over that level's classes and characters, with the dual involution
 realized as a tree automorphism: dual pairs are sibling leaves, everything
 else is self-dual.  Distances D(a,b) are least-common-ancestor heights,
 leaves carry self-distances below their parent, and the pairing is read off
-as s(a,b) = D(a, dual(b)).  Cross-level pairs are forced to max slope.
+as s(a,b) = D(a, dual(b)).  `complete_pairing` forces cross-level pairs to
+the max slope.
 
 A repair pass then raises heights until every entry satisfies
 
@@ -29,14 +30,14 @@ seed reproduce identical models on any platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .model import (
     UNRAMIFIED_ID,
     IrreducibleClass,
     ModelInstance,
-    PairingTable,
+    complete_pairing,
     is_minimal_class,
     validate_model,
 )
@@ -338,19 +339,20 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
             dist.update(_tree_distances(tree))
         return dist
 
+    classes = [IrreducibleClass(cid, dims[cid], slopes[cid], deg[cid], dual[cid])
+               for cid in sorted(dims)]
+
     def pairing_from(dist) -> dict[tuple[str, str], Fraction]:
+        """s(a,b) = D(a, dual b) within each level, completed across levels
+        by `complete_pairing`."""
         entries = {}
-        ids = sorted(dims)
-        for a_idx, a in enumerate(ids):
-            for b in ids[a_idx:]:
-                if slopes[a] == slopes[b]:
-                    s = dist[(a, dual[b])]
+        for level in by_slope.values():
+            for a_idx, a in enumerate(level):
+                for b in level[a_idx:]:
+                    s = entries[a, b] = dist[(a, dual[b])]
                     if dist[(dual[a], b)] != s:
                         raise GeneratorError("dual involution is not a tree isometry")
-                else:
-                    s = max(slopes[a], slopes[b])
-                entries[(a, b) if a <= b else (b, a)] = s
-        return entries
+        return complete_pairing(classes, entries)
 
     chars = sorted(c for c in dims if dims[c] == 1)
 
@@ -380,27 +382,12 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
     else:
         raise GeneratorError("pairing repair did not converge in 100 rounds")
 
-    entries = pairing_from(distances())
-    pairing = PairingTable(entries)
-    bare = ModelInstance(
-        [
-            IrreducibleClass(cid, dims[cid], slopes[cid], deg[cid], dual[cid])
-            for cid in sorted(dims)
-        ],
-        pairing,
-        chars,
-    )
+    pairing = pairing_from(distances())
+    bare = ModelInstance(classes, pairing, chars)
     flagged = [
-        IrreducibleClass(
-            cid,
-            dims[cid],
-            slopes[cid],
-            deg[cid],
-            dual[cid],
-            minimal_sigma=is_minimal_class(cid, "sigma", bare),
-            minimal_eta=is_minimal_class(cid, "eta", bare),
-        )
-        for cid in sorted(dims)
+        replace(c, minimal_sigma=is_minimal_class(c.id, "sigma", bare),
+                minimal_eta=is_minimal_class(c.id, "eta", bare))
+        for c in classes
     ]
     return ModelInstance(flagged, pairing, chars)
 

@@ -9,8 +9,9 @@ of dimension-1 classes (the in-model character set).  The distinguished id
 `validate_model` checks the axiom set M1-M8 plus the structural type
 invariants and reports every violation with an explicit witness.  Structural
 defects (unresolvable ids, a dual map that is not an involution, missing
-pairing entries) raise `ModelStructureError` instead: they make the axiom
-checks meaningless rather than false.
+pairing entries) make `ModelInstance` raise `ModelStructureError` when
+the model is built: they make the axiom checks meaningless rather than
+false.
 """
 
 from __future__ import annotations
@@ -60,29 +61,11 @@ def _pair_key(i: str, j: str) -> tuple[str, str]:
     return (i, j) if i <= j else (j, i)
 
 
-class PairingTable:
-    """Symmetric map from unordered class-id pairs {i,j} to tensor slopes."""
-
-    def __init__(self, entries):
-        self._d = {_pair_key(i, j): Fraction(v) for (i, j), v in entries.items()}
-
-    def get(self, i: str, j: str) -> Fraction:
-        try:
-            return self._d[_pair_key(i, j)]
-        except KeyError:
-            raise ModelStructureError(f"missing pairing entry for {{{i},{j}}}") from None
-
-    def items(self):
-        return sorted(self._d.items())
-
-    def __eq__(self, other):
-        return isinstance(other, PairingTable) and self._d == other._d
-
-
-def complete_pairing(classes, entries) -> PairingTable:
-    """The pairing table over `classes` holding `entries` ({(i, j): slope})
-    and every omitted entry that M2 (unit row: s(u,i) = slope_i) or M3
-    (distinct slopes: s(i,j) = the larger slope) forces.
+def complete_pairing(classes, entries) -> dict:
+    """The pairing over `classes` holding `entries` ({(i, j): slope}) and
+    every omitted entry that M2 (unit row: s(u,i) = slope_i) or M3
+    (distinct slopes: s(i,j) = the larger slope) forces, keyed by sorted
+    id pairs.
 
     An omitted entry between two classes of equal slope is ambiguous, and an
     entry naming an unknown id is ill-formed: both raise ModelStructureError.
@@ -106,82 +89,78 @@ def complete_pairing(classes, entries) -> PairingTable:
                 raise ModelStructureError(
                     f"pairing entry {{{i},{j}}} omitted but not forced by the unit row or the max rule"
                 )
-    return PairingTable(table)
-
-
-class CompiledModel:
-    """The integer view of a model, built by `ModelInstance.compiled()`.
-
-    Class a is the a-th id in sorted order; `chars` lists the indices of
-    the characters.  L is the lcm of the denominators of every slope and
-    pairing entry, so `slope[a]` = L*slope and `S[a][b]` = L*s(i,j) are
-    exact ints for any input, and the validator, the kernel and minimality
-    compare integers.  The tables are tuples, read-only like the model.
-    """
-
-    __slots__ = ("ids", "index", "dim", "deg", "dual", "chars", "L", "slope", "S")
-
-    def __init__(self, m: "ModelInstance"):
-        # The order of the checks fixes which defect a message names.
-        for c in m.classes.values():
-            if c.dual not in m.classes:
-                raise ModelStructureError(f"dual of {c.id!r} is unknown id {c.dual!r}")
-        for c in m.classes.values():
-            if m.classes[c.dual].dual != c.id:
-                raise ModelStructureError(f"dual map is not an involution at {c.id!r}")
-        self.ids = tuple(sorted(m.classes))
-        self.index = index = {i: a for a, i in enumerate(self.ids)}
-        classes = [m.classes[i] for i in self.ids]
-        entries = m.pairing._d
-        self.L = L = math.lcm(*{c.slope.denominator for c in classes},
-                              *{v.denominator for v in entries.values()})
-        n = len(classes)
-        S = [[None] * n for _ in range(n)]
-        for (i, j), v in entries.items():
-            if i not in index or j not in index:
-                raise ModelStructureError(f"pairing names unknown id in {{{i},{j}}}")
-            S[index[i]][index[j]] = S[index[j]][index[i]] = v.numerator * (L // v.denominator)
-        for a, row in enumerate(S):
-            if None in row:
-                raise ModelStructureError(
-                    f"missing pairing entry for {{{self.ids[a]},{self.ids[row.index(None)]}}}")
-        for ch in m.characters:
-            if ch not in index:
-                raise ModelStructureError(f"character list names unknown id {ch!r}")
-        self.S = tuple(map(tuple, S))
-        self.dim = tuple(c.dim for c in classes)
-        self.deg = tuple(c.deg for c in classes)
-        self.dual = tuple(index[c.dual] for c in classes)
-        self.slope = tuple(c.slope.numerator * (L // c.slope.denominator) for c in classes)
-        self.chars = tuple(index[ch] for ch in m.characters)
-
-    def at(self, i: str) -> int:
-        try:
-            return self.index[i]
-        except KeyError:
-            raise ModelStructureError(f"unknown class id {i!r}") from None
+    return table
 
 
 class ModelInstance:
-    """Immutable bundle of classes, pairing, characters: `classes` is a
-    read-only mapping from id to class, and no attribute can be rebound.
-    Immutability is what lets `digest()` serialize the model only once and
-    `compiled()` build its integer view only once.  Neither cache is
-    serialized."""
+    """Immutable model: classes, pairing and characters, with the integer
+    tables the validator, the kernel and minimality read, built once here.
 
-    __slots__ = ("classes", "pairing", "characters", "_digest", "_compiled")
+    `classes` maps id to class and `pairing` maps each sorted id pair to
+    its slope, in sorted order; both are read-only.  Class a is the a-th
+    id in sorted order (`ids`, with `index` mapping id to a), and `dim`,
+    `deg`, `dual` (an index) and `slope` are tuples over a; `chars` lists
+    the indices of the characters.  L is the lcm of the denominators of
+    every slope and pairing entry, so `slope[a]` = L*slope and `S[a][b]` =
+    L*s(i,j) are exact ints for any input.  No attribute can be rebound,
+    which is what lets `digest()` serialize the model only once.
 
-    def __init__(self, classes, pairing: PairingTable, characters):
+    Construction raises ModelStructureError unless class ids are distinct,
+    duals resolve, dual is an involution, every pairing entry names known
+    ids, every pair has an entry and every character resolves.
+    """
+
+    __slots__ = ("classes", "pairing", "characters", "ids", "index", "dim", "deg", "dual",
+                 "chars", "L", "slope", "S", "_digest")
+
+    def __init__(self, classes, pairing, characters):
         by_id: dict[str, IrreducibleClass] = {}
         for c in classes:
             if c.id in by_id:
                 raise ModelStructureError(f"duplicate class id {c.id!r}")
             by_id[c.id] = c
-        object.__setattr__(self, "classes", MappingProxyType(by_id))
-        object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "characters", tuple(characters))
-        object.__setattr__(self, "_digest", None)
-        object.__setattr__(self, "_compiled", None)
+        # The order of the checks fixes which defect a message names.
+        for c in by_id.values():
+            if c.dual not in by_id:
+                raise ModelStructureError(f"dual of {c.id!r} is unknown id {c.dual!r}")
+        for c in by_id.values():
+            if by_id[c.dual].dual != c.id:
+                raise ModelStructureError(f"dual map is not an involution at {c.id!r}")
+        ids = tuple(sorted(by_id))
+        index = {i: a for a, i in enumerate(ids)}
+        object.__setattr__(self, "index", MappingProxyType(index))
+        entries = dict(sorted((_pair_key(i, j), v) for (i, j), v in pairing.items()))
+        ordered = [by_id[i] for i in ids]
+        L = math.lcm(*{c.slope.denominator for c in ordered},
+                     *{v.denominator for v in entries.values()})
+        n = len(ids)
+        S = [[None] * n for _ in range(n)]
+        for (i, j), v in entries.items():
+            a, b = self.at(i), self.at(j)
+            S[a][b] = S[b][a] = v.numerator * (L // v.denominator)
+        for a, row in enumerate(S):
+            if None in row:
+                raise ModelStructureError(
+                    f"missing pairing entry for {{{ids[a]},{ids[row.index(None)]}}}")
+        characters = tuple(characters)
+        for ch in characters:
+            if ch not in index:
+                raise ModelStructureError(f"character list names unknown id {ch!r}")
+        for name, value in (
+            ("classes", MappingProxyType(by_id)),
+            ("pairing", MappingProxyType(entries)),
+            ("characters", characters),
+            ("ids", ids),
+            ("dim", tuple(c.dim for c in ordered)),
+            ("deg", tuple(c.deg for c in ordered)),
+            ("dual", tuple(index[c.dual] for c in ordered)),
+            ("chars", tuple(index[ch] for ch in characters)),
+            ("L", L),
+            ("slope", tuple(c.slope.numerator * (L // c.slope.denominator) for c in ordered)),
+            ("S", tuple(map(tuple, S))),
+            ("_digest", None),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ModelInstance is immutable: cannot set {name!r}")
@@ -197,29 +176,16 @@ class ModelInstance:
         except KeyError:
             raise ModelStructureError(f"unknown class id {i!r}") from None
 
-    def dual(self, i: str) -> str:
-        return self.cls(i).dual
-
-    def dim(self, i: str) -> int:
-        return self.cls(i).dim
-
-    def slope(self, i: str) -> Fraction:
-        return self.cls(i).slope
-
-    def deg(self, i: str) -> int:
-        return self.cls(i).deg
+    def at(self, i: str) -> int:
+        """The index of class i in `ids`."""
+        try:
+            return self.index[i]
+        except KeyError:
+            raise ModelStructureError(f"unknown class id {i!r}") from None
 
     def pair(self, i: str, j: str) -> Fraction:
-        self.cls(i), self.cls(j)
-        return self.pairing.get(i, j)
-
-    def compiled(self) -> CompiledModel:
-        """The integer view, built on the first call and kept.  Building it
-        raises ModelStructureError unless ids resolve, dual is an
-        involution and every pairing entry is present."""
-        if self._compiled is None:
-            object.__setattr__(self, "_compiled", CompiledModel(self))
-        return self._compiled
+        self.at(i), self.at(j)
+        return self.pairing[_pair_key(i, j)]
 
     # -- serialization ---------------------------------------------------
 
@@ -301,15 +267,14 @@ def is_minimal_class(i: str, mode: str, m: ModelInstance) -> bool:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    v = m.compiled()
-    a = v.at(i)
-    dim, L = v.dim[a], v.L
+    a = m.at(i)
+    dim, L, S = m.dim[a], m.L, m.S
     if mode == "sigma":
-        sw = dim * v.slope[a]
-        return all(dim * v.S[chi][a] >= sw for chi in v.chars)
-    ar = 0 if i == UNRAMIFIED_ID else dim * (v.slope[a] + L)
-    for chi in v.chars:
-        twisted = 0 if dim == 1 and chi == v.dual[a] else dim * (v.S[chi][a] + L)
+        sw = dim * m.slope[a]
+        return all(dim * S[chi][a] >= sw for chi in m.chars)
+    ar = 0 if i == UNRAMIFIED_ID else dim * (m.slope[a] + L)
+    for chi in m.chars:
+        twisted = 0 if dim == 1 and chi == m.dual[a] else dim * (S[chi][a] + L)
         if twisted < ar:
             return False
     return True
@@ -347,8 +312,9 @@ def validate_model(m: ModelInstance) -> ValidationReport:
 
     Deterministic; every failed check is recorded with witness ids and both
     sides of the failed comparison.  Structural problems raise instead.
-    The comparisons are between the exact ints of the model's integer view
-    (`ModelInstance.compiled()`), and a violation reports Fraction(S, L).
+    The comparisons are between the exact ints of the model's integer
+    tables (`ModelInstance.S`, `slope`, ...), and a violation reports
+    Fraction(S, L).
 
     M6 has one path.  Let U be the subdominant ultrametric of
     min(D, D^T), D(i,j) = s(i, dual j).  Any two-step path i-k-j has a
@@ -359,9 +325,8 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     """
     from .exponents import indec_tensor_kernel  # deferred: exponents imports model
 
-    v = m.compiled()
     rep = ValidationReport()
-    ids, S, L, slope, dim, dual = v.ids, v.S, v.L, v.slope, v.dim, v.dual
+    ids, S, L, slope, dim, dual = m.ids, m.S, m.L, m.slope, m.dim, m.dual
     n = len(ids)
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     classes = [m.classes[i] for i in ids]
@@ -415,7 +380,7 @@ def validate_model(m: ModelInstance) -> ValidationReport:
 
     # M2 unit row.
     if UNRAMIFIED_ID in m.classes:
-        unit_row = S[v.index[UNRAMIFIED_ID]]
+        unit_row = S[m.index[UNRAMIFIED_ID]]
         for a in range(n):
             if unit_row[a] != slope[a]:
                 rep.add("M2", (UNRAMIFIED_ID, ids[a]), q(unit_row[a]), q(slope[a]))
@@ -515,14 +480,19 @@ def _require_fields(entry, keys, where: str) -> list:
     return values
 
 
+_FLAGS = ("minimal_sigma", "minimal_eta")
+
+
 def model_from_json_dict(doc: dict) -> ModelInstance:
     """Build a ModelInstance from the JSON document format.
 
     Omitted pairing entries are filled in by `complete_pairing`.  A document
     that is not an object, a `classes`, `pairing`, `characters` or `flags`
     value that is not a list, a required key that is missing or has the
-    wrong type, two pairing entries for the same unordered pair and a
-    repeated character id all raise ModelStructureError.
+    wrong type, a flag other than "minimal_sigma" and "minimal_eta", two
+    pairing entries for the same unordered pair and a repeated character
+    id all raise ModelStructureError, as do the structural defects the
+    ModelInstance constructor rejects.
     """
     if not isinstance(doc, dict):
         raise ModelStructureError(f"a model document must be an object, got {type(doc).__name__}")
@@ -531,6 +501,9 @@ def model_from_json_dict(doc: dict) -> ModelInstance:
         cid, dim, slope, deg, dual = _require_fields(
             c, ("id", "dim", "slope", "deg", "dual"), f"class {k}")
         flags = _require_list(c, "flags", [])
+        for flag in flags:
+            if flag not in _FLAGS:
+                raise ModelStructureError(f"class {k}: unknown flag {flag!r}")
         classes.append(IrreducibleClass(cid, dim, parse_rational(slope), deg, dual,
                                         "minimal_sigma" in flags, "minimal_eta" in flags))
     entries = {}
@@ -544,9 +517,7 @@ def model_from_json_dict(doc: dict) -> ModelInstance:
         raise ModelStructureError("'characters' must list class ids")
     if len(set(characters)) != len(characters):
         raise ModelStructureError("'characters' lists a class id twice")
-    model = ModelInstance(classes, complete_pairing(classes, entries), characters)
-    model.compiled()
-    return model
+    return ModelInstance(classes, complete_pairing(classes, entries), characters)
 
 
 def load_model(path) -> ModelInstance:

@@ -157,12 +157,12 @@ def format_rep(x: WDRep) -> str:
 
 
 def rep_dim(x: WDRep, m: ModelInstance) -> int:
-    return sum(k * ind.r * m.dim(ind.cls) for k, ind in x.terms)
+    return sum(k * ind.r * m.cls(ind.cls).dim for k, ind in x.terms)
 
 
 def rep_dual(x: WDRep, m: ModelInstance) -> WDRep:
     """Replace each class by its dual orbit, preserving lengths and
     multiplicities.  At orbit level this is the contragredient."""
     return WDRep.from_terms(
-        (k, Indecomposable(ind.r, m.dual(ind.cls))) for k, ind in x.terms
+        (k, Indecomposable(ind.r, m.cls(ind.cls).dual)) for k, ind in x.terms
     )

@@ -112,7 +112,7 @@ def test_bound_B_distinct_slopes_hit_max(zoo_model):
     y = parse_rep("Sp_1(b)", zoo_model)
     r = check_bound_B(PairExponents(x, y, zoo_model), "sigma", "indec_or_irr")
     assert r.theorem == "BS_irr" and r.holds
-    assert r.lhs == max(zoo_model.slope("a"), zoo_model.slope("b"))
+    assert r.lhs == max(zoo_model.cls("a").slope, zoo_model.cls("b").slope)
 
 
 def test_bound_C_examples(unit_model, zoo_model):
@@ -217,8 +217,8 @@ def test_prime_witness_strictly_beats_half():
         m = prime_dim_witness_model(ell)
         cid = f"p{ell}"
         diag = m.pair(cid, cid)
-        assert diag == (1 - Fraction(1, ell)) * m.slope(cid)
-        assert diag > m.slope(cid) / 2
+        assert diag == (1 - Fraction(1, ell)) * m.cls(cid).slope
+        assert diag > m.cls(cid).slope / 2
 
 
 def test_sp_level_triple_ultrametric(zoo_model):
@@ -228,7 +228,7 @@ def test_sp_level_triple_ultrametric(zoo_model):
     m = zoo_model
 
     def eta_pair(r, i, s, j):
-        ar, _, dim = indec_tensor_kernel(r, i, s, m.dual(j), m)
+        ar, _, dim = indec_tensor_kernel(r, i, s, m.cls(j).dual, m)
         return Fraction(ar, dim)
 
     cases = 0
@@ -380,7 +380,7 @@ def test_sp_level_triple_ultrametric_generated():
     ids = sorted(m.classes)
 
     def eta_pair(r, i, s, j):
-        ar, _, dim = indec_tensor_kernel(r, i, s, m.dual(j), m)
+        ar, _, dim = indec_tensor_kernel(r, i, s, m.cls(j).dual, m)
         return Fraction(ar, dim)
 
     rng = SplitMix64(31)

@@ -153,7 +153,11 @@ def test_malformed_model_files_exit_2(tmp_path, capsys):
     zero_den["classes"][1]["slope"] = "1/0"
     no_dual = copy.deepcopy(ZOO_DOC)
     del no_dual["classes"][1]["dual"]
-    for doc in (zero_den, no_dual, ZOO_DOC["classes"]):
+    typo_flag = copy.deepcopy(ZOO_DOC)
+    typo_flag["classes"][1]["flags"] = ["minimal_Sigma"]
+    int_flag = copy.deepcopy(ZOO_DOC)
+    int_flag["classes"][1]["flags"] = [1]
+    for doc in (zero_den, no_dual, ZOO_DOC["classes"], typo_flag, int_flag):
         assert _eval_code(tmp_path, capsys, doc) == 2
     assert _eval_code(tmp_path, capsys, ZOO_DOC) == 0
     deep = tmp_path / "deep.json"

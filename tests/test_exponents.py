@@ -101,6 +101,29 @@ def test_tensor_duality_invariance(zoo_model):
         assert (t.ar, t.sw) == (td.ar, td.sw)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_tensor_laws_on_generated_models(seed):
+    # the laws above on generated models, whose fractional slopes make the
+    # integer tables scale by L > 1
+    from wdexp.rep import rep_dual
+
+    m = gen_model(GenParams.from_strings("0,1/2,1,2", seed=seed))
+    assert m.L > 1
+    rng = SplitMix64(100 + seed)
+    for _ in range(20):
+        x, y, z = (gen_rep(m, 3, 4, rng.next64()) for _ in range(3))
+        for _, ix in x.terms:
+            for _, iy in y.terms:
+                assert (indec_tensor_kernel(ix.r, ix.cls, iy.r, iy.cls, m)
+                        == indec_tensor_kernel(iy.r, iy.cls, ix.r, ix.cls, m))
+        txy, txz = tensor_exponents(x, y, m), tensor_exponents(x, z, m)
+        assert tensor_exponents(y, x, m) == txy
+        t_sum = tensor_exponents(x, y + z, m)
+        assert (t_sum.dim, t_sum.ar, t_sum.sw) == (txy.dim + txz.dim, txy.ar + txz.ar,
+                                                   txy.sw + txz.sw)
+        assert tensor_exponents(rep_dual(x, m), rep_dual(y, m), m) == txy
+
+
 def test_twisted_artin_by_unit_is_artin(zoo_model):
     rng = SplitMix64(13)
     for _ in range(20):
@@ -164,14 +187,14 @@ def test_length_one_kernel_identity(zoo_model):
     ids = sorted(zoo_model.classes)
     for i in ids:
         for j in ids:
-            jd = zoo_model.dual(j)
-            m_ij = zoo_model.dim(i) * zoo_model.dim(j)
+            jd = zoo_model.cls(j).dual
+            m_ij = zoo_model.cls(i).dim * zoo_model.cls(j).dim
             for r in range(1, 5):
                 for s in range(1, r + 1):
                     ar, _, dim = indec_tensor_kernel(r, i, s, jd, zoo_model)
                     ar1, _, dim1 = indec_tensor_kernel(1, i, 1, jd, zoo_model)
                     gap = Fraction(ar, dim) - Fraction(ar1, dim1)
-                    d = zoo_model.deg(i) if i == j else 0
+                    d = zoo_model.cls(i).deg if i == j else 0
                     assert gap == d * (1 - Fraction(1, r)) / m_ij, (i, j, r, s)
 
 

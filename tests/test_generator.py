@@ -68,7 +68,7 @@ def test_different_seeds_differ():
 def test_minimal_params_give_unit_plus_one_class():
     m = gen_model(GenParams(slope_levels=(Fraction(0),), classes_per_level=1, dim_pool=(2,)))
     assert set(m.classes) == {UNRAMIFIED_ID, "L0c0"}
-    assert m.pair("L0c0", UNRAMIFIED_ID) == m.slope("L0c0")
+    assert m.pair("L0c0", UNRAMIFIED_ID) == m.cls("L0c0").slope
 
 
 def test_characters_cover_positive_levels(generated_model):
@@ -76,7 +76,7 @@ def test_characters_cover_positive_levels(generated_model):
     # that slope when integral, or at the next integer above otherwise
     slopes = {c.slope for c in generated_model.classes.values() if c.slope > 0}
     char_slopes = {
-        generated_model.slope(ch) for ch in generated_model.characters
+        generated_model.cls(ch).slope for ch in generated_model.characters
     }
     for s in slopes:
         target = s if s.denominator == 1 else Fraction(math.ceil(s))
@@ -136,8 +136,8 @@ def test_distinct_slopes_forced_to_max(generated_model):
     ids = sorted(m.classes)
     for a in ids:
         for b in ids:
-            if m.slope(a) != m.slope(b):
-                assert m.pair(a, b) == max(m.slope(a), m.slope(b))
+            if m.cls(a).slope != m.cls(b).slope:
+                assert m.pair(a, b) == max(m.cls(a).slope, m.cls(b).slope)
 
 
 def test_unit_class_minimal_in_generated(generated_model):

@@ -9,7 +9,6 @@ from wdexp.model import (
     IrreducibleClass,
     ModelInstance,
     ModelStructureError,
-    PairingTable,
     complete_pairing,
     is_minimal_class,
     load_model,
@@ -150,7 +149,7 @@ def test_structural_errors_raise():
                 IrreducibleClass("u", 1, Fraction(0), 1, "u"),
                 IrreducibleClass("u", 1, Fraction(0), 1, "u"),
             ],
-            PairingTable({("u", "u"): Fraction(0)}),
+            {("u", "u"): Fraction(0)},
             ["u"],
         )
 
@@ -181,8 +180,8 @@ def dualized(m):
     """The model with every class replaced by its dual: class data is
     dual-invariant apart from the dual pointer, so each pairing entry
     {i,j} is re-sourced from {dual(i),dual(j)}."""
-    entries = {(i, j): m.pair(m.dual(i), m.dual(j)) for (i, j), _ in m.pairing.items()}
-    return ModelInstance(m.classes.values(), PairingTable(entries), m.characters)
+    entries = {(i, j): m.pair(m.cls(i).dual, m.cls(j).dual) for (i, j), _ in m.pairing.items()}
+    return ModelInstance(m.classes.values(), entries, m.characters)
 
 
 def test_dualized_model_validates_identically(zoo_model):
@@ -262,6 +261,11 @@ def test_malformed_documents_raise_structure_errors():
     doc = _small_doc()
     doc["pairing"][0] = "i,j"
     bad.append(doc)
+    # a flag the format does not define, or one that is not a string
+    for flag in ("minimal_Sigma", 1, None, ["minimal_eta"]):
+        doc = _small_doc()
+        doc["classes"][1]["flags"] = [flag]
+        bad.append(doc)
     # a repeated pairing entry (either order) or character id is ambiguous,
     # never "the last one wins"
     doc = _small_doc()
@@ -298,13 +302,24 @@ def test_model_instance_is_immutable(zoo_model):
         zoo_model.classes["x"] = zoo_model.classes["u"]
     with pytest.raises(TypeError):
         del zoo_model.classes["u"]
-    for name in ("classes", "pairing", "characters"):
+    for name in ("classes", "pairing", "characters", "ids", "index", "dim", "deg", "dual",
+                 "chars", "L", "slope", "S"):
         with pytest.raises(AttributeError):
             setattr(zoo_model, name, getattr(zoo_model, name))
         with pytest.raises(AttributeError):
             delattr(zoo_model, name)
     with pytest.raises(AttributeError):
         zoo_model.extra = 1
+    with pytest.raises(TypeError):
+        zoo_model.pairing["u", "u"] = Fraction(1)
+    with pytest.raises(TypeError):
+        del zoo_model.pairing["u", "u"]
+    with pytest.raises(TypeError):
+        zoo_model.index["u"] = 1
+    for table in (zoo_model.ids, zoo_model.dim, zoo_model.deg, zoo_model.dual, zoo_model.chars,
+                  zoo_model.slope, zoo_model.S, zoo_model.S[0]):
+        with pytest.raises(TypeError):
+            table[0] = table[0]
     assert validate_model(zoo_model).ok
 
 
@@ -374,9 +389,9 @@ def _reference_m6(m):
     The loop compares the ranks of the entries among the table's values,
     which order them as the entries themselves do, but as ints."""
     ids = sorted(m.classes)
-    value = sorted({m.pair(i, m.dual(j)) for i in ids for j in ids})
+    value = sorted({m.pair(i, m.cls(j).dual) for i in ids for j in ids})
     rank = {v: r for r, v in enumerate(value)}
-    dist = {(i, j): rank[m.pair(i, m.dual(j))] for i in ids for j in ids}
+    dist = {(i, j): rank[m.pair(i, m.cls(j).dual)] for i in ids for j in ids}
     out = []
     for i in ids:
         for j in ids:
@@ -405,9 +420,9 @@ def _perturbed(m, rng, with_dual_image):
     new = rng.choice([v for v in values if v != old] or [old + 1])
     entries[i, j] = new
     if with_dual_image:
-        di, dj = m.dual(i), m.dual(j)
+        di, dj = m.cls(i).dual, m.cls(j).dual
         entries[min(di, dj), max(di, dj)] = new
-    return ModelInstance(m.classes.values(), PairingTable(entries), m.characters)
+    return ModelInstance(m.classes.values(), entries, m.characters)
 
 
 @pytest.mark.parametrize("cpl", range(2, 6))
@@ -462,8 +477,8 @@ def test_large_generated_model_validates():
 
     m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=40))
     assert len(m.classes) == 163
-    fresh = ModelInstance(m.classes.values(), m.pairing, m.characters)  # no view built yet
     start = perf_counter()
+    fresh = ModelInstance(m.classes.values(), m.pairing, m.characters)
     assert validate_model(fresh).ok
     assert perf_counter() - start < 0.3
 
@@ -486,7 +501,7 @@ def _perturbations(m, rng):
         old = entries[key]
         new = (rng.choice(values), old + Fraction(1, 3), old - Fraction(1, 2), old / 2,
                Fraction(0))[k % 5]
-        out.append(ModelInstance(classes, PairingTable({**entries, key: new}), m.characters))
+        out.append(ModelInstance(classes, {**entries, key: new}, m.characters))
     changes = (
         lambda c: replace(c, dim=0),
         lambda c: replace(c, dim=-c.dim),
@@ -541,15 +556,16 @@ def test_integer_view_holds_the_pairing(zoo_model):
     models = [zoo_model] + [gen_model(GenParams.from_strings("0,1/2,1,2", seed=seed))
                             for seed in range(10)]
     for m in models:
-        v = m.compiled()
-        assert v is m.compiled()
-        assert v.ids == tuple(sorted(m.classes))
-        for a, i in enumerate(v.ids):
-            assert v.index[i] == a
-            assert (v.dim[a], v.deg[a], v.ids[v.dual[a]]) == (m.dim(i), m.deg(i), m.dual(i))
-            assert Fraction(v.slope[a], v.L) == m.slope(i)
-            for b, j in enumerate(v.ids):
-                assert Fraction(v.S[a][b], v.L) == m.pair(i, j)
-        assert tuple(v.ids[c] for c in v.chars) == m.characters
+        assert m.ids == tuple(sorted(m.classes))
+        for a, i in enumerate(m.ids):
+            c = m.cls(i)
+            assert m.index[i] == m.at(i) == a
+            assert (m.dim[a], m.deg[a], m.ids[m.dual[a]]) == (c.dim, c.deg, c.dual)
+            assert Fraction(m.slope[a], m.L) == c.slope
+        assert len(m.pairing) == len(m.ids) * (len(m.ids) + 1) // 2
+        for (i, j), value in m.pairing.items():
+            assert i <= j
+            assert Fraction(m.S[m.at(i)][m.at(j)], m.L) == Fraction(m.S[m.at(j)][m.at(i)], m.L) == value
+        assert tuple(m.ids[c] for c in m.chars) == m.characters
     with pytest.raises(ModelStructureError, match="unknown class id 'nope'"):
-        zoo_model.compiled().at("nope")
+        zoo_model.at("nope")
