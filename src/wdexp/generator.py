@@ -17,8 +17,13 @@ character (the best twist can do).  This floor is what the bound theorems
 force on orbit data reachable by twisting; the bare axiom set does not imply
 it for free entries, and without it sweeps over decomposable minimal
 representations can manufacture counterexamples that no genuine family of
-representations realizes.  Raising heights keeps the tree laminar, so the
-ultrametric and dual-symmetry axioms survive repair.
+representations realizes.  Each repair round reads the pairing off the trees
+and completes it once, then walks each tree bottom-up, raising every leaf to
+half its min_slope and every node to its children's values: a node's floor
+is half the largest min_slope under it, so it is met once the leaves under
+it are.  Raising heights keeps the tree laminar, so the ultrametric and
+dual-symmetry axioms survive repair.  The round that raises nothing has
+already completed the final pairing, and the model is built from it.
 
 Flags are computed last, directly from the finished pairing, so the
 validator's re-verification holds by construction.
@@ -139,17 +144,6 @@ class _Node:
     height: Fraction
     children: list
 
-    def leaves(self):
-        out = []
-        stack = [self]
-        while stack:
-            n = stack.pop()
-            if isinstance(n, _Leaf):
-                out.append(n)
-            else:
-                stack.extend(n.children)
-        return out
-
 
 def _ceil_grid(x: Fraction, g: int) -> Fraction:
     return Fraction(math.ceil(x * g), g)
@@ -223,25 +217,23 @@ def _tree_distances(root: _Node) -> dict[tuple[str, str], Fraction]:
     return dist
 
 
-def _enforce_floors(root: _Node, floor_of, g) -> int:
-    """Raise node heights and leaf self-values to their floors, keeping
-    children at or below parents.  Returns the number of raised values."""
+def _enforce_floors(root: _Node, min_slope: dict[str, Fraction], g: int) -> int:
+    """Raise each leaf self-value to half its min_slope (on the grid 1/g)
+    and each node height to its children's values, bottom-up.  A node then
+    sits at or above every raised leaf under it, so it meets its own floor,
+    half the largest min_slope under it, with no walk over its leaves.
+    Returns the number of raised values."""
     raised = 0
 
     def visit(node) -> Fraction:
         nonlocal raised
         if isinstance(node, _Leaf):
-            f = _ceil_grid(floor_of([node.id]) , g)
+            f = _ceil_grid(min_slope[node.id] / 2, g)
             if node.self_value < f:
                 node.self_value = f
                 raised += 1
             return node.self_value
-        ids = [leaf.id for leaf in node.leaves()]
-        f = _ceil_grid(floor_of(ids), g)
-        child_max = Fraction(0)
-        for c in node.children:
-            child_max = max(child_max, visit(c))
-        target = max(node.height, f, child_max)
+        target = max(node.height, *(visit(c) for c in node.children))
         if target > node.height:
             node.height = target
             raised += 1
@@ -315,11 +307,11 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
         deg[cid] = d
         deg[dual[cid]] = d
 
-    # One ultrametric tree per slope value present.
+    # One ultrametric tree per slope value present, on the grid 1/g.
     by_slope: dict[Fraction, list[str]] = {}
     for cid in sorted(dims):
         by_slope.setdefault(slopes[cid], []).append(cid)
-    trees: dict[Fraction, _Node] = {}
+    trees: list[tuple[list[str], _Node, int]] = []
     for lam in sorted(by_slope):
         ids = by_slope[lam]
         units = []
@@ -331,50 +323,27 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
             seen.update(orbit)
             units.append((orbit, dims[cid] == 1))
         g = math.gcd(*(dims[c] for c in ids)) ** 2
-        trees[lam] = _build_tree(rng, units, lam, g, p.tree_depth)
-
-    def distances():
-        dist = {}
-        for lam, tree in trees.items():
-            dist.update(_tree_distances(tree))
-        return dist
+        trees.append((ids, _build_tree(rng, units, lam, g, p.tree_depth), g))
 
     classes = [IrreducibleClass(cid, dims[cid], slopes[cid], deg[cid], dual[cid])
                for cid in sorted(dims)]
+    chars = sorted(c for c in dims if dims[c] == 1)
 
-    def pairing_from(dist) -> dict[tuple[str, str], Fraction]:
-        """s(a,b) = D(a, dual b) within each level, completed across levels
-        by `complete_pairing`."""
-        entries = {}
-        for level in by_slope.values():
-            for a_idx, a in enumerate(level):
-                for b in level[a_idx:]:
+    # Repair: iterate the twist-minimized-slope floor to a fixed point.  The
+    # round that raises nothing leaves `pairing` as the model's pairing.
+    for _round in range(100):
+        entries = {}  # s(a,b) = D(a, dual b) within each level
+        for ids, tree, _ in trees:
+            dist = _tree_distances(tree)
+            for a_idx, a in enumerate(ids):
+                for b in ids[a_idx:]:
                     s = entries[a, b] = dist[(a, dual[b])]
                     if dist[(dual[a], b)] != s:
                         raise GeneratorError("dual involution is not a tree isometry")
-        return complete_pairing(classes, entries)
-
-    chars = sorted(c for c in dims if dims[c] == 1)
-
-    # Repair: iterate the twist-minimized-slope floor to a fixed point.
-    for _round in range(100):
-        dist = distances()
-        entries = pairing_from(dist)
-
-        def pair(a, b):
-            return entries[(a, b) if a <= b else (b, a)]
-
-        min_slope = {c: min(pair(chi, c) for chi in chars) for c in sorted(dims)}
-        changed = 0
-        for lam in sorted(trees):
-            g = math.gcd(*(dims[c] for c in by_slope[lam])) ** 2
-
-            def floor_of(ids_under):
-                # D-entries under this node are s(a, dual(b)) for leaf pairs,
-                # so the floor takes the worst twist-minimized slope present.
-                return max(min_slope[x] for x in ids_under) / 2
-
-            changed += _enforce_floors(trees[lam], floor_of, g)
+        pairing = complete_pairing(classes, entries)
+        min_slope = {c: min(pairing[(chi, c) if chi <= c else (c, chi)] for chi in chars)
+                     for c in dims}
+        changed = sum(_enforce_floors(tree, min_slope, g) for _, tree, g in trees)
         if changed == 0:
             break
         stats.repair_rounds += 1
@@ -382,7 +351,6 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
     else:
         raise GeneratorError("pairing repair did not converge in 100 rounds")
 
-    pairing = pairing_from(distances())
     bare = ModelInstance(classes, pairing, chars)
     flagged = [
         replace(c, minimal_sigma=is_minimal_class(c.id, "sigma", bare),

@@ -9,8 +9,8 @@ of dimension-1 classes (the in-model character set).  The distinguished id
 `validate_model` checks the axiom set M1-M8 plus the structural type
 invariants and reports every violation with an explicit witness.  Structural
 defects (unresolvable ids, a dual map that is not an involution, missing
-pairing entries) make `ModelInstance` raise `ModelStructureError` when
-the model is built: they make the axiom checks meaningless rather than
+or repeated pairing entries) make `ModelInstance` raise `ModelStructureError`
+when the model is built: they make the axiom checks meaningless rather than
 false.
 """
 
@@ -107,7 +107,8 @@ class ModelInstance:
 
     Construction raises ModelStructureError unless class ids are distinct,
     duals resolve, dual is an involution, every pairing entry names known
-    ids, every pair has an entry and every character resolves.
+    ids, no pair is given in both orders, every pair has an entry and every
+    character resolves.
     """
 
     __slots__ = ("classes", "pairing", "characters", "ids", "index", "dim", "deg", "dual",
@@ -130,6 +131,9 @@ class ModelInstance:
         index = {i: a for a, i in enumerate(ids)}
         object.__setattr__(self, "index", MappingProxyType(index))
         entries = dict(sorted((_pair_key(i, j), v) for (i, j), v in pairing.items()))
+        if len(entries) < len(pairing):
+            i, j = min(k for k in pairing if k[0] < k[1] and k[::-1] in pairing)
+            raise ModelStructureError(f"pairing gives the pair {{{i},{j}}} twice")
         ordered = [by_id[i] for i in ids]
         L = math.lcm(*{c.slope.denominator for c in ordered},
                      *{v.denominator for v in entries.values()})

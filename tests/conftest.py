@@ -4,7 +4,7 @@ import pytest
 
 from wdexp.exponents import indec_tensor_kernel
 from wdexp.generator import GenParams, gen_model
-from wdexp.model import UNRAMIFIED_ID, model_from_json_dict
+from wdexp.model import UNRAMIFIED_ID, ModelInstance, model_from_json_dict
 
 
 @pytest.fixture(scope="session")
@@ -92,3 +92,11 @@ def is_eta_homogeneous(x, m) -> bool:
         ar, _sw, dim = indec_tensor_kernel(1, UNRAMIFIED_ID, 1, ind.cls, m)
         values.add(Fraction(ar, dim))
     return len(values) == 1
+
+
+def dualized(m):
+    """The model with every class replaced by its dual: class data is
+    dual-invariant apart from the dual pointer, so each pairing entry
+    {i,j} is re-sourced from {dual(i),dual(j)}."""
+    entries = {(i, j): m.pair(m.cls(i).dual, m.cls(j).dual) for (i, j), _ in m.pairing.items()}
+    return ModelInstance(m.classes.values(), entries, m.characters)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_eta_homogeneous
+from conftest import dualized, is_eta_homogeneous
 from wdexp.exponents import (
     exponents_of,
     indec_tensor_kernel,
@@ -12,7 +12,7 @@ from wdexp.exponents import (
 )
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
 from wdexp.model import MODES, UNRAMIFIED_ID, is_minimal_class
-from wdexp.rep import WDRep, parse_rep
+from wdexp.rep import WDRep, format_rep, parse_rep, rep_dual
 
 
 def twist(chi, x, m):
@@ -90,8 +90,6 @@ def test_tensor_bilinear_and_symmetric(zoo_model):
 
 
 def test_tensor_duality_invariance(zoo_model):
-    from wdexp.rep import rep_dual
-
     rng = SplitMix64(12)
     for _ in range(25):
         x = gen_rep(zoo_model, 3, 4, rng.next64())
@@ -105,8 +103,6 @@ def test_tensor_duality_invariance(zoo_model):
 def test_tensor_laws_on_generated_models(seed):
     # the laws above on generated models, whose fractional slopes make the
     # integer tables scale by L > 1
-    from wdexp.rep import rep_dual
-
     m = gen_model(GenParams.from_strings("0,1/2,1,2", seed=seed))
     assert m.L > 1
     rng = SplitMix64(100 + seed)
@@ -122,6 +118,21 @@ def test_tensor_laws_on_generated_models(seed):
         assert (t_sum.dim, t_sum.ar, t_sum.sw) == (txy.dim + txz.dim, txy.ar + txz.ar,
                                                    txy.sw + txz.sw)
         assert tensor_exponents(rep_dual(x, m), rep_dual(y, m), m) == txy
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rep_laws_on_generated_models(seed):
+    # printing round-trips, and dualizing every class of the model leaves
+    # the exponents of x alone and turns x (x) y into x* (x) y*
+    m = gen_model(GenParams.from_strings("0,1/2,1,2", seed=seed))
+    md = dualized(m)
+    rng = SplitMix64(200 + seed)
+    for _ in range(20):
+        x, y = (gen_rep(m, 3, 4, rng.next64()) for _ in range(2))
+        for z in (x, x + y + x):
+            assert parse_rep(format_rep(z), m) == z
+        assert exponents_of(x, md) == exponents_of(x, m)
+        assert tensor_exponents(x, y, md) == tensor_exponents(rep_dual(x, m), rep_dual(y, m), m)
 
 
 def test_twisted_artin_by_unit_is_artin(zoo_model):

@@ -1,8 +1,11 @@
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+import wdexp.generator
 from wdexp.generator import (
     GenParams,
     GeneratorError,
@@ -143,3 +146,50 @@ def test_distinct_slopes_forced_to_max(generated_model):
 def test_unit_class_minimal_in_generated(generated_model):
     assert is_minimal_class(UNRAMIFIED_ID, "eta", generated_model)
     assert is_minimal_class(UNRAMIFIED_ID, "sigma", generated_model)
+
+
+def _pin_grid():
+    """Fractional and integer levels, shallow and deep trees, one and three
+    characters per level, three seeds, and one 83-class model."""
+    grid = [GenParams.from_strings(levels, classes_per_level=cpl, tree_depth=depth,
+                                   char_per_level=chars, seed=seed)
+            for levels, cpl, depth, chars, seed in itertools.product(
+                ("0,1/3,2/3,1,3/2", "0,1/2,1,2", "1/3,2/3", "0", "2"),
+                (1, 2, 5), (1, 6), (1, 3), range(3))]
+    grid.append(GenParams.from_strings("0,1/2,1,2", classes_per_level=20))
+    return grid
+
+
+# sha256 of one "digest attempts repair_rounds raised_entries" line per grid
+# point: a change to the generator that moves a model or its statistics
+# moves this value.
+GENERATOR_GRID_SHA256 = "e58139aa300d3db4105d869ea72c54699ede91239936e7f8af57e1cd0b2e7c56"
+
+
+def test_generator_grid_is_pinned():
+    h = hashlib.sha256()
+    for p in _pin_grid():
+        m, s = gen_model_with_stats(p)
+        h.update(f"{m.digest()} {s.attempts} {s.repair_rounds} {s.raised_entries}\n".encode())
+    assert h.hexdigest() == GENERATOR_GRID_SHA256
+
+
+def test_one_pairing_completion_per_repair_round(monkeypatch):
+    # every round completes the pairing once, and the round that raises
+    # nothing supplies the model's pairing
+    calls = 0
+    real = wdexp.generator.complete_pairing
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(wdexp.generator, "complete_pairing", counting)
+    rounds = 0
+    for p in _pin_grid()[::7]:
+        calls = 0
+        _, stats = gen_model_with_stats(p)
+        assert calls == stats.repair_rounds + stats.attempts, p
+        rounds += stats.repair_rounds
+    assert rounds > 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dualized
 from wdexp.model import (
     IrreducibleClass,
     ModelInstance,
@@ -153,6 +154,16 @@ def test_structural_errors_raise():
             ["u"],
         )
 
+    # one pair given in both orders, in either insertion order: neither
+    # value may win silently
+    classes = [IrreducibleClass("u", 1, Fraction(0), 1, "u"),
+               IrreducibleClass("a", 2, Fraction(1, 2), 1, "a")]
+    for first, second in ((Fraction(1, 2), Fraction(3, 2)), (Fraction(3, 2), Fraction(1, 2))):
+        entries = {("u", "u"): Fraction(0), ("u", "a"): first, ("a", "u"): second,
+                   ("a", "a"): Fraction(1, 2)}
+        with pytest.raises(ModelStructureError, match=r"\{a,u\}"):
+            ModelInstance(classes, entries, ["u"])
+
 
 def test_ambiguous_omission_is_an_error():
     doc = _small_doc()
@@ -174,14 +185,6 @@ def test_json_round_trip(zoo_model, tmp_path):
     again = load_model(path)
     assert again.to_json() == zoo_model.to_json()
     assert again.digest() == zoo_model.digest()
-
-
-def dualized(m):
-    """The model with every class replaced by its dual: class data is
-    dual-invariant apart from the dual pointer, so each pairing entry
-    {i,j} is re-sourced from {dual(i),dual(j)}."""
-    entries = {(i, j): m.pair(m.cls(i).dual, m.cls(j).dual) for (i, j), _ in m.pairing.items()}
-    return ModelInstance(m.classes.values(), entries, m.characters)
 
 
 def test_dualized_model_validates_identically(zoo_model):
