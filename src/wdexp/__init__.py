@@ -44,7 +44,6 @@ from .model import (
     ModelInstance,
     ModelStructureError,
     ValidationReport,
-    complete_pairing,
     is_minimal_class,
     load_model,
     dump_model,

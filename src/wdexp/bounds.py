@@ -32,7 +32,7 @@ from .exponents import (character_twists, exponents_of, is_minimal_among, swan_p
                         tensor_exponents)
 from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_rep
 from .maxplus import mp_degree_weight, mp_vee, optimal_witness, pair_upper_bound, s_map
-from .model import UNRAMIFIED_ID, IrreducibleClass, ModelInstance, complete_pairing, validate_model
+from .model import UNRAMIFIED_ID, IrreducibleClass, ModelInstance, validate_model
 from .rationals import format_rational
 from .rep import Indecomposable, WDRep, format_rep, rep_dual
 
@@ -150,12 +150,13 @@ def check_bound_C(p: PairExponents, mode: str = "eta", variant: str = "general")
 
 def witness_model(extra_classes=(), pairing_entries=None) -> ModelInstance:
     """The unramified orbit plus `extra_classes`, with the given pairing
-    entries completed by `complete_pairing` and every dimension-1 class a
-    character; validated.  With no arguments it is the unit model."""
+    entries (completed by the ModelInstance constructor, which rejects a
+    pair given in both orders) and every dimension-1 class a character;
+    validated.  With no arguments it is the unit model."""
     classes = [IrreducibleClass(UNRAMIFIED_ID, 1, Fraction(0), 1, UNRAMIFIED_ID, True, True)]
     classes += extra_classes
     chars = [c.id for c in classes if c.dim == 1]
-    model = ModelInstance(classes, complete_pairing(classes, pairing_entries or {}), chars)
+    model = ModelInstance(classes, pairing_entries or {}, chars)
     report = validate_model(model)
     if not report.ok:
         raise AssertionError(f"witness model invalid: {[str(v) for v in report.violations]}")

@@ -5,8 +5,8 @@ tree) over that level's classes and characters, with the dual involution
 realized as a tree automorphism: dual pairs are sibling leaves, everything
 else is self-dual.  Distances D(a,b) are least-common-ancestor heights,
 leaves carry self-distances below their parent, and the pairing is read off
-as s(a,b) = D(a, dual(b)).  `complete_pairing` forces cross-level pairs to
-the max slope.
+as s(a,b) = D(a, dual(b)).  Only these within-level entries are given to
+`ModelInstance`, whose constructor forces cross-level pairs to the max slope.
 
 A repair pass then raises heights until every entry satisfies
 
@@ -17,16 +17,16 @@ character (the best twist can do).  This floor is what the bound theorems
 force on orbit data reachable by twisting; the bare axiom set does not imply
 it for free entries, and without it sweeps over decomposable minimal
 representations can manufacture counterexamples that no genuine family of
-representations realizes.  Each repair round reads the pairing off the trees
-and completes it once, then walks each tree bottom-up, raising every leaf to
-half its min_slope and every node to its children's values: a node's floor
-is half the largest min_slope under it, so it is met once the leaves under
-it are.  Raising heights keeps the tree laminar, so the ultrametric and
-dual-symmetry axioms survive repair.  The round that raises nothing has
-already completed the final pairing, and the model is built from it.
+representations realizes.  Each repair round builds a model from the entries
+read off the trees and reads min_slope off its integer table, then walks each
+tree bottom-up, raising every leaf to half its min_slope and every node to
+its children's values: a node's floor is half the largest min_slope under
+it, so it is met once the leaves under it are.  Raising heights keeps the
+tree laminar, so the ultrametric and dual-symmetry axioms survive repair.
+The round that raises nothing has already built the final model.
 
-Flags are computed last, directly from the finished pairing, so the
-validator's re-verification holds by construction.
+Flags are computed last, directly from that model, so the validator's
+re-verification holds by construction.
 
 The PRNG is splitmix64 with fixed reduction rules: identical parameters and
 seed reproduce identical models on any platform.
@@ -42,7 +42,6 @@ from .model import (
     UNRAMIFIED_ID,
     IrreducibleClass,
     ModelInstance,
-    complete_pairing,
     is_minimal_class,
     validate_model,
 )
@@ -330,7 +329,7 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
     chars = sorted(c for c in dims if dims[c] == 1)
 
     # Repair: iterate the twist-minimized-slope floor to a fixed point.  The
-    # round that raises nothing leaves `pairing` as the model's pairing.
+    # round that raises nothing leaves `bare` as the model, flags unset.
     for _round in range(100):
         entries = {}  # s(a,b) = D(a, dual b) within each level
         for ids, tree, _ in trees:
@@ -340,9 +339,9 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
                     s = entries[a, b] = dist[(a, dual[b])]
                     if dist[(dual[a], b)] != s:
                         raise GeneratorError("dual involution is not a tree isometry")
-        pairing = complete_pairing(classes, entries)
-        min_slope = {c: min(pairing[(chi, c) if chi <= c else (c, chi)] for chi in chars)
-                     for c in dims}
+        bare = ModelInstance(classes, entries, chars)
+        min_slope = {c: Fraction(min(bare.S[chi][a] for chi in bare.chars), bare.L)
+                     for a, c in enumerate(bare.ids)}
         changed = sum(_enforce_floors(tree, min_slope, g) for _, tree, g in trees)
         if changed == 0:
             break
@@ -351,13 +350,12 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
     else:
         raise GeneratorError("pairing repair did not converge in 100 rounds")
 
-    bare = ModelInstance(classes, pairing, chars)
     flagged = [
         replace(c, minimal_sigma=is_minimal_class(c.id, "sigma", bare),
                 minimal_eta=is_minimal_class(c.id, "eta", bare))
         for c in classes
     ]
-    return ModelInstance(flagged, pairing, chars)
+    return ModelInstance(flagged, entries, chars)
 
 
 def gen_model_with_stats(p: GenParams) -> tuple[ModelInstance, GenStats]:

@@ -8,10 +8,10 @@ of dimension-1 classes (the in-model character set).  The distinguished id
 
 `validate_model` checks the axiom set M1-M8 plus the structural type
 invariants and reports every violation with an explicit witness.  Structural
-defects (unresolvable ids, a dual map that is not an involution, missing
-or repeated pairing entries) make `ModelInstance` raise `ModelStructureError`
-when the model is built: they make the axiom checks meaningless rather than
-false.
+defects (unresolvable ids, a dual map that is not an involution, repeated
+pairing entries, an omitted entry that nothing forces) make `ModelInstance`
+raise `ModelStructureError` when the model is built: they make the axiom
+checks meaningless rather than false.
 """
 
 from __future__ import annotations
@@ -57,110 +57,95 @@ class IrreducibleClass:
     minimal_eta: bool = False
 
 
-def _pair_key(i: str, j: str) -> tuple[str, str]:
-    return (i, j) if i <= j else (j, i)
-
-
-def complete_pairing(classes, entries) -> dict:
-    """The pairing over `classes` holding `entries` ({(i, j): slope}) and
-    every omitted entry that M2 (unit row: s(u,i) = slope_i) or M3
-    (distinct slopes: s(i,j) = the larger slope) forces, keyed by sorted
-    id pairs.
-
-    An omitted entry between two classes of equal slope is ambiguous, and an
-    entry naming an unknown id is ill-formed: both raise ModelStructureError.
-    """
-    by_id = {c.id: c for c in classes}
-    table = {}
-    for (i, j), v in entries.items():
-        if i not in by_id or j not in by_id:
-            raise ModelStructureError(f"pairing names unknown id in {{{i},{j}}}")
-        table[_pair_key(i, j)] = v
-    ids = sorted(by_id)
-    for a, i in enumerate(ids):
-        for j in ids[a:]:
-            if (i, j) in table:
-                continue
-            if i == UNRAMIFIED_ID or j == UNRAMIFIED_ID:
-                table[i, j] = by_id[j if i == UNRAMIFIED_ID else i].slope
-            elif by_id[i].slope != by_id[j].slope:
-                table[i, j] = max(by_id[i].slope, by_id[j].slope)
-            else:
-                raise ModelStructureError(
-                    f"pairing entry {{{i},{j}}} omitted but not forced by the unit row or the max rule"
-                )
-    return table
-
-
 class ModelInstance:
     """Immutable model: classes, pairing and characters, with the integer
     tables the validator, the kernel and minimality read, built once here.
 
-    `classes` maps id to class and `pairing` maps each sorted id pair to
-    its slope, in sorted order; both are read-only.  Class a is the a-th
-    id in sorted order (`ids`, with `index` mapping id to a), and `dim`,
-    `deg`, `dual` (an index) and `slope` are tuples over a; `chars` lists
-    the indices of the characters.  L is the lcm of the denominators of
-    every slope and pairing entry, so `slope[a]` = L*slope and `S[a][b]` =
-    L*s(i,j) are exact ints for any input.  No attribute can be rebound,
-    which is what lets `digest()` serialize the model only once.
+    The constructor is the one pairing-completion rule.  `entries` maps id
+    pairs (i, j) to slopes; every entry it omits must be forced, by M2 (the
+    unit row: s(u,i) = slope_i) or by M3 (distinct slopes: s(i,j) = the
+    larger slope).  An omitted entry between two classes of equal slope is
+    ambiguous.
 
-    Construction raises ModelStructureError unless class ids are distinct,
-    duals resolve, dual is an involution, every pairing entry names known
-    ids, no pair is given in both orders, every pair has an entry and every
-    character resolves.
+    Class a is the a-th id in sorted order (`ids`, with `index` mapping id
+    to a), and `dim`, `deg`, `dual` (an index) and `slope` are tuples over
+    a; `chars` lists the indices of the characters.  L is the lcm of the
+    denominators of every slope and pairing entry, so `slope[a]` = L*slope
+    and `S[a][b]` = L*s(i,j) are exact ints for any input.  `classes` maps
+    id to class and `pairing`, derived from S and L, maps each sorted id
+    pair to its slope in sorted order; both are read-only.  No attribute
+    can be rebound, which is what lets `digest()` serialize the model only
+    once.
+
+    Construction raises ModelStructureError, in this order, unless every
+    pairing entry names known ids, no pair is given in both orders, every
+    omitted entry is forced, class ids are distinct, duals resolve, dual is
+    an involution and every character resolves.
     """
 
-    __slots__ = ("classes", "pairing", "characters", "ids", "index", "dim", "deg", "dual",
+    __slots__ = ("classes", "characters", "ids", "index", "dim", "deg", "dual",
                  "chars", "L", "slope", "S", "_digest")
 
-    def __init__(self, classes, pairing, characters):
-        by_id: dict[str, IrreducibleClass] = {}
-        for c in classes:
-            if c.id in by_id:
-                raise ModelStructureError(f"duplicate class id {c.id!r}")
-            by_id[c.id] = c
+    def __init__(self, classes, entries, characters):
         # The order of the checks fixes which defect a message names.
+        classes = list(classes)
+        by_id = {c.id: c for c in classes}
+        ids = tuple(sorted(by_id))
+        index = {i: a for a, i in enumerate(ids)}
+        given = {}
+        for (i, j), v in entries.items():
+            if i not in index or j not in index:
+                raise ModelStructureError(f"pairing names unknown id in {{{i},{j}}}")
+            given[(index[i], index[j]) if i <= j else (index[j], index[i])] = v
+        if len(given) < len(entries):
+            i, j = min(k for k in entries if k[0] < k[1] and k[::-1] in entries)
+            raise ModelStructureError(f"pairing gives the pair {{{i},{j}}} twice")
+        ordered = [by_id[i] for i in ids]
+        L = math.lcm(*{c.slope.denominator for c in ordered},
+                     *{v.denominator for v in given.values()})
+        slope = tuple(c.slope.numerator * (L // c.slope.denominator) for c in ordered)
+        n = len(ids)
+        S = [[None] * n for _ in range(n)]
+        for (a, b), v in given.items():
+            S[a][b] = S[b][a] = v.numerator * (L // v.denominator)
+        u = index.get(UNRAMIFIED_ID)
+        for a, row in enumerate(S):
+            for b in range(a, n):
+                if row[b] is not None:
+                    continue
+                if u in (a, b):
+                    row[b] = S[b][a] = slope[b if a == u else a]
+                elif slope[a] != slope[b]:
+                    row[b] = S[b][a] = max(slope[a], slope[b])
+                else:
+                    raise ModelStructureError(f"pairing entry {{{ids[a]},{ids[b]}}} omitted "
+                                              "but not forced by the unit row or the max rule")
+        seen = set()
+        for c in classes:
+            if c.id in seen:
+                raise ModelStructureError(f"duplicate class id {c.id!r}")
+            seen.add(c.id)
         for c in by_id.values():
             if c.dual not in by_id:
                 raise ModelStructureError(f"dual of {c.id!r} is unknown id {c.dual!r}")
         for c in by_id.values():
             if by_id[c.dual].dual != c.id:
                 raise ModelStructureError(f"dual map is not an involution at {c.id!r}")
-        ids = tuple(sorted(by_id))
-        index = {i: a for a, i in enumerate(ids)}
-        object.__setattr__(self, "index", MappingProxyType(index))
-        entries = dict(sorted((_pair_key(i, j), v) for (i, j), v in pairing.items()))
-        if len(entries) < len(pairing):
-            i, j = min(k for k in pairing if k[0] < k[1] and k[::-1] in pairing)
-            raise ModelStructureError(f"pairing gives the pair {{{i},{j}}} twice")
-        ordered = [by_id[i] for i in ids]
-        L = math.lcm(*{c.slope.denominator for c in ordered},
-                     *{v.denominator for v in entries.values()})
-        n = len(ids)
-        S = [[None] * n for _ in range(n)]
-        for (i, j), v in entries.items():
-            a, b = self.at(i), self.at(j)
-            S[a][b] = S[b][a] = v.numerator * (L // v.denominator)
-        for a, row in enumerate(S):
-            if None in row:
-                raise ModelStructureError(
-                    f"missing pairing entry for {{{ids[a]},{ids[row.index(None)]}}}")
         characters = tuple(characters)
         for ch in characters:
             if ch not in index:
                 raise ModelStructureError(f"character list names unknown id {ch!r}")
         for name, value in (
             ("classes", MappingProxyType(by_id)),
-            ("pairing", MappingProxyType(entries)),
             ("characters", characters),
+            ("index", MappingProxyType(index)),
             ("ids", ids),
             ("dim", tuple(c.dim for c in ordered)),
             ("deg", tuple(c.deg for c in ordered)),
             ("dual", tuple(index[c.dual] for c in ordered)),
             ("chars", tuple(index[ch] for ch in characters)),
             ("L", L),
-            ("slope", tuple(c.slope.numerator * (L // c.slope.denominator) for c in ordered)),
+            ("slope", slope),
             ("S", tuple(map(tuple, S))),
             ("_digest", None),
         ):
@@ -188,8 +173,16 @@ class ModelInstance:
             raise ModelStructureError(f"unknown class id {i!r}") from None
 
     def pair(self, i: str, j: str) -> Fraction:
-        self.at(i), self.at(j)
-        return self.pairing[_pair_key(i, j)]
+        return Fraction(self.S[self.at(i)][self.at(j)], self.L)
+
+    @property
+    def pairing(self):
+        """Read-only {(i, j): s(i,j)} over sorted id pairs, in sorted order,
+        made from S on each call."""
+        ids, L = self.ids, self.L
+        return MappingProxyType({(i, ids[b]): Fraction(row[b], L)
+                                 for a, (i, row) in enumerate(zip(ids, self.S))
+                                 for b in range(a, len(ids))})
 
     # -- serialization ---------------------------------------------------
 
@@ -490,7 +483,8 @@ _FLAGS = ("minimal_sigma", "minimal_eta")
 def model_from_json_dict(doc: dict) -> ModelInstance:
     """Build a ModelInstance from the JSON document format.
 
-    Omitted pairing entries are filled in by `complete_pairing`.  A document
+    Omitted pairing entries are filled in by the ModelInstance constructor,
+    which rejects an omission that nothing forces.  A document
     that is not an object, a `classes`, `pairing`, `characters` or `flags`
     value that is not a list, a required key that is missing or has the
     wrong type, a flag other than "minimal_sigma" and "minimal_eta", two
@@ -513,15 +507,16 @@ def model_from_json_dict(doc: dict) -> ModelInstance:
     entries = {}
     for k, e in enumerate(_require_list(doc, "pairing", [])):
         i, j, slope = _require_fields(e, ("i", "j", "slope"), f"pairing entry {k}")
-        if _pair_key(i, j) in entries:
+        key = (i, j) if i <= j else (j, i)
+        if key in entries:
             raise ModelStructureError(f"pairing entry {k} repeats the pair {{{i},{j}}}")
-        entries[_pair_key(i, j)] = parse_rational(slope)
+        entries[key] = parse_rational(slope)
     characters = _require_list(doc, "characters", [])
     if not all(isinstance(ch, str) for ch in characters):
         raise ModelStructureError("'characters' must list class ids")
     if len(set(characters)) != len(characters):
         raise ModelStructureError("'characters' lists a class id twice")
-    return ModelInstance(classes, complete_pairing(classes, entries), characters)
+    return ModelInstance(classes, entries, characters)
 
 
 def load_model(path) -> ModelInstance:

@@ -19,9 +19,11 @@ from wdexp.bounds import (
     sharpness_suite,
     swan_bridge_gap,
     tame_character_witness_model,
+    witness_model,
 )
 from wdexp.exponents import indec_tensor_kernel
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
+from wdexp.model import IrreducibleClass, ModelStructureError
 from wdexp.rep import WDRep, parse_rep
 
 ALL_FAMILIES = ("A", "AS", "B", "BS", "C", "CS")
@@ -219,6 +221,15 @@ def test_prime_witness_strictly_beats_half():
         diag = m.pair(cid, cid)
         assert diag == (1 - Fraction(1, ell)) * m.cls(cid).slope
         assert diag > m.cls(cid).slope / 2
+
+
+def test_witness_model_rejects_a_pair_given_in_both_orders():
+    # neither value may win silently, whichever order they are inserted in
+    w = IrreducibleClass("w", 2, Fraction(1, 2), 2, "w", True, True)
+    for first, second in ((Fraction(1, 2), Fraction(3, 2)), (Fraction(3, 2), Fraction(1, 2))):
+        entries = {("w", "w"): Fraction(1, 4), ("u", "w"): first, ("w", "u"): second}
+        with pytest.raises(ModelStructureError, match=r"\{u,w\}"):
+            witness_model([w], entries)
 
 
 def test_sp_level_triple_ultrametric(zoo_model):

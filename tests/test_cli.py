@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 from collections import Counter
 
@@ -192,9 +193,9 @@ _DROP = object()
 _JUNK = (None, [], "1/0", "x", 0, -1, {})
 
 
-def test_loader_fuzz_exit_codes(tmp_path, capsys):
-    """Every single-entry mutation of the zoo document, and stacks of random
-    ones, load as a valid model (exit 0) or fail as a usage error (exit 2)."""
+def _fuzz_docs() -> list:
+    """Every single-entry mutation of the zoo document, stacks of random
+    ones, and three documents that are not objects."""
     docs = [[], "model", 7]
     for path in _paths(ZOO_DOC):
         docs.extend(_mutate(ZOO_DOC, path, v) for v in (_DROP,) + _JUNK)
@@ -207,6 +208,30 @@ def test_loader_fuzz_exit_codes(tmp_path, capsys):
                 break
             doc = _mutate(doc, rng.choice(paths), rng.choice((_DROP,) + _JUNK))
         docs.append(doc)
+    return docs
+
+
+def test_loader_fuzz_exit_codes(tmp_path, capsys):
+    """Every fuzz document loads as a valid model (exit 0) or fails as a
+    usage error (exit 2)."""
+    docs = _fuzz_docs()
     codes = Counter(_eval_code(tmp_path, capsys, doc) for doc in docs)
     assert set(codes) <= {0, 2}, codes
     assert codes[2] > len(docs) // 2
+
+
+# sha256 of the exit code and the whole stderr (the "error:" line and any
+# violation lines under it) of every fuzz document, with the model file's
+# path removed: a change to the loader or the model constructor that moves
+# any error message moves this value.
+LOADER_MESSAGES_SHA256 = "b13aef60a024ee55285c258524ef1bc831450d32efcc5ee51df90504dcae3a8c"
+
+
+def test_loader_fuzz_messages_are_pinned(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    h = hashlib.sha256()
+    for doc in _fuzz_docs():
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, "eval", "-m", str(path), "-e", "Sp_1(u)")
+        h.update(f"{code} {err}\n".replace(str(path), "<model>").encode())
+    assert h.hexdigest() == LOADER_MESSAGES_SHA256

@@ -175,21 +175,22 @@ def test_generator_grid_is_pinned():
 
 
 def test_one_pairing_completion_per_repair_round(monkeypatch):
-    # every round completes the pairing once, and the round that raises
-    # nothing supplies the model's pairing
+    # every round builds one model, which completes the pairing; the round
+    # that raises nothing is the model whose flags are read, and the
+    # flagged model is one more build per attempt
     calls = 0
-    real = wdexp.generator.complete_pairing
+    real = wdexp.generator.ModelInstance
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return real(*args)
 
-    monkeypatch.setattr(wdexp.generator, "complete_pairing", counting)
+    monkeypatch.setattr(wdexp.generator, "ModelInstance", counting)
     rounds = 0
     for p in _pin_grid()[::7]:
         calls = 0
         _, stats = gen_model_with_stats(p)
-        assert calls == stats.repair_rounds + stats.attempts, p
+        assert calls == stats.repair_rounds + 2 * stats.attempts, p
         rounds += stats.repair_rounds
     assert rounds > 0

@@ -10,7 +10,6 @@ from wdexp.model import (
     IrreducibleClass,
     ModelInstance,
     ModelStructureError,
-    complete_pairing,
     is_minimal_class,
     load_model,
     dump_model,
@@ -289,15 +288,31 @@ def test_malformed_documents_raise_structure_errors():
         model_from_json_dict(doc)
 
 
-def test_complete_pairing_is_the_completion_rule(zoo_model):
+def test_constructor_is_the_completion_rule(zoo_model):
+    from wdexp.generator import GenParams, gen_model
+
+    models = [zoo_model] + [gen_model(GenParams.from_strings("0,1/2,1,2", seed=seed))
+                            for seed in range(10)]
+    for m in models:
+        classes = list(m.classes.values())
+        slope = {i: c.slope for i, c in m.classes.items()}
+        # every entry the unit row or the max rule forces is left out
+        sparse = {(i, j): v for (i, j), v in m.pairing.items()
+                  if "u" not in (i, j) and slope[i] == slope[j]}
+        assert len(sparse) < len(m.pairing)
+        for entries in (sparse, dict(m.pairing)):
+            built = ModelInstance(classes, entries, m.characters)
+            assert built.pairing == m.pairing
+            assert list(built.pairing) == list(m.pairing)
+            assert built.digest() == m.digest()
     classes = list(zoo_model.classes.values())
-    given = {(i, j): v for (i, j), v in zoo_model.pairing.items()
-             if {i, j} != {"u", "c3"} and {i, j} != {"a", "b"}}
-    assert complete_pairing(classes, given) == zoo_model.pairing
-    with pytest.raises(ModelStructureError):
-        complete_pairing(classes, {("a", "nope"): Fraction(1)})
-    with pytest.raises(ModelStructureError):  # equal slopes: not forced
-        complete_pairing(classes, {k: v for k, v in given.items() if k != ("a", "a")})
+    given = dict(zoo_model.pairing)
+    with pytest.raises(ModelStructureError, match=r"^pairing names unknown id in \{a,nope\}$"):
+        ModelInstance(classes, {**given, ("a", "nope"): Fraction(1)}, zoo_model.characters)
+    del given["a", "a"]  # equal slopes: not forced
+    with pytest.raises(ModelStructureError, match=r"^pairing entry \{a,a\} omitted but not "
+                                                  r"forced by the unit row or the max rule$"):
+        ModelInstance(classes, given, zoo_model.characters)
 
 
 def test_model_instance_is_immutable(zoo_model):
