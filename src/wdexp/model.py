@@ -21,6 +21,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import gt, le, mod
 from types import MappingProxyType
 
 from .rationals import format_rational, parse_rational
@@ -94,9 +96,10 @@ class ModelInstance:
         index = {i: a for a, i in enumerate(ids)}
         given = {}
         for (i, j), v in entries.items():
-            if i not in index or j not in index:
+            a, b = index.get(i), index.get(j)
+            if a is None or b is None:
                 raise ModelStructureError(f"pairing names unknown id in {{{i},{j}}}")
-            given[(index[i], index[j]) if i <= j else (index[j], index[i])] = v
+            given[(a, b) if a <= b else (b, a)] = v
         if len(given) < len(entries):
             i, j = min(k for k in entries if k[0] < k[1] and k[::-1] in entries)
             raise ModelStructureError(f"pairing gives the pair {{{i},{j}}} twice")
@@ -109,17 +112,20 @@ class ModelInstance:
         for (a, b), v in given.items():
             S[a][b] = S[b][a] = v.numerator * (L // v.denominator)
         u = index.get(UNRAMIFIED_ID)
-        for a, row in enumerate(S):
-            for b in range(a, n):
-                if row[b] is not None:
-                    continue
-                if u in (a, b):
-                    row[b] = S[b][a] = slope[b if a == u else a]
-                elif slope[a] != slope[b]:
-                    row[b] = S[b][a] = max(slope[a], slope[b])
-                else:
-                    raise ModelStructureError(f"pairing entry {{{ids[a]},{ids[b]}}} omitted "
-                                              "but not forced by the unit row or the max rule")
+        # The keys of `given` are distinct pairs a <= b, so the table has a
+        # gap only when there are fewer of them than its n(n+1)/2 cells.
+        if len(given) < n * (n + 1) // 2:
+            for a, row in enumerate(S):
+                for b in range(a, n):
+                    if row[b] is not None:
+                        continue
+                    if u in (a, b):
+                        row[b] = S[b][a] = slope[b if a == u else a]
+                    elif slope[a] != slope[b]:
+                        row[b] = S[b][a] = max(slope[a], slope[b])
+                    else:
+                        raise ModelStructureError(f"pairing entry {{{ids[a]},{ids[b]}}} omitted "
+                                                  "but not forced by the unit row or the max rule")
         seen = set()
         for c in classes:
             if c.id in seen:
@@ -313,19 +319,21 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     tables (`ModelInstance.S`, `slope`, ...), and a violation reports
     Fraction(S, L).
 
-    M6 has one path.  Let U be the subdominant ultrametric of
-    min(D, D^T), D(i,j) = s(i, dual j).  Any two-step path i-k-j has a
-    largest weight of at least U(i,j), so an off-diagonal pair with
-    D(i,j) <= U(i,j) has no witness k, and the loop over k runs only on the
-    diagonal and on the pairs with D(i,j) > U(i,j).  On a valid model that
-    is O(n^2); the worst case, many pairs above U, is still O(n^3).
+    M1, M3, M4 and M5 first test each row of S as a whole, and only a row
+    that fails runs the loop over its cells.  M6 has one path.  Let U be
+    the subdominant ultrametric of min(D, D^T), D(i,j) = s(i, dual j).
+    Any two-step path i-k-j has a largest weight of at least U(i,j), so an
+    off-diagonal pair with D(i,j) <= U(i,j) has no witness k.  The loop
+    over k runs only on the diagonal and on the pairs with D(i,j) > U(i,j),
+    and only where D(i,j) > min_k max(D(i,k), D(k,j)), that is, where a
+    witness exists.  On a valid model that is O(n^2); the worst case, many
+    pairs with witnesses, is still O(n^3).
     """
     from .exponents import indec_tensor_kernel  # deferred: exponents imports model
 
     rep = ValidationReport()
     ids, S, L, slope, dim, dual = m.ids, m.S, m.L, m.slope, m.dim, m.dual
     n = len(ids)
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
     classes = [m.classes[i] for i in ids]
 
     def q(x):
@@ -368,12 +376,27 @@ def validate_model(m: ModelInstance) -> ValidationReport:
         if dim[a] == 1 and S[a][dual[a]] != 0:
             rep.add("char_self_pairing", (ids[a], ids[dual[a]]), q(S[a][dual[a]]), 0)
 
-    # M1 integrality, and non-negativity of entries.
-    for a, b in pairs:
-        if S[a][b] < 0:
-            rep.add("M1", (ids[a], ids[b]), q(S[a][b]), 0)
-        elif dim[a] * dim[b] * S[a][b] % L:
-            rep.add("M1", (ids[a], ids[b]), q(dim[a] * dim[b] * S[a][b]), 0)
+    # Each loop below first tests a whole row with C-level scans; the test
+    # passes exactly when the row's cells pass, and a row that fails it runs
+    # the per-cell loop, so violations come in the order of the full loops.
+    lows = [min(row) for row in S]  # the least entry of each row
+    least = min(lows, default=0)
+
+    # M1 integrality, and non-negativity of entries.  dim_a * dim_b * S[a][b]
+    # is a multiple of L exactly when S[a][b] is a multiple of
+    # L / gcd(L, dim_a * dim_b); the rows of one dim share these steps.
+    steps = {}
+    for a in range(n):
+        if dim[a] not in steps:
+            steps[dim[a]] = tuple(L // math.gcd(L, dim[a] * d) for d in dim)
+        tail = S[a][a:]
+        if (least >= 0 or min(tail) >= 0) and not any(map(mod, tail, steps[dim[a]][a:])):
+            continue
+        for b in range(a, n):
+            if S[a][b] < 0:
+                rep.add("M1", (ids[a], ids[b]), q(S[a][b]), 0)
+            elif dim[a] * dim[b] * S[a][b] % L:
+                rep.add("M1", (ids[a], ids[b]), q(dim[a] * dim[b] * S[a][b]), 0)
 
     # M2 unit row.
     if UNRAMIFIED_ID in m.classes:
@@ -382,33 +405,56 @@ def validate_model(m: ModelInstance) -> ValidationReport:
             if unit_row[a] != slope[a]:
                 rep.add("M2", (UNRAMIFIED_ID, ids[a]), q(unit_row[a]), q(slope[a]))
 
-    # M3 max rule.
-    for a, b in pairs:
-        hi = max(slope[a], slope[b])
-        if S[a][b] > hi or (slope[a] != slope[b] and S[a][b] != hi):
-            rep.add("M3", (ids[a], ids[b]), q(S[a][b]), q(hi))
+    # M3 max rule: lo <= S[a][b] <= hi, where hi is the larger slope and lo
+    # is hi if the slopes differ and the table's least entry if they are
+    # equal.  The rows of one slope share hi and lo.
+    bands = {}
+    for a in range(n):
+        if slope[a] not in bands:
+            his = tuple(map(max, repeat(slope[a]), slope))
+            bands[slope[a]] = his, tuple(least if sb == slope[a] else h for sb, h in zip(slope, his))
+        his, los = bands[slope[a]]
+        tail = S[a][a:]
+        if all(map(le, los[a:], tail)) and all(map(le, tail, his[a:])):
+            continue
+        for b in range(a, n):
+            hi = max(slope[a], slope[b])
+            if S[a][b] > hi or (slope[a] != slope[b] and S[a][b] != hi):
+                rep.add("M3", (ids[a], ids[b]), q(S[a][b]), q(hi))
 
-    # M4 dual symmetry.
-    for a, b in pairs:
-        if S[a][b] != S[dual[a]][dual[b]]:
-            rep.add("M4", (ids[a], ids[b]), q(S[a][b]), q(S[dual[a]][dual[b]]))
+    # M4 dual symmetry, on D(i,j) = s(i, dual j): S[a][b] = D[dual a][b].
+    # S is symmetric, so column b of D is row dual b of S.
+    Dt = [S[d] for d in dual]
+    D = list(zip(*Dt))
+    for a in range(n):
+        if S[a][a:] == D[dual[a]][a:]:
+            continue
+        for b in range(a, n):
+            if S[a][b] != S[dual[a]][dual[b]]:
+                rep.add("M4", (ids[a], ids[b]), q(S[a][b]), q(S[dual[a]][dual[b]]))
 
     # M5 diagonal minimality.
     for a in range(n):
         diag = S[a][dual[a]]
+        if diag <= lows[a]:
+            continue
         for k in range(n):
             if diag > S[a][k]:
                 rep.add("M5", (ids[a], ids[k]), q(diag), q(S[a][k]))
 
-    # M6 ultrametric on D(i,j) = s(i, dual j): witnesses (i, j, k) in order.
-    D = [[row[d] for d in dual] for row in S]
-    Dt = list(zip(*D))
-    U = _subdominant_ultrametric([list(map(min, row, col)) for row, col in zip(D, Dt)])
+    # M6 ultrametric on D: witnesses (i, j, k) in order.  A row scan finds
+    # the diagonal and the b with D(a,b) > U(a,b), and of those only a pair
+    # with D(a,b) > min_k max(D(a,k), D(k,b)) has a witness.  That minimum
+    # is at least min_k D(a,k), the least entry of row a of S, which decides
+    # the diagonal when M5 holds.
+    U = _subdominant_ultrametric([[x if x < y else y for x, y in zip(row, col)]
+                                  for row, col in zip(D, Dt)])
     for a in range(n):
         Da, Ua = D[a], U[a]
-        for b in range(n):
+        Ua[a] = least - 1  # below every entry, so the scan takes the diagonal
+        for b in compress(range(n), map(gt, Da, Ua)):
             dab, Db = Da[b], Dt[b]
-            if a != b and dab <= Ua[b]:
+            if dab <= lows[a] or dab <= min(map(max, Da, Db)):
                 continue
             for k in range(n):
                 bound = max(Da[k], Db[k])
@@ -480,6 +526,15 @@ def _require_fields(entry, keys, where: str) -> list:
 _FLAGS = ("minimal_sigma", "minimal_eta")
 
 
+class _ParsedSlopes(dict):
+    """Slope text to Fraction; each distinct text is parsed on its first
+    lookup, so a document's few slope values are parsed once each."""
+
+    def __missing__(self, text):
+        value = self[text] = parse_rational(text)
+        return value
+
+
 def model_from_json_dict(doc: dict) -> ModelInstance:
     """Build a ModelInstance from the JSON document format.
 
@@ -494,6 +549,8 @@ def model_from_json_dict(doc: dict) -> ModelInstance:
     """
     if not isinstance(doc, dict):
         raise ModelStructureError(f"a model document must be an object, got {type(doc).__name__}")
+    # Bools never reach this dict: True == 1 would find the entry of 1.
+    parsed = _ParsedSlopes()
     classes = []
     for k, c in enumerate(_require_list(doc, "classes")):
         cid, dim, slope, deg, dual = _require_fields(
@@ -502,15 +559,21 @@ def model_from_json_dict(doc: dict) -> ModelInstance:
         for flag in flags:
             if flag not in _FLAGS:
                 raise ModelStructureError(f"class {k}: unknown flag {flag!r}")
-        classes.append(IrreducibleClass(cid, dim, parse_rational(slope), deg, dual,
+        classes.append(IrreducibleClass(cid, dim, parsed[slope], deg, dual,
                                         "minimal_sigma" in flags, "minimal_eta" in flags))
     entries = {}
     for k, e in enumerate(_require_list(doc, "pairing", [])):
-        i, j, slope = _require_fields(e, ("i", "j", "slope"), f"pairing entry {k}")
+        # The checks of _require_fields, made inline; only an entry that
+        # fails them goes through it, which raises with its message.
+        if isinstance(e, dict):
+            i, j, slope = e.get("i"), e.get("j"), e.get("slope")
+        if not (isinstance(e, dict) and isinstance(i, str) and isinstance(j, str)
+                and isinstance(slope, (str, int)) and not isinstance(slope, bool)):
+            i, j, slope = _require_fields(e, ("i", "j", "slope"), f"pairing entry {k}")
         key = (i, j) if i <= j else (j, i)
         if key in entries:
             raise ModelStructureError(f"pairing entry {k} repeats the pair {{{i},{j}}}")
-        entries[key] = parse_rational(slope)
+        entries[key] = parsed[slope]
     characters = _require_list(doc, "characters", [])
     if not all(isinstance(ch, str) for ch in characters):
         raise ModelStructureError("'characters' must list class ids")

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 from collections import Counter
 
@@ -8,6 +10,7 @@ import pytest
 from conftest import ZOO_DOC
 from wdexp.cli import run_command
 from wdexp.generator import SplitMix64
+from wdexp.model import load_model
 
 
 def _run(capsys, *argv):
@@ -166,6 +169,25 @@ def test_malformed_model_files_exit_2(tmp_path, capsys):
     assert _run(capsys, "eval", "-m", str(deep), "-e", "Sp_1(u)")[0] == 2
 
 
+def test_slope_spellings_load_alike(tmp_path, capsys):
+    """One slope spelled 1, "1", "2/2" and " 1 " loads to the model of the
+    canonical file, and a slope `true` after a `1` is still rejected (True
+    == 1, so a lookup of parsed slopes must never see it)."""
+    assert [e["slope"] for e in ZOO_DOC["pairing"][4:9]] == ["1", "1", "0", "1", "1"]
+    spelled = copy.deepcopy(ZOO_DOC)
+    for k, text in zip((4, 5, 7, 8), (1, "1", "2/2", " 1 ")):
+        spelled["pairing"][k]["slope"] = text
+    canonical, path = tmp_path / "canonical.json", tmp_path / "spelled.json"
+    canonical.write_text(json.dumps(ZOO_DOC))
+    path.write_text(json.dumps(spelled))
+    assert load_model(path).digest() == load_model(canonical).digest()
+    assert _run(capsys, "eval", "-m", str(path), "-e", "Sp_1(b)")[0] == 0
+    spelled["pairing"][8]["slope"] = True
+    path.write_text(json.dumps(spelled))
+    code, _, err = _run(capsys, "eval", "-m", str(path), "-e", "Sp_1(u)")
+    assert (code, err) == (2, "error: pairing entry 8: 'slope' is missing or has the wrong type\n")
+
+
 def _paths(node, prefix=()):
     """The key path of every entry below node, containers included."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -211,13 +233,28 @@ def _fuzz_docs() -> list:
     return docs
 
 
-def test_loader_fuzz_exit_codes(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def fuzz_records(tmp_path_factory):
+    """(exit code, stderr with the model file's path removed) of `wdexp eval`
+    on each fuzz document, in order; the documents are run once for the
+    tests that read them."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    records = []
+    for doc in _fuzz_docs():
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_command(["eval", "-m", str(path), "-e", "Sp_1(u)"])
+        records.append((code, err.getvalue().replace(str(path), "<model>")))
+    return records
+
+
+def test_loader_fuzz_exit_codes(fuzz_records):
     """Every fuzz document loads as a valid model (exit 0) or fails as a
     usage error (exit 2)."""
-    docs = _fuzz_docs()
-    codes = Counter(_eval_code(tmp_path, capsys, doc) for doc in docs)
+    codes = Counter(code for code, _ in fuzz_records)
     assert set(codes) <= {0, 2}, codes
-    assert codes[2] > len(docs) // 2
+    assert codes[2] > len(fuzz_records) // 2
 
 
 # sha256 of the exit code and the whole stderr (the "error:" line and any
@@ -227,11 +264,8 @@ def test_loader_fuzz_exit_codes(tmp_path, capsys):
 LOADER_MESSAGES_SHA256 = "b13aef60a024ee55285c258524ef1bc831450d32efcc5ee51df90504dcae3a8c"
 
 
-def test_loader_fuzz_messages_are_pinned(tmp_path, capsys):
-    path = tmp_path / "model.json"
+def test_loader_fuzz_messages_are_pinned(fuzz_records):
     h = hashlib.sha256()
-    for doc in _fuzz_docs():
-        path.write_text(json.dumps(doc))
-        code, _, err = _run(capsys, "eval", "-m", str(path), "-e", "Sp_1(u)")
-        h.update(f"{code} {err}\n".replace(str(path), "<model>").encode())
+    for code, err in fuzz_records:
+        h.update(f"{code} {err}\n".encode())
     assert h.hexdigest() == LOADER_MESSAGES_SHA256

@@ -2,6 +2,7 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -499,6 +500,87 @@ def test_large_generated_model_validates():
     fresh = ModelInstance(m.classes.values(), m.pairing, m.characters)
     assert validate_model(fresh).ok
     assert perf_counter() - start < 0.3
+
+
+# -- row tests: same reports as plain per-cell loops -----------------------
+
+
+def _reference_cells(m):
+    """M1, M3, M4 and M5 as plain loops over every cell, in the validator's
+    order, on the rationals that `pair` and the classes give."""
+    ids, c = sorted(m.classes), m.cls
+    out = {"M1": [], "M3": [], "M4": [], "M5": []}
+    for a, i in enumerate(ids):
+        for j in ids[a:]:
+            s, dims = m.pair(i, j), c(i).dim * c(j).dim
+            if s < 0:
+                out["M1"].append(Violation("M1", (i, j), s, Fraction(0)))
+            elif (dims * s).denominator != 1:
+                out["M1"].append(Violation("M1", (i, j), dims * s, Fraction(0)))
+            hi = max(c(i).slope, c(j).slope)
+            if s > hi or (c(i).slope != c(j).slope and s != hi):
+                out["M3"].append(Violation("M3", (i, j), s, hi))
+            image = m.pair(c(i).dual, c(j).dual)
+            if s != image:
+                out["M4"].append(Violation("M4", (i, j), s, image))
+    for i in ids:
+        diag = m.pair(i, c(i).dual)
+        for k in ids:
+            if diag > m.pair(i, k):
+                out["M5"].append(Violation("M5", (i, k), diag, m.pair(i, k)))
+    return out
+
+
+def _per_cell_report(m, report):
+    """`report` with M1 and M3-M6 replaced by the plain loops' violations."""
+    ref = _reference_cells(m)
+    kept = [v for v in report.violations if v.axiom not in ("M1", "M3", "M4", "M5", "M6")]
+    before = [v for v in kept if v.axiom not in ("M2",) + _AFTER_M6]
+    return (before + ref["M1"] + [v for v in kept if v.axiom == "M2"] + ref["M3"] + ref["M4"]
+            + ref["M5"] + _reference_m6(m) + [v for v in kept if v.axiom in _AFTER_M6])
+
+
+def _axiom_breaks(m, rng):
+    """`m` with an entry made negative, raised above the max rule or moved
+    off the grid of L, with and without its dual image {dual i, dual j},
+    for a random entry and for s(i,i) of a class that is not self-dual; and
+    with one self-pairing s(i, dual i) = D(i,i) raised to the largest entry
+    of its row."""
+    classes, entries = list(m.classes.values()), dict(m.pairing.items())
+    picks = [rng.choice(sorted(entries))]
+    paired = [i for i in m.ids if m.cls(i).dual != i]
+    if paired:
+        picks.append((rng.choice(paired),) * 2)
+    out = []
+    for (i, j), with_dual_image in product(picks, (False, True)):
+        di, dj = sorted((m.cls(i).dual, m.cls(j).dual))
+        hi = max(m.cls(i).slope, m.cls(j).slope)
+        for new in (-Fraction(1, 2), hi + Fraction(1, 2), entries[i, j] + Fraction(1, 7)):
+            changed = {**entries, (i, j): new}
+            if with_dual_image:
+                changed[di, dj] = new
+            out.append(ModelInstance(classes, changed, m.characters))
+    i = rng.choice([i for i in m.ids if len({m.pair(i, k) for k in m.ids}) > 1])
+    top = max(m.pair(i, k) for k in m.ids)
+    out.append(ModelInstance(classes, {**entries, tuple(sorted((i, m.cls(i).dual))): top},
+                             m.characters))
+    return out
+
+
+def test_row_tests_match_per_cell_loops():
+    from wdexp.generator import GenParams, gen_model
+
+    seen = set()
+    for cpl in (2, 3, 4):
+        for seed in range(4):
+            m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl, seed=seed))
+            for model in [m] + _axiom_breaks(m, random.Random(100 * cpl + seed)):
+                report = validate_model(model)
+                assert report.violations == _per_cell_report(model, report)
+                seen |= {v.axiom for v in report.violations}
+                seen |= {"M6 diagonal" for v in report.violations
+                         if v.axiom == "M6" and v.witness[0] == v.witness[1]}
+    assert {"M1", "M3", "M4", "M5", "M6", "M6 diagonal"} <= seen
 
 
 # -- the integer view: same reports as the rational comparisons ------------
