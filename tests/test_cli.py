@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -116,6 +117,81 @@ def test_usage_error_exit_2(capsys):
         assert _run(capsys, "check", flag, value)[:2] == (2, "")
     assert _run(capsys, "no-such-command")[0] == 2
     assert _run(capsys, "minimal", "-m", "x", "-e", "y", "--mode", "weird")[0] == 2
+
+
+# -- the CLI's usage, help and error text ----------------------------------
+
+_COMMANDS = ("eval", "tensor", "minimal", "check", "gen-model", "oracle", "bound", "sharpness")
+
+# sha256 of f"{exit code}\n{stdout}\n{stderr}" of each argv (joined by spaces
+# here) with COLUMNS=80, recorded when run_command still built every
+# subparser on each call.  argparse's text differs between Python versions:
+# 3.10.13, 3.11.7 and 3.12.1 print the same, and 3.13.13 differs in the
+# entries of _CLI_TEXT_SHA256_313.  Other versions skip the pin.
+_CLI_TEXT_SHA256 = {
+    "": "2d9c328d53b70cbb70cf46838fdb251f16575905f07602d5df87491b48344658",
+    "-h": "b717f09e45eeaccfc595790b492db36fc2eebb8bc5c45ec542af9424276d1309",
+    "--help": "b717f09e45eeaccfc595790b492db36fc2eebb8bc5c45ec542af9424276d1309",
+    "no-such-command": "e5ecc6b7d90f839c9629ccaec228b6095b3e09f7299e37765ee61e928a6f7e78",
+    "eval --help": "3f37f2375f145cb4ce4fba31ebf6814d73e46e5724d3cacbf9905da3edaee6df",
+    "tensor --help": "9bd373950bca5cedc0e7a5f5d8a58187b900d72b45f6f97127ba9dc7c0b86cb5",
+    "minimal --help": "aa78c9576fccd17affc4c3f9c5f4635e8e4254edf857f5eabfa77ceee2387050",
+    "check --help": "03f52a88c6ca0be21f7d4f87e8337a96f9db636c0728de07f53c8a09c7c76784",
+    "gen-model --help": "c5f51b5d13d3e42206e00cbc08317c37ec0004ea44c9b3aec7b193af92260ccb",
+    "oracle --help": "36546940ecdd2e8209f2010c93bb26cac2e4e1bfbfbeecc9ddcd637eaabe2a17",
+    "bound --help": "d336346e793960ee0bf5ba614263fcd841c26325c85210c724ce70f386fbd474",
+    "sharpness --help": "9c83a601c6d3a784db0ecfdc89115340635f862b62da69808afc49b3d59284ce",
+    "eval": "f0e5d36f72a3010a449fa896a14c7eeb038f777f26f32ecf926e54b8d4ba6bf6",
+    "eval -m x": "69e8ec7e5647e94fca202ab350346aa41e7b7803843babaed1dd9fa14231dbc1",
+    "tensor": "823ecf32ee46c7c0a208fad81e3efa47a61ae5049dd7c2279c9ef1de1ee7578a",
+    "tensor -m x -a y": "85ac87b8bf222e7e9d475641b17191b911429a2914adb4e9411d2fb12a593791",
+    "minimal": "b0eee9c74afd4961571a3163792bca34936ab47ef2428de2718b8b479321385a",
+    "minimal -m x": "2821e0aeba507b0784281a2836899a13ee76fde66673e01502987f33eef0ad40",
+    "gen-model": "4fd4ef394d534cd5885dabc784cb3342ae9a52c8080b12dace54c413c8e79121",
+    "bound": "dfd3467481f1f103148464263744430ceb2cee9ce6ce63fab2d7eb7132048167",
+    "bound --d1 1 --v1 1 --d2 1": "2d709a59bc6150f8752a624b8996bfcfb86d4f3c3c52fe3df1814aea2a076246",
+    "minimal --mode weird": "c4a4ae8142f0ab54872288b736be1406a22e0d7ed85629b7e855fd1f29f86720",
+    "minimal -m x -e y --mode weird": "c4a4ae8142f0ab54872288b736be1406a22e0d7ed85629b7e855fd1f29f86720",
+    "eval -m x -e y --bogus": "45e37c1940fe1e5eaf29f4be888713118aea52fe33277137aca8e20219401b1e",
+    "check --models many": "2595c41b9a65f7bc955bf70754823848f1cf4c8083bfc039a293184755e812ab",
+    "eval -m": "7ff17361776927f202727348610aa458d52a85b00d3fa9d9ea8c4333dbc27644",
+    "-h eval": "b717f09e45eeaccfc595790b492db36fc2eebb8bc5c45ec542af9424276d1309",
+    "-- eval": "9f7ae93fcd4d16db9da5ec2161df14e814e0bb061141a3ce9a9b560bd4e12f09",
+    "-x": "2d9c328d53b70cbb70cf46838fdb251f16575905f07602d5df87491b48344658",
+}
+_CLI_TEXT_SHA256_313 = {
+    "no-such-command": "77805bb44651e7e0db1c98e5165e6bd3d7638187e1f735ab790a2e1628d3d5fb",
+    "eval --help": "63382e323973ef1950abe33a41842936624c2e1610ad07fd11a009be32246814",
+    "tensor --help": "ebdddceaf8ec5dadb07608e2950b7aaee8d47898624c080c673779a2fddbd49c",
+    "minimal --help": "7d63c56fe85a2314099b642c94457c184639f53757a1897474e44201d971008c",
+    "gen-model --help": "d3358f4e928a8be0352173e91529b5b7501a9f3511bc3f6297ce633ba73c4318",
+    "minimal --mode weird": "fe603f90b603d6b01d012081af05f7214ae111f8fb0b0ae0120d72736da39ed1",
+    "minimal -m x -e y --mode weird": "fe603f90b603d6b01d012081af05f7214ae111f8fb0b0ae0120d72736da39ed1",
+    "-- eval": "f0e5d36f72a3010a449fa896a14c7eeb038f777f26f32ecf926e54b8d4ba6bf6",
+}
+
+
+def _cli_text_pins() -> dict:
+    version = sys.version_info[:2]
+    if (3, 10) <= version <= (3, 12):
+        return _CLI_TEXT_SHA256
+    if version == (3, 13):
+        return {**_CLI_TEXT_SHA256, **_CLI_TEXT_SHA256_313}
+    pytest.skip(f"no CLI text recorded for Python {version[0]}.{version[1]}")
+
+
+def _cli_text(capsys, argv) -> str:
+    code = run_command(list(argv))
+    out = capsys.readouterr()
+    return f"{code}\n{out.out}\n{out.err}"
+
+
+def test_cli_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    pins = _cli_text_pins()
+    got = {key: hashlib.sha256(_cli_text(capsys, key.split()).encode()).hexdigest()
+           for key in pins}
+    assert got == pins
 
 
 def test_bad_expression_exit_2(capsys, model_file):
