@@ -295,13 +295,9 @@ def pair_seed(base_seed: int, model_index: int, pair_index: int, side: int) -> i
     return h.next64()
 
 
-def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
-              seed: int, max_terms: int = 3, max_r: int = 4, sample_hook=None):
-    """Generate `models` instances with seeds seed..seed+models-1, draw
-    `pairs_per_model` representation pairs each, and run the selected bound
-    families.  Returns (results, summary); ordering is fixed by
-    (model index, pair index, label) regardless of scheduling.  When given,
-    sample_hook(model, x, y) sees every drawn pair."""
+def check_sweep_args(theorems, models: int, pairs_per_model: int, max_terms: int, max_r: int):
+    """Raise ValueError unless `run_sweep` would check something with these
+    arguments."""
     if models < 1 or pairs_per_model < 1:
         raise ValueError("model and pair counts must be >= 1")
     if max_terms < 1 or max_r < 1:
@@ -309,6 +305,16 @@ def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
     if not theorems:
         raise ValueError("select at least one theorem family")
     _require_selectors(theorems)
+
+
+def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
+              seed: int, max_terms: int = 3, max_r: int = 4, sample_hook=None):
+    """Generate `models` instances with seeds seed..seed+models-1, draw
+    `pairs_per_model` representation pairs each, and run the selected bound
+    families.  Returns (results, summary); ordering is fixed by
+    (model index, pair index, label) regardless of scheduling.  When given,
+    sample_hook(model, x, y) sees every drawn pair."""
+    check_sweep_args(theorems, models, pairs_per_model, max_terms, max_r)
     results: list[CheckResult] = []
     summary = SweepSummary()
     for mi in range(models):

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import combinations_with_replacement
 
-from .bounds import results_to_json, run_sweep, sharpness_suite, witness_model
+from .bounds import (check_sweep_args, results_to_json, run_sweep, sharpness_suite,
+                     witness_model)
 from .exponents import exponents_of, is_minimal_rep, tensor_exponents
 from .generator import GeneratorError, GenParams, gen_model_with_stats
 from .jordan import Partition, nilpotent_rank, tensor_partition, unramified_oracle_artin
@@ -36,13 +38,13 @@ def _gen_params_from_args(args, seed: int) -> GenParams:
     )
 
 
-def _add_gen_flags(sub):
-    sub.add_argument("--levels", default=DEFAULT_LEVELS, help="comma-separated slope levels (p/q)")
-    sub.add_argument("--classes-per-level", type=int, default=2)
-    sub.add_argument("--dims", default="1,2,3,4", help="comma-separated dimension pool")
-    sub.add_argument("--max-deg", type=int, default=4)
-    sub.add_argument("--tree-depth", type=int, default=3)
-    sub.add_argument("--chars-per-level", type=int, default=1)
+def _check_writable(path):
+    """Raise now the OSError that writing `path` later would raise, and
+    leave the file system as it was."""
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
 
 
 def _load_validated(path):
@@ -95,6 +97,9 @@ def _cmd_gen_model(args) -> int:
 def _cmd_check(args) -> int:
     theorems = tuple(t.strip() for t in args.theorems.split(",") if t.strip())
     gen = _gen_params_from_args(args, args.seed)
+    check_sweep_args(theorems, args.models, args.pairs, args.max_terms, args.max_r)
+    if args.out:
+        _check_writable(args.out)
     results, summary = run_sweep(theorems, args.models, args.pairs, gen, args.seed,
                                  args.max_terms, args.max_r)
     if args.out:
@@ -154,6 +159,8 @@ def _cmd_bound(args) -> int:
     return 0 if v_prod <= bound else 1
 
 def _cmd_sharpness(args) -> int:
+    if args.out:
+        _check_writable(args.out)
     results = sharpness_suite()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -167,69 +174,79 @@ def _cmd_sharpness(args) -> int:
     return 1 if bad else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_MODEL = (("-m", "--model"), {"required": True})
+_EXPR = (("-e", "--expr"), {"required": True})
+_GEN_FLAGS = (
+    (("--levels",), {"default": DEFAULT_LEVELS, "help": "comma-separated slope levels (p/q)"}),
+    (("--classes-per-level",), {"type": int, "default": 2}),
+    (("--dims",), {"default": "1,2,3,4", "help": "comma-separated dimension pool"}),
+    (("--max-deg",), {"type": int, "default": 4}),
+    (("--tree-depth",), {"type": int, "default": 3}),
+    (("--chars-per-level",), {"type": int, "default": 1}),
+)
+
+# name: (help, arguments as (flags, add_argument keywords), handler), in the
+# order the help lists them.
+_COMMANDS = {
+    "eval": ("exponents of a representation expression", (_MODEL, _EXPR), _cmd_eval),
+    "tensor": ("exponents of a tensor product",
+               (_MODEL, (("-a",), {"required": True}), (("-b",), {"required": True})),
+               _cmd_tensor),
+    "minimal": ("twist-minimality of a representation",
+                (_MODEL, _EXPR, (("--mode",), {"choices": ("eta", "sigma"), "default": "eta"})),
+                _cmd_minimal),
+    "check": ("bound sweep over generated models", (
+        (("--theorems",), {"default": "A,AS,B,BS,C,CS"}),
+        (("--models",), {"type": int, "default": 20}),
+        (("--pairs",), {"type": int, "default": 20}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--out",), {"default": None}),
+        (("--format",), {"choices": ("json", "csv"), "default": "json"}),
+        (("--max-terms",), {"type": int, "default": 3}),
+        (("--max-r",), {"type": int, "default": 4}),
+        *_GEN_FLAGS), _cmd_check),
+    "gen-model": ("generate a model instance file", (
+        (("--seed",), {"type": int, "default": 0}),
+        (("-o", "--out"), {"required": True}),
+        *_GEN_FLAGS), _cmd_gen_model),
+    "oracle": ("unramified formula-vs-rank suite", (
+        (("--max-r",), {"type": int, "default": 6}),
+        (("--max-terms",), {"type": int, "default": 2})), _cmd_oracle),
+    "bound": ("max-plus pair bound and optimal witness", (
+        (("--d1",), {"type": int, "required": True}),
+        (("--v1",), {"required": True}),
+        (("--d2",), {"type": int, "required": True}),
+        (("--v2",), {"required": True})), _cmd_bound),
+    "sharpness": ("equality-attaining witness suite", ((("--out",), {"default": None}),),
+                  _cmd_sharpness),
+}
+
+
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with `only` the top-level parser
+    and that one subcommand's parser.  The metavar spells out the choices
+    the full parser lists, so both print the same usage line."""
     parser = argparse.ArgumentParser(prog="wdexp")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="exponents of a representation expression")
-    p.add_argument("-m", "--model", required=True)
-    p.add_argument("-e", "--expr", required=True)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("tensor", help="exponents of a tensor product")
-    p.add_argument("-m", "--model", required=True)
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    p.set_defaults(func=_cmd_tensor)
-
-    p = sub.add_parser("minimal", help="twist-minimality of a representation")
-    p.add_argument("-m", "--model", required=True)
-    p.add_argument("-e", "--expr", required=True)
-    p.add_argument("--mode", choices=("eta", "sigma"), default="eta")
-    p.set_defaults(func=_cmd_minimal)
-
-    p = sub.add_parser("check", help="bound sweep over generated models")
-    p.add_argument("--theorems", default="A,AS,B,BS,C,CS")
-    p.add_argument("--models", type=int, default=20)
-    p.add_argument("--pairs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--max-terms", type=int, default=3)
-    p.add_argument("--max-r", type=int, default=4)
-    _add_gen_flags(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("gen-model", help="generate a model instance file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", required=True)
-    _add_gen_flags(p)
-    p.set_defaults(func=_cmd_gen_model)
-
-    p = sub.add_parser("oracle", help="unramified formula-vs-rank suite")
-    p.add_argument("--max-r", type=int, default=6)
-    p.add_argument("--max-terms", type=int, default=2)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("bound", help="max-plus pair bound and optimal witness")
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--v1", required=True)
-    p.add_argument("--d2", type=int, required=True)
-    p.add_argument("--v2", required=True)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("sharpness", help="equality-attaining witness suite")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sharpness)
-
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, arguments, func) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
 def run_command(argv) -> int:
-    """Parse argv and run one subcommand; returns the process exit code."""
-    parser = _build_parser()
+    """Parse argv and run one subcommand; returns the process exit code.
+    An argv that starts with a subcommand's name builds only that
+    subcommand's parser; any other (help, no command, an unknown one) gets
+    the full parser, which prints the list of subcommands."""
+    argv = list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -8,7 +8,9 @@ evaluated only by `indec_tensor_kernel`:
     ar  = sw + dim - d*min(r,s),   d = deg_i if j is the dual of i else 0
 
 A pair of unramified indecomposables gives the rank formula r*s - min(r,s),
-and `tensor_exponents` expands the kernel bilinearly.  Twisting by a
+and `tensor_exponents` expands the kernel bilinearly.  `kernel_row` is the
+kernel of Sp_1(i) with every class at once, times L, for the validator's
+M8; the kernel and the row share the one formula, `_artin`.  Twisting by a
 character chi puts Sp_1(chi) on the left; Sp_r of the dual orbit of chi
 then twists into the unramified orbit, with ar = r-1.  `exponents_of` is
 the twist by the unramified orbit Sp_1(u): the unit row s(u,i) = slope_i
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .model import MODES, UNRAMIFIED_ID, ModelInstance
 from .rep import WDRep
@@ -58,6 +61,13 @@ class ExponentReport:
         return Fraction(self.exponent(mode), self.dim)
 
 
+def _artin(sw: int, dim: int, fixed: int) -> int:
+    """The Artin exponent ar = sw + dim - fixed of Sp_r(class_i) tensor
+    Sp_s(class_j), fixed = d*min(r,s); linear, so L times each argument
+    gives L*ar."""
+    return sw + dim - fixed
+
+
 def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tuple[int, int, int]:
     """(ar, sw, dim) of Sp_r(class_i) tensor Sp_s(class_j), in integers on
     the model's integer tables: sw = dim*S[i][j]/L must be exact."""
@@ -70,7 +80,20 @@ def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tup
         raise ValueError(f"sw of Sp_{r}({i}) tensor Sp_{s}({j}) is not an integer: "
                          f"{Fraction(dim * m.S[a][b], m.L)}")
     d = m.deg[a] if b == m.dual[a] else 0
-    return sw + dim - d * min(r, s), sw, dim
+    return _artin(sw, dim, d * min(r, s)), sw, dim
+
+
+def kernel_row(a: int, m: ModelInstance) -> tuple[list[int], list[int], list[int]]:
+    """The kernel of Sp_1(class a) tensor Sp_1(class b) for every class
+    index b, as three lists over b: L*ar, dim, and L*sw mod L.  The last is
+    nonzero exactly where sw is not an integer, the cells on which
+    `indec_tensor_kernel` raises; the others hold L times its ar."""
+    L, da = m.L, m.dim[a]
+    dims = [da * db for db in m.dim]
+    lsw = list(map(mul, dims, m.S[a]))
+    fixed = [0] * len(dims)
+    fixed[m.dual[a]] = L * m.deg[a]
+    return list(map(_artin, lsw, [L * d for d in dims], fixed)), dims, [w % L for w in lsw]
 
 
 def tensor_exponents(x: WDRep, y: WDRep, m: ModelInstance) -> ExponentReport:

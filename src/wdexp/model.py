@@ -19,10 +19,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import gt, le, mod
+from operator import gt, le, mod, mul, neg
 from types import MappingProxyType
 
 from .rationals import format_rational, parse_rational
@@ -283,31 +284,51 @@ def is_minimal_class(i: str, mode: str, m: ModelInstance) -> bool:
     return True
 
 
-def _subdominant_ultrametric(W) -> list[list[int]]:
+def _subdominant_ultrametric(W, diagonal=None) -> list[tuple]:
     """U[a][b], a != b: the least over all a-b paths of the largest
-    symmetric weight W on the path, which is the largest weight on the a-b
-    path of a minimum spanning tree (Gower & Ross 1969).  Prim's algorithm
-    hangs each new vertex b from p by weight w, so U[b][c] = max(U[p][c], w)
-    for every c already in the tree.  O(n^2)."""
+    symmetric weight W on the path (Gower & Ross 1969); U[a][a] is
+    `diagonal`.  Prim's algorithm joins v_1, ..., v_{n-1} to the tree of
+    v_0 by edges of weight w_1, ..., w_{n-1}.  For s < k <= t, a path from
+    v_s to v_t leaves {v_0, ..., v_{k-1}} by an edge of weight >= w_k, and
+    the tree's path is no heavier, so U(v_s, v_t) = max(w_{s+1}, ..., w_t):
+    the running maxima of the weights in Prim's order.  O(n^2)."""
     n = len(W)
-    U = [[None] * n for _ in range(n)]
     if not n:
-        return U
-    best, via = list(W[0]), [0] * n  # cheapest edge into the tree
-    tree, rest = [0], list(range(1, n))
+        return []
+    order, weights = [0], []
+    best, rest = list(W[0]), list(range(1, n))  # cheapest edge into the tree
     while rest:
         b = min(rest, key=best.__getitem__)
         rest.remove(b)
-        p, w = via[b], best[b]
-        Ub, Up = U[b], U[p]
-        for c in tree:
-            Ub[c] = U[c][b] = w if c == p or Up[c] < w else Up[c]
-        tree.append(b)
+        order.append(b)
+        weights.append(best[b])
         Wb = W[b]
         for c in rest:
             if Wb[c] < best[c]:
-                best[c], via[c] = Wb[c], b
-    return U
+                best[c] = Wb[c]
+    # Row s in Prim's order, in two halves: below[s] lists U(v_s, v_t) for
+    # t < s and falls with t; above[s] lists it for t > s and rises.
+    # below[s] is below[s-1] with its entries under w_s raised to w_s and
+    # w_s appended; above[s] is above[s+1] with its entries under w_{s+1}
+    # raised and w_{s+1} put in front.  The raised entries are a run at one
+    # end, found by bisection.
+    below = [[]]
+    for s, w in enumerate(weights, 1):
+        j = bisect_left(below[-1], -w, key=neg)
+        below.append(below[-1][:j] + [w] * (s - j))
+    above = [[]]
+    for w in reversed(weights):
+        k = bisect_left(above[-1], w)
+        above.append([w] * (k + 1) + above[-1][k:])
+    above.reverse()
+    P = [lo + [diagonal] + hi for lo, hi in zip(below, above)]
+    # U[a][b] = P[pos a][pos b]: permute the rows, transpose (P is
+    # symmetric) and permute the rows again.
+    pos = [0] * n
+    for s, v in enumerate(order):
+        pos[v] = s
+    T = list(zip(*[P[s] for s in pos]))
+    return [T[s] for s in pos]
 
 
 def validate_model(m: ModelInstance) -> ValidationReport:
@@ -329,7 +350,7 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     witness exists.  On a valid model that is O(n^2); the worst case, many
     pairs with witnesses, is still O(n^3).
     """
-    from .exponents import indec_tensor_kernel  # deferred: exponents imports model
+    from .exponents import kernel_row  # deferred: exponents imports model
 
     rep = ValidationReport()
     ids, S, L, slope, dim, dual = m.ids, m.S, m.L, m.slope, m.dim, m.dual
@@ -447,12 +468,13 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     # with D(a,b) > min_k max(D(a,k), D(k,b)) has a witness.  That minimum
     # is at least min_k D(a,k), the least entry of row a of S, which decides
     # the diagonal when M5 holds.
-    U = _subdominant_ultrametric([[x if x < y else y for x, y in zip(row, col)]
-                                  for row, col in zip(D, Dt)])
+    W = D if D == Dt else [[x if x < y else y for x, y in zip(row, col)]
+                           for row, col in zip(D, Dt)]  # min(D, D^T)
+    # U's diagonal is below every entry, so the scan takes the diagonal.
+    U = _subdominant_ultrametric(W, least - 1)
     for a in range(n):
-        Da, Ua = D[a], U[a]
-        Ua[a] = least - 1  # below every entry, so the scan takes the diagonal
-        for b in compress(range(n), map(gt, Da, Ua)):
+        Da = D[a]
+        for b in compress(range(n), map(gt, Da, U[a])):
             dab, Db = Da[b], Dt[b]
             if dab <= lows[a] or dab <= min(map(max, Da, Db)):
                 continue
@@ -467,24 +489,26 @@ def validate_model(m: ModelInstance) -> ValidationReport:
             rep.add("M7", (ids[a],), q(S[a][dual[a]]), c.slope / 2)
 
     # M8 irreducible-level lower bound for eta-minimal classes:
-    # ar/dim >= max(eta_i, eta_j)/2, with eta = slope + 1 (0 for u) times L.
+    # ar/dim >= max(eta_i, eta_j)/2, with eta = slope + 1 (0 for u) times L,
+    # compared as 2*(L*ar) >= dim*max(...) on the kernel's row of class i.
     # The kernel needs integral Swan exponents and both sides divide by
     # dimensions; when M1 or dim_positive already failed, that violation is
-    # on record and the M8 comparison is skipped.
+    # on record and the M8 comparison is skipped.  The rows of one eta share
+    # their maxima, and a row whose every cell passes skips the loop.
     eta = [0 if i == UNRAMIFIED_ID else sl + L for i, sl in zip(ids, slope)]
+    tops = {}
     for a, i in enumerate(ids):
         if not classes[a].minimal_eta or dim[a] < 1:
             continue
+        if eta[a] not in tops:
+            tops[eta[a]] = tuple(map(max, repeat(eta[a]), eta))
+        top = tops[eta[a]]
+        lar, dims, rest = kernel_row(a, m)
+        if all(map(le, map(mul, dims, top), map(mul, lar, repeat(2)))):
+            continue
         for b, j in enumerate(ids):
-            if dim[b] < 1:
-                continue
-            try:
-                ar, _sw, d = indec_tensor_kernel(1, i, 1, j, m)
-            except ValueError:
-                continue
-            top = max(eta[a], eta[b])
-            if 2 * L * ar < d * top:
-                rep.add("M8", (i, j), Fraction(ar, d), Fraction(top, 2 * L))
+            if dim[b] >= 1 and not rest[b] and 2 * lar[b] < dims[b] * top[b]:
+                rep.add("M8", (i, j), Fraction(lar[b], L * dims[b]), Fraction(top[b], 2 * L))
 
     # Flags re-verified against the character set, both directions.
     for i, c in zip(ids, classes):

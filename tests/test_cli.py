@@ -106,6 +106,37 @@ def test_sharpness(tmp_path, capsys):
     assert "A: lhs=3/4 rhs=3/4 equality" in out
 
 
+
+@pytest.mark.parametrize("command", ("check", "sharpness"))
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    """An --out that cannot be written exits 2 with the error that writing
+    it would raise, before any model is generated or any check is run."""
+    import wdexp.bounds
+    import wdexp.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started although --out cannot be written")
+
+    monkeypatch.setattr(wdexp.bounds, "gen_model_with_stats", never)
+    monkeypatch.setattr(wdexp.cli, "sharpness_suite", never)
+    for path in (tmp_path / "missing" / "report.json", tmp_path):
+        with pytest.raises(OSError) as raised:
+            open(path, "w")
+        argv = [command, "--out", str(path)] + (["--models", "1", "--pairs", "1"]
+                                                if command == "check" else [])
+        assert _run(capsys, *argv) == (2, "", f"error: {raised.value}\n")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_usage_error_leaves_no_report(tmp_path, capsys):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for path in (new, old):
+        assert _run(capsys, "check", "--models", "0", "--out", str(path))[:2] == (2, "")
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+
+
 def test_usage_error_exit_2(capsys):
     assert _run(capsys, "eval", "-m", "/nonexistent.json", "-e", "Sp_1(u)")[0] == 2
     assert _run(capsys, "bound", "--d1", "1", "--v1", "1/0", "--d2", "1", "--v2", "1")[0] == 2
@@ -192,6 +223,33 @@ def test_cli_text_is_pinned(capsys, monkeypatch):
     got = {key: hashlib.sha256(_cli_text(capsys, key.split()).encode()).hexdigest()
            for key in pins}
     assert got == pins
+
+
+
+def test_one_subparser_prints_what_the_full_parser_prints(capsys, monkeypatch):
+    """An argv that starts with a subcommand builds only its parser and
+    prints, on every Python version, what the parser of all subcommands
+    prints."""
+    import argparse
+
+    from wdexp import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [key.split() for key in _CLI_TEXT_SHA256]
+    argvs += [["bound", "--d1", "2", "--v1", "1/2", "--d2", "3", "--v2", "1"],
+              ["check", "--models", "0"], ["oracle", "--max-r", "0"]]
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    lazy = []
+    for argv in argvs:
+        built.clear()
+        lazy.append(_cli_text(capsys, argv))
+        assert built == (argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS))
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
+    assert [_cli_text(capsys, argv) for argv in argvs] == lazy
 
 
 def test_bad_expression_exit_2(capsys, model_file):

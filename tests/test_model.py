@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from conftest import dualized
+from wdexp.exponents import indec_tensor_kernel, kernel_row
 from wdexp.model import (
     IrreducibleClass,
     ModelInstance,
@@ -16,6 +17,7 @@ from wdexp.model import (
     dump_model,
     model_from_json_dict,
     Violation,
+    _subdominant_ultrametric,
     validate_model,
 )
 from wdexp.rationals import format_rational, parse_rational
@@ -669,3 +671,115 @@ def test_integer_view_holds_the_pairing(zoo_model):
         assert tuple(m.ids[c] for c in m.chars) == m.characters
     with pytest.raises(ModelStructureError, match="unknown class id 'nope'"):
         zoo_model.at("nope")
+
+
+# -- M8 on the kernel's rows -----------------------------------------------
+
+
+def _rational_kernel(m, i, j):
+    """(ar, dim) of Sp_1(i) tensor Sp_1(j) from the pairing's rationals and
+    the classes: ar = sw + dim - (deg_i if j is the dual of i); None where
+    sw = dim*s(i,j) is not an integer."""
+    ci, cj = m.cls(i), m.cls(j)
+    dim = ci.dim * cj.dim
+    sw = dim * m.pair(i, j)
+    if sw.denominator != 1:
+        return None
+    return sw + dim - (ci.deg if j == ci.dual else 0), dim
+
+
+def _reference_m8(m):
+    """M8 as the per-cell loop over `indec_tensor_kernel`, in order."""
+    out = []
+    for i in m.ids:
+        ci = m.cls(i)
+        if not ci.minimal_eta or ci.dim < 1:
+            continue
+        for j in m.ids:
+            if m.cls(j).dim < 1:
+                continue
+            try:
+                ar, _sw, dim = indec_tensor_kernel(1, i, 1, j, m)
+            except ValueError:
+                continue
+            top = max(Fraction(0) if k == "u" else m.cls(k).slope + 1 for k in (i, j))
+            if Fraction(ar, dim) < top / 2:
+                out.append(Violation("M8", (i, j), Fraction(ar, dim), top / 2))
+    return out
+
+
+def test_kernel_row_matches_the_kernel_on_every_cell():
+    # Dropping the kernel's deg*min(r,s) term, in `indec_tensor_kernel`, in
+    # `kernel_row` or in the formula both share, must fail this test: the
+    # first two make the row and the kernel differ on the dual cells, the
+    # last makes both differ from the rational reference.
+    from wdexp.generator import GenParams, gen_model
+
+    seen = set()
+    for cpl in range(2, 6):
+        for seed in range(3):
+            m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl, seed=seed))
+            for model in [m] + _perturbations(m, random.Random(10 * cpl + seed)):
+                for a, i in enumerate(model.ids):
+                    lar, dims, rest = kernel_row(a, model)
+                    for b, j in enumerate(model.ids):
+                        ref = _rational_kernel(model, i, j)
+                        if rest[b]:
+                            assert ref is None
+                            with pytest.raises(ValueError, match="is not an integer"):
+                                indec_tensor_kernel(1, i, 1, j, model)
+                            seen.add("raises")
+                            continue
+                        ar, _sw, dim = indec_tensor_kernel(1, i, 1, j, model)
+                        assert (lar[b], dims[b]) == (model.L * ar, dim)
+                        assert ref == (ar, dim)
+                        seen.add("dual" if j == model.cls(i).dual else "other")
+                report = validate_model(model)
+                m8 = [v for v in report.violations if v.axiom == "M8"]
+                assert m8 == _reference_m8(model)
+                seen |= {"M8"} if m8 else set()
+    assert seen == {"raises", "dual", "other", "M8"}
+
+
+# -- the subdominant ultrametric against the minimax closure ---------------
+
+
+def _minimax_closure(W):
+    """Floyd-Warshall with (min, max): the least largest weight over all
+    paths, off the diagonal."""
+    n = len(W)
+    U = [list(row) for row in W]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                via = max(U[i][k], U[k][j])
+                if via < U[i][j]:
+                    U[i][j] = via
+    return [[None if i == j else U[i][j] for j in range(n)] for i in range(n)]
+
+
+def test_subdominant_ultrametric_is_the_minimax_closure():
+    from wdexp.generator import GenParams, gen_model
+
+    matrices = []
+    for cpl in range(2, 6):
+        for seed in range(3):
+            m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl, seed=seed))
+            for model in [m] + [_perturbed(m, random.Random(seed), True) for _ in range(2)]:
+                D = [[model.S[a][model.dual[b]] for b in range(len(model.ids))]
+                     for a in range(len(model.ids))]
+                matrices.append([[min(x, y) for x, y in zip(row, col)]
+                                 for row, col in zip(D, zip(*D))])
+    rng = random.Random(0)
+    for n in list(range(13)) + [30]:
+        for _ in range(20):
+            # few values, so many ties
+            A = [[rng.randrange(-1, 3) for _ in range(n)] for _ in range(n)]
+            matrices.append([[min(A[i][j], A[j][i]) for j in range(n)] for i in range(n)])
+    assert {len(W) for W in matrices} >= {0, 1, 2}
+    for W in matrices:
+        U = _subdominant_ultrametric(W, "diag")
+        n = len(W)
+        assert [U[a][a] for a in range(n)] == ["diag"] * n
+        assert [[None if a == b else U[a][b] for b in range(n)] for a in range(n)] == (
+            _minimax_closure(W))
