@@ -340,8 +340,9 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     tables (`ModelInstance.S`, `slope`, ...), and a violation reports
     Fraction(S, L).
 
-    M1, M3, M4 and M5 first test each row of S as a whole, and only a row
-    that fails runs the loop over its cells.  M6 has one path.  Let U be
+    M1, M3, M4, M5 and M8 first test each row as a whole, and only a row
+    that fails runs the loop over its cells; M8's row is the kernel's
+    (`kernel_row`).  M6 has one path.  Let U be
     the subdominant ultrametric of min(D, D^T), D(i,j) = s(i, dual j).
     Any two-step path i-k-j has a largest weight of at least U(i,j), so an
     off-diagonal pair with D(i,j) <= U(i,j) has no witness k.  The loop

@@ -106,7 +106,6 @@ def test_sharpness(tmp_path, capsys):
     assert "A: lhs=3/4 rhs=3/4 equality" in out
 
 
-
 @pytest.mark.parametrize("command", ("check", "sharpness"))
 def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
     """An --out that cannot be written exits 2 with the error that writing
@@ -223,7 +222,6 @@ def test_cli_text_is_pinned(capsys, monkeypatch):
     got = {key: hashlib.sha256(_cli_text(capsys, key.split()).encode()).hexdigest()
            for key in pins}
     assert got == pins
-
 
 
 def test_one_subparser_prints_what_the_full_parser_prints(capsys, monkeypatch):
