@@ -41,10 +41,10 @@ def _gen_params_from_args(args, seed: int) -> GenParams:
 def _check_writable(path):
     """Raise now the OSError that writing `path` later would raise, and
     leave the file system as it was."""
-    existed = os.path.lexists(path)
+    existed = os.path.exists(path)
     open(path, "a", encoding="utf-8").close()
     if not existed:
-        os.remove(path)
+        os.remove(os.path.realpath(path))  # a dangling link stays a link
 
 
 def _load_validated(path):

@@ -111,7 +111,10 @@ def tensor_exponents(x: WDRep, y: WDRep, m: ModelInstance) -> ExponentReport:
 
 
 def _twist(chi: str, x: WDRep, m: ModelInstance) -> ExponentReport:
-    """Exponents of Sp_1(chi) tensor x, term by term through the kernel."""
+    """Exponents of Sp_1(chi) tensor x, term by term through the kernel, not
+    `tensor_exponents` on a one-term WDRep: building one per twist made a
+    10 x 50 `run_sweep` 16.5% slower (median of 16 interleaved runs, Python
+    3.11.7, 2 CPUs)."""
     ar = 0
     sw = 0
     dim = 0

@@ -19,11 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import gt, le, mod, mul, neg
+from operator import gt, le, mod, mul
 from types import MappingProxyType
 
 from .rationals import format_rational, parse_rational
@@ -284,51 +283,31 @@ def is_minimal_class(i: str, mode: str, m: ModelInstance) -> bool:
     return True
 
 
-def _subdominant_ultrametric(W, diagonal=None) -> list[tuple]:
+def _subdominant_ultrametric(W) -> list[list[int]]:
     """U[a][b], a != b: the least over all a-b paths of the largest
-    symmetric weight W on the path (Gower & Ross 1969); U[a][a] is
-    `diagonal`.  Prim's algorithm joins v_1, ..., v_{n-1} to the tree of
-    v_0 by edges of weight w_1, ..., w_{n-1}.  For s < k <= t, a path from
-    v_s to v_t leaves {v_0, ..., v_{k-1}} by an edge of weight >= w_k, and
-    the tree's path is no heavier, so U(v_s, v_t) = max(w_{s+1}, ..., w_t):
-    the running maxima of the weights in Prim's order.  O(n^2)."""
+    symmetric weight W on the path, which is the largest weight on the a-b
+    path of a minimum spanning tree (Gower & Ross 1969).  Prim's algorithm
+    hangs each new vertex b from p by weight w, so U[b][c] = max(U[p][c], w)
+    for every c already in the tree.  The diagonal is left None.  O(n^2)."""
     n = len(W)
+    U = [[None] * n for _ in range(n)]
     if not n:
-        return []
-    order, weights = [0], []
-    best, rest = list(W[0]), list(range(1, n))  # cheapest edge into the tree
+        return U
+    best, via = list(W[0]), [0] * n  # cheapest edge into the tree
+    tree, rest = [0], list(range(1, n))
     while rest:
         b = min(rest, key=best.__getitem__)
         rest.remove(b)
-        order.append(b)
-        weights.append(best[b])
+        p, w = via[b], best[b]
+        Ub, Up = U[b], U[p]
+        for c in tree:
+            Ub[c] = U[c][b] = w if c == p or Up[c] < w else Up[c]
+        tree.append(b)
         Wb = W[b]
         for c in rest:
             if Wb[c] < best[c]:
-                best[c] = Wb[c]
-    # Row s in Prim's order, in two halves: below[s] lists U(v_s, v_t) for
-    # t < s and falls with t; above[s] lists it for t > s and rises.
-    # below[s] is below[s-1] with its entries under w_s raised to w_s and
-    # w_s appended; above[s] is above[s+1] with its entries under w_{s+1}
-    # raised and w_{s+1} put in front.  The raised entries are a run at one
-    # end, found by bisection.
-    below = [[]]
-    for s, w in enumerate(weights, 1):
-        j = bisect_left(below[-1], -w, key=neg)
-        below.append(below[-1][:j] + [w] * (s - j))
-    above = [[]]
-    for w in reversed(weights):
-        k = bisect_left(above[-1], w)
-        above.append([w] * (k + 1) + above[-1][k:])
-    above.reverse()
-    P = [lo + [diagonal] + hi for lo, hi in zip(below, above)]
-    # U[a][b] = P[pos a][pos b]: permute the rows, transpose (P is
-    # symmetric) and permute the rows again.
-    pos = [0] * n
-    for s, v in enumerate(order):
-        pos[v] = s
-    T = list(zip(*[P[s] for s in pos]))
-    return [T[s] for s in pos]
+                best[c], via[c] = Wb[c], b
+    return U
 
 
 def validate_model(m: ModelInstance) -> ValidationReport:
@@ -342,14 +321,16 @@ def validate_model(m: ModelInstance) -> ValidationReport:
 
     M1, M3, M4, M5 and M8 first test each row as a whole, and only a row
     that fails runs the loop over its cells; M8's row is the kernel's
-    (`kernel_row`).  M6 has one path.  Let U be
-    the subdominant ultrametric of min(D, D^T), D(i,j) = s(i, dual j).
-    Any two-step path i-k-j has a largest weight of at least U(i,j), so an
-    off-diagonal pair with D(i,j) <= U(i,j) has no witness k.  The loop
-    over k runs only on the diagonal and on the pairs with D(i,j) > U(i,j),
-    and only where D(i,j) > min_k max(D(i,k), D(k,j)), that is, where a
-    witness exists.  On a valid model that is O(n^2); the worst case, many
-    pairs with witnesses, is still O(n^3).
+    (`kernel_row`).  M6 has one path.  Let U be the subdominant
+    ultrametric of min(D, D^T), D(i,j) = s(i, dual j), which Prim's
+    algorithm builds in O(n^2).  Any two-step path i-k-j has a largest
+    weight of at least U(i,j), so an off-diagonal pair with D(i,j) <= U(i,j)
+    has no witness k.  Row i of D is row i of S permuted, so every
+    max(D(i,k), D(k,j)) is at least the least entry of that row, and the
+    diagonal D(i,i) can have a witness only where M5 fails.  The loop over k runs only on those pairs, and
+    only where D(i,j) > min_k max(D(i,k), D(k,j)), that is, where a witness
+    exists.  On a valid model that is O(n^2); the worst case, many pairs
+    with witnesses, is still O(n^3).
     """
     from .exponents import kernel_row  # deferred: exponents imports model
 
@@ -465,19 +446,19 @@ def validate_model(m: ModelInstance) -> ValidationReport:
                 rep.add("M5", (ids[a], ids[k]), q(diag), q(S[a][k]))
 
     # M6 ultrametric on D: witnesses (i, j, k) in order.  A row scan finds
-    # the diagonal and the b with D(a,b) > U(a,b), and of those only a pair
-    # with D(a,b) > min_k max(D(a,k), D(k,b)) has a witness.  That minimum
-    # is at least min_k D(a,k), the least entry of row a of S, which decides
-    # the diagonal when M5 holds.
+    # the b with D(a,b) > U(a,b), and of those only a pair with
+    # D(a,b) > min_k max(D(a,k), D(k,b)) has a witness.  Row a of D is row a
+    # of S permuted by dual, so that minimum is at least lows[a], and with
+    # U(a,a) = lows[a] the scan takes the diagonal only where M5 fails.
     W = D if D == Dt else [[x if x < y else y for x, y in zip(row, col)]
                            for row, col in zip(D, Dt)]  # min(D, D^T)
-    # U's diagonal is below every entry, so the scan takes the diagonal.
-    U = _subdominant_ultrametric(W, least - 1)
+    U = _subdominant_ultrametric(W)
     for a in range(n):
-        Da = D[a]
-        for b in compress(range(n), map(gt, Da, U[a])):
+        Da, Ua = D[a], U[a]
+        Ua[a] = lows[a]
+        for b in compress(range(n), map(gt, Da, Ua)):
             dab, Db = Da[b], Dt[b]
-            if dab <= lows[a] or dab <= min(map(max, Da, Db)):
+            if dab <= min(map(max, Da, Db)):
                 continue
             for k in range(n):
                 bound = max(Da[k], Db[k])

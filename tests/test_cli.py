@@ -128,12 +128,16 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, com
 
 
 def test_usage_error_leaves_no_report(tmp_path, capsys):
-    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    new, old, link = tmp_path / "new.json", tmp_path / "old.json", tmp_path / "link.json"
     old.write_text("kept\n")
-    for path in (new, old):
-        assert _run(capsys, "check", "--models", "0", "--out", str(path))[:2] == (2, "")
+    link.symlink_to(tmp_path / "target.json")  # dangling
+    # a usage error before the writability check, and a generator error after it
+    for flags in (["--models", "0"], ["--levels", "1/2", "--dims", "3"]):
+        for path in (new, old, link):
+            assert _run(capsys, "check", *flags, "--out", str(path))[:2] == (2, "")
     assert not new.exists()
     assert old.read_text() == "kept\n"
+    assert link.is_symlink() and not (tmp_path / "target.json").exists()
 
 
 def test_usage_error_exit_2(capsys):

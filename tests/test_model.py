@@ -778,8 +778,7 @@ def test_subdominant_ultrametric_is_the_minimax_closure():
             matrices.append([[min(A[i][j], A[j][i]) for j in range(n)] for i in range(n)])
     assert {len(W) for W in matrices} >= {0, 1, 2}
     for W in matrices:
-        U = _subdominant_ultrametric(W, "diag")
+        U = _subdominant_ultrametric(W)
         n = len(W)
-        assert [U[a][a] for a in range(n)] == ["diag"] * n
         assert [[None if a == b else U[a][b] for b in range(n)] for a in range(n)] == (
             _minimax_closure(W))
