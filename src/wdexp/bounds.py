@@ -213,17 +213,8 @@ def sharpness_suite() -> list[CheckResult]:
     d1, v1, d2, v2 = 2, Fraction(3), 1, Fraction(5)
     w1, w2 = optimal_witness(d1, v1, d2, v2)
     _, v_prod = mp_degree_weight(mp_vee(w1, w2))
-    bound = pair_upper_bound(d1, v1, d2, v2)
-    out.append(
-        CheckResult(
-            "CS",
-            v_prod,
-            bound,
-            v_prod <= bound,
-            v_prod == bound,
-            {"witness": "max-plus pair", "d1": d1, "v1": "3", "d2": d2, "v2": "5"},
-        )
-    )
+    out.append(_result("CS", v_prod, pair_upper_bound(d1, v1, d2, v2), "<=",
+                       {"witness": "max-plus pair", "d1": d1, "v1": "3", "d2": d2, "v2": "5"}))
     return out
 
 

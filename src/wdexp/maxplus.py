@@ -91,25 +91,26 @@ def s_map(constituents) -> MaxPlusElem:
     return MaxPlusElem(items)
 
 
-def pair_upper_bound(d1: int, v1, d2: int, v2) -> Fraction:
-    """d2*v1 + d1*v2 - min(v1, v2): the weight bound for the vee product of
-    positive-cone elements with the given degrees and weights."""
+def _pair_weights(d1: int, v1, d2: int, v2) -> tuple[Fraction, Fraction]:
+    """(v1, v2) as Fractions, once degrees >= 1 and weights >= 0 are checked."""
     v1, v2 = Fraction(v1), Fraction(v2)
     if d1 < 1 or d2 < 1:
         raise ValueError("degrees must be >= 1")
     if v1 < 0 or v2 < 0:
         raise ValueError("weights must be >= 0")
+    return v1, v2
+
+
+def pair_upper_bound(d1: int, v1, d2: int, v2) -> Fraction:
+    """d2*v1 + d1*v2 - min(v1, v2): the weight bound for the vee product of
+    positive-cone elements with the given degrees and weights."""
+    v1, v2 = _pair_weights(d1, v1, d2, v2)
     return d2 * v1 + d1 * v2 - min(v1, v2)
 
 
 def optimal_witness(d1: int, v1, d2: int, v2) -> tuple[MaxPlusElem, MaxPlusElem]:
     """Positive-cone elements with the prescribed (d, v) whose vee product
     attains pair_upper_bound exactly: (d_k - 1)[0] + [v_k]."""
-    v1, v2 = Fraction(v1), Fraction(v2)
-    if d1 < 1 or d2 < 1:
-        raise ValueError("degrees must be >= 1")
-    if v1 < 0 or v2 < 0:
-        raise ValueError("weights must be >= 0")
-    w1 = MaxPlusElem([(Fraction(0), d1 - 1), (v1, 1)])
-    w2 = MaxPlusElem([(Fraction(0), d2 - 1), (v2, 1)])
-    return w1, w2
+    v1, v2 = _pair_weights(d1, v1, d2, v2)
+    return (MaxPlusElem([(Fraction(0), d1 - 1), (v1, 1)]),
+            MaxPlusElem([(Fraction(0), d2 - 1), (v2, 1)]))

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import gt, le, mod, mul
 from types import MappingProxyType
 
@@ -30,6 +30,9 @@ from .rationals import format_rational, parse_rational
 UNRAMIFIED_ID = "u"
 
 MODES = ("sigma", "eta")
+
+# The class flags of a model file, in the order they are written.
+_FLAGS = ("minimal_sigma", "minimal_eta")
 
 
 class ModelStructureError(ValueError):
@@ -76,8 +79,8 @@ class ModelInstance:
     and `S[a][b]` = L*s(i,j) are exact ints for any input.  `classes` maps
     id to class and `pairing`, derived from S and L, maps each sorted id
     pair to its slope in sorted order; both are read-only.  No attribute
-    can be rebound, which is what lets `digest()` serialize the model only
-    once.
+    can be rebound, which is what lets `to_json()` make the file's text
+    from S once and keep it, and `digest()` hash that one text.
 
     Construction raises ModelStructureError, in this order, unless every
     pairing entry names known ids, no pair is given in both orders, every
@@ -86,7 +89,7 @@ class ModelInstance:
     """
 
     __slots__ = ("classes", "characters", "ids", "index", "dim", "deg", "dual",
-                 "chars", "L", "slope", "S", "_digest")
+                 "chars", "L", "slope", "S", "_json", "_digest")
 
     def __init__(self, classes, entries, characters):
         # The order of the checks fixes which defect a message names.
@@ -153,6 +156,7 @@ class ModelInstance:
             ("L", L),
             ("slope", slope),
             ("S", tuple(map(tuple, S))),
+            ("_json", None),
             ("_digest", None),
         ):
             object.__setattr__(self, name, value)
@@ -193,32 +197,22 @@ class ModelInstance:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        classes = []
-        for i in sorted(self.classes):
-            c = self.classes[i]
-            flags = []
-            if c.minimal_sigma:
-                flags.append("minimal_sigma")
-            if c.minimal_eta:
-                flags.append("minimal_eta")
-            classes.append(
-                {
-                    "id": c.id,
-                    "dim": c.dim,
-                    "slope": format_rational(c.slope),
-                    "deg": c.deg,
-                    "dual": c.dual,
-                    "flags": flags,
-                }
-            )
-        pairing = [
-            {"i": i, "j": j, "slope": format_rational(v)}
-            for (i, j), v in self.pairing.items()
-        ]
+        """The file's document from `ids`, `S` and `L`; each distinct value is formatted once."""
+        ids, L, S = self.ids, self.L, self.S
+        text = {v: format_rational(Fraction(v, L)) for v in {*self.slope, *chain(*S)}}
+        classes = [{"id": i, "dim": c.dim, "slope": text[sl], "deg": c.deg, "dual": c.dual,
+                    "flags": [f for f in _FLAGS if getattr(c, f)]}
+                   for i, c, sl in zip(ids, map(self.classes.__getitem__, ids), self.slope)]
+        pairing = [{"i": i, "j": ids[b], "slope": text[row[b]]}
+                   for a, (i, row) in enumerate(zip(ids, S)) for b in range(a, len(ids))]
         return {"classes": classes, "pairing": pairing, "characters": sorted(self.characters)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        """The model file's text, made on the first call and kept."""
+        if self._json is None:
+            object.__setattr__(self, "_json", json.dumps(
+                self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+        return self._json
 
     def digest(self) -> str:
         """sha256 of `to_json()`, computed on the first call and kept."""
@@ -327,10 +321,11 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     weight of at least U(i,j), so an off-diagonal pair with D(i,j) <= U(i,j)
     has no witness k.  Row i of D is row i of S permuted, so every
     max(D(i,k), D(k,j)) is at least the least entry of that row, and the
-    diagonal D(i,i) can have a witness only where M5 fails.  The loop over k runs only on those pairs, and
-    only where D(i,j) > min_k max(D(i,k), D(k,j)), that is, where a witness
-    exists.  On a valid model that is O(n^2); the worst case, many pairs
-    with witnesses, is still O(n^3).
+    diagonal D(i,i) can have a witness only where M5 fails.  The loop over
+    k runs only on those pairs, and only where
+    D(i,j) > min_k max(D(i,k), D(k,j)), that is, where a witness exists.
+    On a valid model that is O(n^2); the worst case, many pairs with
+    witnesses, is still O(n^3).
     """
     from .exponents import kernel_row  # deferred: exponents imports model
 
@@ -527,9 +522,6 @@ def _require_fields(entry, keys, where: str) -> list:
             raise ModelStructureError(f"{where}: {key!r} is missing or has the wrong type")
         values.append(value)
     return values
-
-
-_FLAGS = ("minimal_sigma", "minimal_eta")
 
 
 class _ParsedSlopes(dict):

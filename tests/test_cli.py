@@ -11,7 +11,7 @@ import pytest
 from conftest import ZOO_DOC
 from wdexp.cli import run_command
 from wdexp.generator import SplitMix64
-from wdexp.model import load_model
+from wdexp.model import ModelInstance, load_model
 
 
 def _run(capsys, *argv):
@@ -59,6 +59,23 @@ def test_gen_model_deterministic(tmp_path, capsys):
     assert _run(capsys, "gen-model", "--seed", "42", "-o", str(p1))[0] == 0
     assert _run(capsys, "gen-model", "--seed", "42", "-o", str(p2))[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_gen_model_serializes_once(tmp_path, capsys, monkeypatch):
+    # The written file and the printed digest read the one text that one
+    # to_json_dict call made, so the digest is the sha256 of the file.
+    documents, to_json_dict = [], ModelInstance.to_json_dict
+
+    def counting_to_json_dict(self):
+        documents.append(self)
+        return to_json_dict(self)
+
+    monkeypatch.setattr(ModelInstance, "to_json_dict", counting_to_json_dict)
+    path = tmp_path / "m.json"
+    code, out, _ = _run(capsys, "gen-model", "--classes-per-level", "3", "-o", str(path))
+    assert code == 0
+    assert len(documents) == 1
+    assert out.split()[1] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_check_writes_report(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -387,6 +388,7 @@ def test_digest_is_computed_once(monkeypatch):
     m = gen_model(GenParams.from_strings("0,1/2,1,2", seed=4))
     assert m.digest() == hashlib.sha256(m.to_json().encode()).hexdigest()
     assert m.digest() is m.digest()
+    assert m.to_json() is m.to_json()
     serialized, to_json = [], ModelInstance.to_json
 
     def counting_to_json(self):
@@ -397,6 +399,57 @@ def test_digest_is_computed_once(monkeypatch):
     results, _ = run_sweep(("A", "C"), 2, 10, GenParams.from_strings("0,1/2,1,2"), seed=0)
     assert len({r.inputs["model"] for r in results}) == 2
     assert len(serialized) == 2 and serialized[0] is not serialized[1]
+
+
+def _reference_json(m):
+    """The model file's text as the writer made it from the `pairing` view:
+    a Fraction per cell, each formatted on its own, then the same dump."""
+    classes = [{"id": c.id, "dim": c.dim, "slope": format_rational(c.slope), "deg": c.deg,
+                "dual": c.dual,
+                "flags": ["minimal_sigma"] * c.minimal_sigma + ["minimal_eta"] * c.minimal_eta}
+               for c in map(m.cls, sorted(m.classes))]
+    pairing = [{"i": i, "j": j, "slope": format_rational(v)} for (i, j), v in m.pairing.items()]
+    doc = {"classes": classes, "pairing": pairing, "characters": sorted(m.characters)}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_writer_matches_the_pairing_view(zoo_model):
+    from wdexp.bounds import (
+        dim2_witness_model,
+        prime_dim_witness_model,
+        tame_character_witness_model,
+        witness_model,
+    )
+    from wdexp.generator import GenParams, gen_model
+
+    models = [dim2_witness_model(), prime_dim_witness_model(3), prime_dim_witness_model(5),
+              tame_character_witness_model(), witness_model()]
+    bases = [zoo_model] + [gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl))
+                           for cpl in (2, 3, 4, 5, 20)]
+    for n, m in enumerate(bases):
+        models += [m] + _perturbations(m, random.Random(n)) + _axiom_breaks(m, random.Random(n))
+    for m in models:
+        assert m.to_json() == _reference_json(m)
+    assert len(models) == 287
+    assert any(min(chain(*m.S)) < 0 for m in models)  # negative entries
+    assert any(min(m.dim) < 1 for m in models)  # changed dims
+    assert len({m.L for m in models}) > 3  # off-grid entries and slopes
+
+
+def test_writer_makes_one_fraction_per_value(monkeypatch):
+    import wdexp.model as model_module
+    from wdexp.generator import GenParams, gen_model
+
+    m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=20))
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(model_module, "Fraction", counting_fraction)
+    m.to_json_dict()
+    assert len(made) == len({*m.slope, *chain(*m.S)}) == 5
 
 
 # -- M6: the O(n^2) check against the triple loop it stands in for ---------
