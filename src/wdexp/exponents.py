@@ -10,15 +10,15 @@ evaluated only by `indec_tensor_kernel`:
 A pair of unramified indecomposables gives the rank formula r*s - min(r,s),
 and `tensor_exponents` expands the kernel bilinearly.  `kernel_row` is the
 kernel of Sp_1(i) with every class at once, times L, for the validator's
-M8; the kernel and the row share the one formula, `_artin`.  Twisting by a
-character chi puts Sp_1(chi) on the left; Sp_r of the dual orbit of chi
-then twists into the unramified orbit, with ar = r-1.  `exponents_of` is
-the twist by the unramified orbit Sp_1(u): the unit row s(u,i) = slope_i
-gives sw = r*m_i*slope_i, ar(Sp_r(u)) = r-1 and the additive rule
-ar(Sp_r(sigma)) = r*ar(sigma) for ramified sigma.  `character_twists`
-lists the character twists of x once, and `is_minimal_among` compares them
-with `exponents_of(x)` for either mode.  The kernel computes in integers
-on the model's integer tables (`ModelInstance.S`, `dim`, `deg`, `dual`).
+M8.  Twisting by a character chi puts Sp_1(chi) on the left; Sp_r of the
+dual orbit of chi then twists into the unramified orbit, with ar = r-1.
+`exponents_of` is the twist by the unramified orbit Sp_1(u): the unit row
+s(u,i) = slope_i gives sw = r*m_i*slope_i, ar(Sp_r(u)) = r-1 and the
+additive rule ar(Sp_r(sigma)) = r*ar(sigma) for ramified sigma.
+`character_twists` lists the character twists of x once, and
+`is_minimal_among` compares them with `exponents_of(x)` for either mode.
+The kernel computes in integers on the model's integer tables
+(`ModelInstance.S`, `dim`, `deg`, `dual`).
 """
 
 from __future__ import annotations
@@ -61,13 +61,6 @@ class ExponentReport:
         return Fraction(self.exponent(mode), self.dim)
 
 
-def _artin(sw: int, dim: int, fixed: int) -> int:
-    """The Artin exponent ar = sw + dim - fixed of Sp_r(class_i) tensor
-    Sp_s(class_j), fixed = d*min(r,s); linear, so L times each argument
-    gives L*ar."""
-    return sw + dim - fixed
-
-
 def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tuple[int, int, int]:
     """(ar, sw, dim) of Sp_r(class_i) tensor Sp_s(class_j), in integers on
     the model's integer tables: sw = dim*S[i][j]/L must be exact."""
@@ -80,7 +73,7 @@ def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tup
         raise ValueError(f"sw of Sp_{r}({i}) tensor Sp_{s}({j}) is not an integer: "
                          f"{Fraction(dim * m.S[a][b], m.L)}")
     d = m.deg[a] if b == m.dual[a] else 0
-    return _artin(sw, dim, d * min(r, s)), sw, dim
+    return sw + dim - d * min(r, s), sw, dim
 
 
 def kernel_row(a: int, m: ModelInstance) -> tuple[list[int], list[int], list[int]]:
@@ -91,9 +84,9 @@ def kernel_row(a: int, m: ModelInstance) -> tuple[list[int], list[int], list[int
     L, da = m.L, m.dim[a]
     dims = [da * db for db in m.dim]
     lsw = list(map(mul, dims, m.S[a]))
-    fixed = [0] * len(dims)
-    fixed[m.dual[a]] = L * m.deg[a]
-    return list(map(_artin, lsw, [L * d for d in dims], fixed)), dims, [w % L for w in lsw]
+    lar = [w + L * d for w, d in zip(lsw, dims)]
+    lar[m.dual[a]] -= L * m.deg[a]
+    return lar, dims, [w % L for w in lsw]
 
 
 def tensor_exponents(x: WDRep, y: WDRep, m: ModelInstance) -> ExponentReport:

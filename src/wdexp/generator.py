@@ -386,10 +386,9 @@ def gen_rep(m: ModelInstance, max_terms: int, max_r: int, seed: int) -> WDRep:
     if max_terms == 0:
         return WDRep.zero()
     rng = SplitMix64(seed)
-    ids = sorted(m.classes)
     n = 1 + rng.below(max_terms)
     terms = []
     for _ in range(n):
         r = 1 + rng.below(max_r)
-        terms.append((1, Indecomposable(r, rng.choice(ids))))
+        terms.append((1, Indecomposable(r, rng.choice(m.ids))))
     return WDRep.from_terms(terms)

@@ -313,13 +313,13 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     tables (`ModelInstance.S`, `slope`, ...), and a violation reports
     Fraction(S, L).
 
-    M1, M3, M4, M5 and M8 first test each row as a whole, and only a row
-    that fails runs the loop over its cells; M8's row is the kernel's
-    (`kernel_row`).  M6 has one path.  Let U be the subdominant
-    ultrametric of min(D, D^T), D(i,j) = s(i, dual j), which Prim's
-    algorithm builds in O(n^2).  Any two-step path i-k-j has a largest
-    weight of at least U(i,j), so an off-diagonal pair with D(i,j) <= U(i,j)
-    has no witness k.  Row i of D is row i of S permuted, so every
+    M1, M3, M4 and M5 first test each row as a whole, and only a row
+    that fails runs the loop over its cells.  M8 finds its failing cells
+    with one scan of the kernel's row (`kernel_row`).  M6 has one path.
+    Let U be the subdominant ultrametric of min(D, D^T), D(i,j) =
+    s(i, dual j), which Prim's algorithm builds in O(n^2).  Any two-step
+    path i-k-j has a largest weight of at least U(i,j), so an off-diagonal
+    pair with D(i,j) <= U(i,j) has no witness k.  Row i of D is row i of S permuted, so every
     max(D(i,k), D(k,j)) is at least the least entry of that row, and the
     diagonal D(i,i) can have a witness only where M5 fails.  The loop over
     k runs only on those pairs, and only where
@@ -374,7 +374,7 @@ def validate_model(m: ModelInstance) -> ValidationReport:
         if dim[a] == 1 and S[a][dual[a]] != 0:
             rep.add("char_self_pairing", (ids[a], ids[dual[a]]), q(S[a][dual[a]]), 0)
 
-    # Each loop below first tests a whole row with C-level scans; the test
+    # M1, M3, M4 and M5 first test a whole row with C-level scans; the test
     # passes exactly when the row's cells pass, and a row that fails it runs
     # the per-cell loop, so violations come in the order of the full loops.
     lows = [min(row) for row in S]  # the least entry of each row
@@ -471,7 +471,7 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     # The kernel needs integral Swan exponents and both sides divide by
     # dimensions; when M1 or dim_positive already failed, that violation is
     # on record and the M8 comparison is skipped.  The rows of one eta share
-    # their maxima, and a row whose every cell passes skips the loop.
+    # their maxima, and one scan of each row finds its failing cells.
     eta = [0 if i == UNRAMIFIED_ID else sl + L for i, sl in zip(ids, slope)]
     tops = {}
     for a, i in enumerate(ids):
@@ -481,11 +481,9 @@ def validate_model(m: ModelInstance) -> ValidationReport:
             tops[eta[a]] = tuple(map(max, repeat(eta[a]), eta))
         top = tops[eta[a]]
         lar, dims, rest = kernel_row(a, m)
-        if all(map(le, map(mul, dims, top), map(mul, lar, repeat(2)))):
-            continue
-        for b, j in enumerate(ids):
-            if dim[b] >= 1 and not rest[b] and 2 * lar[b] < dims[b] * top[b]:
-                rep.add("M8", (i, j), Fraction(lar[b], L * dims[b]), Fraction(top[b], 2 * L))
+        for b in compress(range(n), map(gt, map(mul, dims, top), map(mul, lar, repeat(2)))):
+            if dim[b] >= 1 and not rest[b]:
+                rep.add("M8", (i, ids[b]), Fraction(lar[b], L * dims[b]), Fraction(top[b], 2 * L))
 
     # Flags re-verified against the character set, both directions.
     for i, c in zip(ids, classes):

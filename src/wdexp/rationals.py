@@ -10,10 +10,14 @@ from fractions import Fraction
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction. Raises ValueError on junk,
-    a zero denominator included."""
+    a zero denominator, an underscore and a non-ASCII character included
+    (`int` would read "1_0" as 10 and "١" as 1)."""
     if isinstance(text, int):
         return Fraction(text)
-    s = str(text).strip()
+    s = str(text)
+    if "_" in s or not s.isascii():
+        raise ValueError(f"invalid rational {text!r}")
+    s = s.strip()
     if "/" in s:
         num, _, den = s.partition("/")
         if int(den) == 0:

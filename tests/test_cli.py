@@ -11,6 +11,7 @@ import pytest
 from conftest import ZOO_DOC
 from wdexp.cli import run_command
 from wdexp.generator import SplitMix64
+from wdexp.jordan import Partition
 from wdexp.model import ModelInstance, load_model
 
 
@@ -106,6 +107,32 @@ def test_oracle(capsys):
     code, out, _ = _run(capsys, "oracle", "--max-r", "4", "--max-terms", "2")
     assert code == 0
     assert "0 mismatches" in out
+
+
+def test_oracle_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("wdexp.cli.unramified_oracle_artin", lambda x, y: -1)
+    code, out, err = _run(capsys, "oracle", "--max-r", "2", "--max-terms", "1")
+    assert code == 1
+    sp = [f"WDRep(terms=((1, Indecomposable(r={r}, cls='u')),))" for r in (1, 2)]
+    assert err.splitlines() == [
+        f"MISMATCH: {sp[0]} (x) {sp[0]}: formula=0 rank=-1",
+        f"MISMATCH: {sp[0]} (x) {sp[1]}: formula=1 rank=-1",
+        f"MISMATCH: {sp[1]} (x) {sp[1]}: formula=2 rank=-1",
+    ]
+    assert out == "oracle: 3 tensor pairs checked, 3 mismatches; 4 block pairs, 0 failures\n"
+
+
+def test_oracle_block_law_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("wdexp.cli.tensor_partition", lambda m, n: Partition((m + n,)))
+    code, out, err = _run(capsys, "oracle", "--max-r", "2", "--max-terms", "1")
+    assert code == 1
+    assert err.splitlines() == [
+        "BLOCK LAW FAIL at (1,1): rank=0 type=(2,)",
+        "BLOCK LAW FAIL at (1,2): rank=1 type=(3,)",
+        "BLOCK LAW FAIL at (2,1): rank=1 type=(3,)",
+        "BLOCK LAW FAIL at (2,2): rank=2 type=(4,)",
+    ]
+    assert out == "oracle: 3 tensor pairs checked, 0 mismatches; 4 block pairs, 4 failures\n"
 
 
 def test_bound(capsys):
@@ -325,7 +352,8 @@ def test_malformed_model_files_exit_2(tmp_path, capsys):
 def test_slope_spellings_load_alike(tmp_path, capsys):
     """One slope spelled 1, "1", "2/2" and " 1 " loads to the model of the
     canonical file, and a slope `true` after a `1` is still rejected (True
-    == 1, so a lookup of parsed slopes must never see it)."""
+    == 1, so a lookup of parsed slopes must never see it), as is "0_1",
+    which `int` reads as 1."""
     assert [e["slope"] for e in ZOO_DOC["pairing"][4:9]] == ["1", "1", "0", "1", "1"]
     spelled = copy.deepcopy(ZOO_DOC)
     for k, text in zip((4, 5, 7, 8), (1, "1", "2/2", " 1 ")):
@@ -339,6 +367,11 @@ def test_slope_spellings_load_alike(tmp_path, capsys):
     path.write_text(json.dumps(spelled))
     code, _, err = _run(capsys, "eval", "-m", str(path), "-e", "Sp_1(u)")
     assert (code, err) == (2, "error: pairing entry 8: 'slope' is missing or has the wrong type\n")
+    spelled["pairing"][8]["slope"] = "0_1"
+    path.write_text(json.dumps(spelled))
+    code, out, err = _run(capsys, "eval", "-m", str(path), "-e", "Sp_1(u)")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def _paths(node, prefix=()):

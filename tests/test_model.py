@@ -29,7 +29,7 @@ def test_rational_round_trip():
         q = parse_rational(text)
         assert parse_rational(format_rational(q)) == q
     assert format_rational(Fraction(10, 4)) == "5/2"
-    for junk in ("x/y", "1/0", "3/00", "x", ""):
+    for junk in ("x/y", "1/0", "3/00", "x", "", "0_1", "1_0", "2_0/2_0", "\u0661", "\uff11"):
         with pytest.raises(ValueError):
             parse_rational(junk)
 
@@ -762,10 +762,9 @@ def _reference_m8(m):
 
 
 def test_kernel_row_matches_the_kernel_on_every_cell():
-    # Dropping the kernel's deg*min(r,s) term, in `indec_tensor_kernel`, in
-    # `kernel_row` or in the formula both share, must fail this test: the
-    # first two make the row and the kernel differ on the dual cells, the
-    # last makes both differ from the rational reference.
+    # Dropping the kernel's deg*min(r,s) term, in `indec_tensor_kernel` or
+    # in `kernel_row` (each adds up its own Artin exponents), must fail this
+    # test: either makes the row and the kernel differ on the dual cells.
     from wdexp.generator import GenParams, gen_model
 
     seen = set()
