@@ -20,8 +20,8 @@ from .generator import GeneratorError, GenParams, gen_model_with_stats
 from .jordan import Partition, nilpotent_rank, tensor_partition, unramified_oracle_artin
 from .maxplus import mp_degree_weight, mp_vee, optimal_witness, pair_upper_bound
 from .model import ModelStructureError, UNRAMIFIED_ID, dump_model, load_model, validate_model
-from .rationals import format_rational, parse_rational
-from .rep import Indecomposable, RepSyntaxError, WDRep, parse_rep
+from .rationals import format_rational, parse_int, parse_rational
+from .rep import Indecomposable, RepSyntaxError, WDRep, format_rep, parse_rep
 
 DEFAULT_LEVELS = "0,1/2,1,2"
 
@@ -132,7 +132,8 @@ def _cmd_oracle(args) -> int:
         checked += 1
         if formula != rank:
             mismatches += 1
-            print(f"MISMATCH: {x} (x) {y}: formula={formula} rank={rank}", file=sys.stderr)
+            print(f"MISMATCH: {format_rep(x)} (x) {format_rep(y)}: formula={formula} rank={rank}",
+                  file=sys.stderr)
     block_fail = 0
     for mm in range(1, args.max_r + 1):
         for nn in range(1, args.max_r + 1):
@@ -174,15 +175,23 @@ def _cmd_sharpness(args) -> int:
     return 1 if bad else 0
 
 
+def _int(text: str) -> int:
+    """The type of every integer flag: `parse_int`, with argparse's message."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 _MODEL = (("-m", "--model"), {"required": True})
 _EXPR = (("-e", "--expr"), {"required": True})
 _GEN_FLAGS = (
     (("--levels",), {"default": DEFAULT_LEVELS, "help": "comma-separated slope levels (p/q)"}),
-    (("--classes-per-level",), {"type": int, "default": 2}),
+    (("--classes-per-level",), {"type": _int, "default": 2}),
     (("--dims",), {"default": "1,2,3,4", "help": "comma-separated dimension pool"}),
-    (("--max-deg",), {"type": int, "default": 4}),
-    (("--tree-depth",), {"type": int, "default": 3}),
-    (("--chars-per-level",), {"type": int, "default": 1}),
+    (("--max-deg",), {"type": _int, "default": 4}),
+    (("--tree-depth",), {"type": _int, "default": 3}),
+    (("--chars-per-level",), {"type": _int, "default": 1}),
 )
 
 # name: (help, arguments as (flags, add_argument keywords), handler), in the
@@ -197,25 +206,25 @@ _COMMANDS = {
                 _cmd_minimal),
     "check": ("bound sweep over generated models", (
         (("--theorems",), {"default": "A,AS,B,BS,C,CS"}),
-        (("--models",), {"type": int, "default": 20}),
-        (("--pairs",), {"type": int, "default": 20}),
-        (("--seed",), {"type": int, "default": 0}),
+        (("--models",), {"type": _int, "default": 20}),
+        (("--pairs",), {"type": _int, "default": 20}),
+        (("--seed",), {"type": _int, "default": 0}),
         (("--out",), {"default": None}),
         (("--format",), {"choices": ("json", "csv"), "default": "json"}),
-        (("--max-terms",), {"type": int, "default": 3}),
-        (("--max-r",), {"type": int, "default": 4}),
+        (("--max-terms",), {"type": _int, "default": 3}),
+        (("--max-r",), {"type": _int, "default": 4}),
         *_GEN_FLAGS), _cmd_check),
     "gen-model": ("generate a model instance file", (
-        (("--seed",), {"type": int, "default": 0}),
+        (("--seed",), {"type": _int, "default": 0}),
         (("-o", "--out"), {"required": True}),
         *_GEN_FLAGS), _cmd_gen_model),
     "oracle": ("unramified formula-vs-rank suite", (
-        (("--max-r",), {"type": int, "default": 6}),
-        (("--max-terms",), {"type": int, "default": 2})), _cmd_oracle),
+        (("--max-r",), {"type": _int, "default": 6}),
+        (("--max-terms",), {"type": _int, "default": 2})), _cmd_oracle),
     "bound": ("max-plus pair bound and optimal witness", (
-        (("--d1",), {"type": int, "required": True}),
+        (("--d1",), {"type": _int, "required": True}),
         (("--v1",), {"required": True}),
-        (("--d2",), {"type": int, "required": True}),
+        (("--d2",), {"type": _int, "required": True}),
         (("--v2",), {"required": True})), _cmd_bound),
     "sharpness": ("equality-attaining witness suite", ((("--out",), {"default": None}),),
                   _cmd_sharpness),

@@ -5,8 +5,11 @@ tree) over that level's classes and characters, with the dual involution
 realized as a tree automorphism: dual pairs are sibling leaves, everything
 else is self-dual.  Distances D(a,b) are least-common-ancestor heights,
 leaves carry self-distances below their parent, and the pairing is read off
-as s(a,b) = D(a, dual(b)).  Only these within-level entries are given to
-`ModelInstance`, whose constructor forces cross-level pairs to the max slope.
+as s(a,b) = D(a, dual(b)).  Heights are ints in [0, g*lam], in units of 1/g
+on the level's grid (g the squared gcd of its dimensions), and become
+`Fraction` in one place: each level's list of grid values, which the
+within-level entries given to `ModelInstance` are read from.  Its
+constructor forces cross-level pairs to the max slope.
 
 A repair pass then raises heights until every entry satisfies
 
@@ -18,12 +21,13 @@ force on orbit data reachable by twisting; the bare axiom set does not imply
 it for free entries, and without it sweeps over decomposable minimal
 representations can manufacture counterexamples that no genuine family of
 representations realizes.  Each repair round builds a model from the entries
-read off the trees and reads min_slope off its integer table, then walks each
-tree bottom-up, raising every leaf to half its min_slope and every node to
-its children's values: a node's floor is half the largest min_slope under
-it, so it is met once the leaves under it are.  Raising heights keeps the
-tree laminar, so the ultrametric and dual-symmetry axioms survive repair.
-The round that raises nothing has already built the final model.
+read off the trees and reads each class's floor, ceil(g*min_slope/2) grid
+units, off its integer table, then walks each tree bottom-up, raising every
+leaf to its floor and every node to its children's values: a node's floor
+is the largest floor under it, so it is met once the leaves under it are.
+Raising heights keeps the tree laminar, so the ultrametric and
+dual-symmetry axioms survive repair.  The round that raises nothing has
+already built the final model.
 
 Flags are computed last, directly from that model, so the validator's
 re-verification holds by construction.
@@ -45,7 +49,7 @@ from .model import (
     is_minimal_class,
     validate_model,
 )
-from .rationals import parse_rational
+from .rationals import parse_int, parse_rational
 from .rep import Indecomposable, WDRep
 
 
@@ -113,12 +117,12 @@ class GenParams:
                      tree_depth=3, char_per_level=1, seed=0) -> "GenParams":
         return GenParams(
             slope_levels=tuple(parse_rational(t) for t in levels.split(",") if t.strip()),
-            classes_per_level=int(classes_per_level),
-            dim_pool=tuple(int(t) for t in str(dims).split(",") if t.strip()),
-            max_deg=int(max_deg),
-            tree_depth=int(tree_depth),
-            char_per_level=int(char_per_level),
-            seed=int(seed),
+            classes_per_level=parse_int(classes_per_level),
+            dim_pool=tuple(parse_int(t) for t in str(dims).split(",") if t.strip()),
+            max_deg=parse_int(max_deg),
+            tree_depth=parse_int(tree_depth),
+            char_per_level=parse_int(char_per_level),
+            seed=parse_int(seed),
         )
 
 
@@ -135,32 +139,20 @@ class GenStats:
 @dataclass
 class _Leaf:
     id: str
-    self_value: Fraction
+    self_value: int
 
 
 @dataclass
 class _Node:
-    height: Fraction
+    height: int
     children: list
 
 
-def _ceil_grid(x: Fraction, g: int) -> Fraction:
-    return Fraction(math.ceil(x * g), g)
-
-
-def _grid_pick(rng: SplitMix64, lo: Fraction, hi: Fraction, g: int) -> Fraction:
-    """Uniform grid point in [lo, hi] (multiples of 1/g)."""
-    lo_i = math.ceil(lo * g)
-    hi_i = math.floor(hi * g)
-    if hi_i < lo_i:
-        return Fraction(lo_i, g)
-    return Fraction(lo_i + rng.below(hi_i - lo_i + 1), g)
-
-
-def _build_tree(rng, units, hi, g, depth) -> _Node:
-    """Random laminar hierarchy; each unit is a list of leaf descriptors
-    (singleton for self-dual orbits, two ids for a dual pair)."""
-    h = _grid_pick(rng, Fraction(0), hi, g)
+def _build_tree(rng, units, hi, depth) -> _Node:
+    """Random laminar hierarchy with heights in [0, hi]; each unit is a
+    list of leaf descriptors (singleton for self-dual orbits, two ids for a
+    dual pair)."""
+    h = rng.below(hi + 1)
     node = _Node(h, [])
     if len(units) == 1 or depth <= 0:
         groups = [[u] for u in units]
@@ -174,27 +166,26 @@ def _build_tree(rng, units, hi, g, depth) -> _Node:
         groups = [grp for grp in groups if grp]
     for grp in groups:
         if len(grp) == 1:
-            node.children.append(_expand_unit(rng, grp[0], h, g))
+            node.children.append(_expand_unit(rng, grp[0], h))
         else:
-            node.children.append(_build_tree(rng, grp, h, g, depth - 1))
+            node.children.append(_build_tree(rng, grp, h, depth - 1))
     return node
 
 
-def _expand_unit(rng, unit, hi, g):
+def _expand_unit(rng, unit, hi):
     """A self-dual orbit becomes a leaf; a dual pair becomes a pair node
     whose height is the orbit's self-pairing slope."""
     ids, is_char = unit
     if len(ids) == 1:
-        sv = Fraction(0) if is_char else _grid_pick(rng, Fraction(0), hi, g)
-        return _Leaf(ids[0], sv)
-    h = _grid_pick(rng, Fraction(0), hi, g)
-    sv = Fraction(0) if is_char else _grid_pick(rng, Fraction(0), h, g)
+        return _Leaf(ids[0], 0 if is_char else rng.below(hi + 1))
+    h = rng.below(hi + 1)
+    sv = 0 if is_char else rng.below(h + 1)
     return _Node(h, [_Leaf(ids[0], sv), _Leaf(ids[1], sv)])
 
 
-def _tree_distances(root: _Node) -> dict[tuple[str, str], Fraction]:
+def _tree_distances(root: _Node) -> dict[tuple[str, str], int]:
     """D(a,b) = LCA height for distinct leaves, self_value on the diagonal."""
-    dist: dict[tuple[str, str], Fraction] = {}
+    dist: dict[tuple[str, str], int] = {}
 
     def visit(node):
         if isinstance(node, _Leaf):
@@ -216,20 +207,19 @@ def _tree_distances(root: _Node) -> dict[tuple[str, str], Fraction]:
     return dist
 
 
-def _enforce_floors(root: _Node, min_slope: dict[str, Fraction], g: int) -> int:
-    """Raise each leaf self-value to half its min_slope (on the grid 1/g)
-    and each node height to its children's values, bottom-up.  A node then
-    sits at or above every raised leaf under it, so it meets its own floor,
-    half the largest min_slope under it, with no walk over its leaves.
-    Returns the number of raised values."""
+def _enforce_floors(root: _Node, floor: dict[str, int]) -> int:
+    """Raise each leaf self-value to its floor and each node height to its
+    children's values, bottom-up.  A node then sits at or above every
+    raised leaf under it, so it meets its own floor, the largest floor
+    under it, with no walk over its leaves.  Returns the number of raised
+    values."""
     raised = 0
 
-    def visit(node) -> Fraction:
+    def visit(node) -> int:
         nonlocal raised
         if isinstance(node, _Leaf):
-            f = _ceil_grid(min_slope[node.id] / 2, g)
-            if node.self_value < f:
-                node.self_value = f
+            if node.self_value < floor[node.id]:
+                node.self_value = floor[node.id]
                 raised += 1
             return node.self_value
         target = max(node.height, *(visit(c) for c in node.children))
@@ -306,11 +296,12 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
         deg[cid] = d
         deg[dual[cid]] = d
 
-    # One ultrametric tree per slope value present, on the grid 1/g.
+    # One ultrametric tree per slope value present, in units of 1/g: every
+    # dim m at the level makes m*lam an int, so hi = g*lam is one too.
     by_slope: dict[Fraction, list[str]] = {}
     for cid in sorted(dims):
         by_slope.setdefault(slopes[cid], []).append(cid)
-    trees: list[tuple[list[str], _Node, int]] = []
+    trees: list[tuple[list[str], _Node, int, list[Fraction]]] = []
     for lam in sorted(by_slope):
         ids = by_slope[lam]
         units = []
@@ -322,7 +313,9 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
             seen.update(orbit)
             units.append((orbit, dims[cid] == 1))
         g = math.gcd(*(dims[c] for c in ids)) ** 2
-        trees.append((ids, _build_tree(rng, units, lam, g, p.tree_depth), g))
+        hi = int(lam * g)
+        grid = [Fraction(k, g) for k in range(hi + 1)]
+        trees.append((ids, _build_tree(rng, units, hi, p.tree_depth), g, grid))
 
     classes = [IrreducibleClass(cid, dims[cid], slopes[cid], deg[cid], dual[cid])
                for cid in sorted(dims)]
@@ -332,17 +325,20 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
     # round that raises nothing leaves `bare` as the model, flags unset.
     for _round in range(100):
         entries = {}  # s(a,b) = D(a, dual b) within each level
-        for ids, tree, _ in trees:
+        for ids, tree, _, grid in trees:
             dist = _tree_distances(tree)
             for a_idx, a in enumerate(ids):
                 for b in ids[a_idx:]:
-                    s = entries[a, b] = dist[(a, dual[b])]
-                    if dist[(dual[a], b)] != s:
+                    d = dist[(a, dual[b])]
+                    if dist[(dual[a], b)] != d:
                         raise GeneratorError("dual involution is not a tree isometry")
+                    entries[a, b] = grid[d]
         bare = ModelInstance(classes, entries, chars)
-        min_slope = {c: Fraction(min(bare.S[chi][a] for chi in bare.chars), bare.L)
-                     for a, c in enumerate(bare.ids)}
-        changed = sum(_enforce_floors(tree, min_slope, g) for _, tree, g in trees)
+        # least[c] = L * min_slope(c); its floor on a level's grid is
+        # ceil(g * min_slope(c) / 2), at most ceil(hi / 2) as u is a character.
+        least = dict(zip(bare.ids, map(min, zip(*(bare.S[chi] for chi in bare.chars)))))
+        changed = sum(_enforce_floors(tree, {c: -(-least[c] * g // (2 * bare.L)) for c in ids})
+                      for ids, tree, g, _ in trees)
         if changed == 0:
             break
         stats.repair_rounds += 1

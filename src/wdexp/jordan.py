@@ -1,8 +1,10 @@
 """Exact nilpotent linear algebra: ground truth for the unramified theory.
 
 Jordan blocks are realized as genuine matrices, tensor-sum operators
-J_a (x) 1 + 1 (x) J_b are built explicitly, and ranks come from exact
-fraction-free Gaussian elimination.  Nothing here consults the pairing
+J_p (x) 1 + 1 (x) J_q of block pairs are built explicitly, and ranks come
+from exact fraction-free Gaussian elimination.  The operator of two
+partitions is the direct sum of its block-pair operators, so its rank is
+the sum of the block-pair ranks.  Nothing here consults the pairing
 table or the exponent formulas, which is the point: for representations
 supported on the unramified orbit, the Artin exponent equals the rank of
 the nilpotent operator, so these ranks independently check the formula
@@ -121,42 +123,36 @@ def jordan_type_from_ranks(n: int, ranks: list[int]) -> Partition:
 # -- tensor-sum operators ----------------------------------------------------
 
 
-def _tensor_sum_matrix(a: Partition, b: Partition) -> dict:
-    """Sparse map of J_a (x) 1 + 1 (x) J_b for block-diagonal regular
-    nilpotents built from the two partitions.
+def _tensor_sum_matrix(p: int, q: int) -> dict:
+    """Sparse map of J_p (x) 1 + 1 (x) J_q for one block pair.
 
-    Basis vector (block pair bp, i, j) maps to (bp, i+1, j) + (bp, i, j+1),
-    coordinates clipped at the block boundary.  Indices are packed by the
-    antidiagonal i+j, which keeps elimination fill-in local.
+    Basis vector (i, j) maps to (i+1, j) + (i, j+1), coordinates clipped at
+    the block boundary.  Indices are packed by the antidiagonal i+j, which
+    keeps elimination fill-in local.
     """
+    def idx(i, j):
+        return (i + j) * p + i
+
     mat = {}
-    offsets = []
-    base = 0
-    width = max(list(a.parts) + list(b.parts)) + 2
-    for p in a.parts:
-        for q in b.parts:
-            offsets.append((base, p, q))
-            base += (p + q + 2) * width
-    for base_idx, p, q in offsets:
-        def idx(i, j):
-            return base_idx + (i + j) * width + i
-        for i in range(p):
-            for j in range(q):
-                row = {}
-                if i + 1 < p:
-                    row[idx(i + 1, j)] = 1
-                if j + 1 < q:
-                    row[idx(i, j + 1)] = 1
-                if row:
-                    mat[idx(i, j)] = row
+    for i in range(p):
+        for j in range(q):
+            row = {}
+            if i + 1 < p:
+                row[idx(i + 1, j)] = 1
+            if j + 1 < q:
+                row[idx(i, j + 1)] = 1
+            if row:
+                mat[idx(i, j)] = row
     return mat
 
 
 def nilpotent_rank(a: Partition, b: Partition) -> int:
-    """Rank of J_a (x) 1 + 1 (x) J_b by exact elimination."""
+    """Rank of J_a (x) 1 + 1 (x) J_b by exact elimination.  The operator is
+    the direct sum of the block-pair operators J_p (x) 1 + 1 (x) J_q, so its
+    rank is the sum of the block-pair ranks."""
     if not a.parts or not b.parts:
         raise ValueError("partitions must be nonempty")
-    return exact_rank(_tensor_sum_matrix(a, b).values())
+    return sum(exact_rank(_tensor_sum_matrix(p, q).values()) for p in a.parts for q in b.parts)
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +161,7 @@ def tensor_partition(r: int, s: int) -> Partition:
     powers.  Has min(r,s) parts summing to r*s."""
     if r < 1 or s < 1:
         raise ValueError("block sizes must be >= 1")
-    mat = _tensor_sum_matrix(Partition((r,)), Partition((s,)))
+    mat = _tensor_sum_matrix(r, s)
     n = r * s
     return jordan_type_from_ranks(n, rank_sequence(mat, n))
 

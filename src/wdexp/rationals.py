@@ -8,16 +8,29 @@ Rationals cross module and file boundaries as reduced "p/q" strings
 from fractions import Fraction
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction. Raises ValueError on junk,
-    a zero denominator, an underscore and a non-ASCII character included
-    (`int` would read "1_0" as 10 and "١" as 1)."""
-    if isinstance(text, int):
-        return Fraction(text)
+def _spelled(text, kind: str) -> str:
+    """The text of an outside number, refused if it holds an underscore or
+    a non-ASCII character (`int` would read "1_0" as 10 and "١" as 1)."""
     s = str(text)
     if "_" in s or not s.isascii():
-        raise ValueError(f"invalid rational {text!r}")
-    s = s.strip()
+        raise ValueError(f"invalid {kind} {text!r}")
+    return s
+
+
+def parse_int(text) -> int:
+    """Parse a decimal integer, with an optional sign and outer ASCII
+    whitespace, under the spelling rule of `parse_rational`."""
+    if isinstance(text, int):
+        return int(text)
+    return int(_spelled(text, "int"))
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" or "p" into a Fraction. Raises ValueError on junk,
+    a zero denominator, an underscore and a non-ASCII character included."""
+    if isinstance(text, int):
+        return Fraction(text)
+    s = _spelled(text, "rational").strip()
     if "/" in s:
         num, _, den = s.partition("/")
         if int(den) == 0:

@@ -4,6 +4,7 @@ Text grammar (whitespace-insensitive):
 
     rep  := term ('+' term)* | '0'
     term := [int '*'] 'Sp_' int '(' id ')'
+    int  := [0-9]+   (ASCII digits, as in slopes)
 
 Normalization merges equal indecomposables and sorts terms by
 (class id, Sp-length); the canonical printer inverts `parse_rep` on
@@ -75,7 +76,7 @@ class WDRep:
         return {ind.cls for _, ind in self.terms}
 
 
-_TOKEN = re.compile(r"(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[*+()]))")
+_TOKEN = re.compile(r"(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[*+()]))")
 
 
 def _tokenize(text: str):
@@ -124,7 +125,7 @@ def parse_rep(text: str, m: ModelInstance) -> WDRep:
             if mult < 1:
                 raise RepSyntaxError(f"multiplicity must be >= 1, got {mult}", t[2])
         name = take("name")
-        mm = re.fullmatch(r"Sp_(\d+)", name[1])
+        mm = re.fullmatch(r"Sp_([0-9]+)", name[1])
         if not mm:
             raise RepSyntaxError(f"expected 'Sp_<int>', found {name[1]!r}", name[2])
         r = int(mm.group(1))

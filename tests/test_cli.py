@@ -113,11 +113,10 @@ def test_oracle_mismatch_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("wdexp.cli.unramified_oracle_artin", lambda x, y: -1)
     code, out, err = _run(capsys, "oracle", "--max-r", "2", "--max-terms", "1")
     assert code == 1
-    sp = [f"WDRep(terms=((1, Indecomposable(r={r}, cls='u')),))" for r in (1, 2)]
     assert err.splitlines() == [
-        f"MISMATCH: {sp[0]} (x) {sp[0]}: formula=0 rank=-1",
-        f"MISMATCH: {sp[0]} (x) {sp[1]}: formula=1 rank=-1",
-        f"MISMATCH: {sp[1]} (x) {sp[1]}: formula=2 rank=-1",
+        "MISMATCH: Sp_1(u) (x) Sp_1(u): formula=0 rank=-1",
+        "MISMATCH: Sp_1(u) (x) Sp_2(u): formula=1 rank=-1",
+        "MISMATCH: Sp_2(u) (x) Sp_2(u): formula=2 rank=-1",
     ]
     assert out == "oracle: 3 tensor pairs checked, 3 mismatches; 4 block pairs, 0 failures\n"
 
@@ -372,6 +371,31 @@ def test_slope_spellings_load_alike(tmp_path, capsys):
     code, out, err = _run(capsys, "eval", "-m", str(path), "-e", "Sp_1(u)")
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_integer_flags_follow_the_spelling_rule(tmp_path, capsys):
+    """Integer flags, --dims and representation integers are ASCII digits:
+    `int` and a `\\d` pattern would read "1_0" as 10 and "\u0663" as 3."""
+    model = tmp_path / "m.json"
+    assert _run(capsys, "gen-model", "--seed", "-1", "--classes-per-level", " 1 ",
+                "-o", str(model))[0] == 0
+    bad = (
+        ("gen-model", "--classes-per-level", "1_0", "--dims", "1,2_0", "--seed", "\u0663",
+         "-o", str(tmp_path / "x.json")),
+        ("gen-model", "--classes-per-level", "1_0", "-o", str(tmp_path / "x.json")),
+        ("gen-model", "--dims", "1,2_0", "-o", str(tmp_path / "x.json")),
+        ("gen-model", "--seed", "\u0663", "-o", str(tmp_path / "x.json")),
+        ("check", "--models", "1_0", "--pairs", "\uff12"),
+        ("check", "--models", "\uff12"),
+        ("oracle", "--max-r", "\u0662"),
+        ("bound", "--d1", "1_0", "--v1", "1", "--d2", "1", "--v2", "1"),
+        ("eval", "-m", str(model), "-e", "\u0662*Sp_1(u)"),
+    )
+    for argv in bad:
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert [line for line in err.splitlines() if "error: " in line] == err.splitlines()[-1:], argv
+    assert not (tmp_path / "x.json").exists()
 
 
 def _paths(node, prefix=()):

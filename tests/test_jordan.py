@@ -47,6 +47,54 @@ def test_multi_block_rank_additive_structure():
     assert got == expected
 
 
+def _packed_tensor_sum_matrix(a: Partition, b: Partition) -> dict:
+    """Reference: the sparse map of J_a (x) 1 + 1 (x) J_b for the
+    block-diagonal nilpotents of both partitions, as one matrix.  Basis
+    vector (block pair bp, i, j) maps to (bp, i+1, j) + (bp, i, j+1),
+    coordinates clipped at the block boundary."""
+    mat = {}
+    offsets = []
+    base = 0
+    width = max(list(a.parts) + list(b.parts)) + 2
+    for p in a.parts:
+        for q in b.parts:
+            offsets.append((base, p, q))
+            base += (p + q + 2) * width
+    for base_idx, p, q in offsets:
+        def idx(i, j):
+            return base_idx + (i + j) * width + i
+        for i in range(p):
+            for j in range(q):
+                row = {}
+                if i + 1 < p:
+                    row[idx(i + 1, j)] = 1
+                if j + 1 < q:
+                    row[idx(i, j + 1)] = 1
+                if row:
+                    mat[idx(i, j)] = row
+    return mat
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_block_pair_rank_sum_matches_one_packed_elimination():
+    # the operator is a direct sum over block pairs, so eliminating the
+    # whole packed matrix at once gives the sum of the block-pair ranks
+    parts = [Partition(t) for n in range(1, 7) for t in _partitions(n)]
+    assert len(parts) == 29
+    for a in parts:
+        for b in parts:
+            expected = exact_rank(_packed_tensor_sum_matrix(a, b).values())
+            assert nilpotent_rank(a, b) == expected, (a, b)
+
+
 def test_empty_partition_rejected():
     with pytest.raises(ValueError):
         nilpotent_rank(Partition(()), Partition((1,)))
@@ -72,7 +120,7 @@ def test_rank_sequence_convex_decreasing():
     from wdexp.jordan import _tensor_sum_matrix
 
     for r, s in ((2, 2), (3, 4), (5, 2)):
-        mat = _tensor_sum_matrix(Partition((r,)), Partition((s,)))
+        mat = _tensor_sum_matrix(r, s)
         seq = [r * s] + rank_sequence(mat, r * s)
         diffs = [seq[k] - seq[k + 1] for k in range(len(seq) - 1)]
         assert all(d >= 0 for d in diffs)

@@ -21,7 +21,7 @@ from wdexp.model import (
     _subdominant_ultrametric,
     validate_model,
 )
-from wdexp.rationals import format_rational, parse_rational
+from wdexp.rationals import format_rational, parse_int, parse_rational
 
 
 def test_rational_round_trip():
@@ -32,6 +32,12 @@ def test_rational_round_trip():
     for junk in ("x/y", "1/0", "3/00", "x", "", "0_1", "1_0", "2_0/2_0", "\u0661", "\uff11"):
         with pytest.raises(ValueError):
             parse_rational(junk)
+    # integers from outside follow the same spelling rule
+    for text, value in (("7", 7), (" 7 ", 7), ("-1", -1), ("+3", 3), ("007", 7), (5, 5)):
+        assert parse_int(text) == value
+    for junk in ("1_0", "\u0663", "\uff12", "1/2", "x", "", "\u20037"):
+        with pytest.raises(ValueError):
+            parse_int(junk)
 
 
 def test_unit_only_model_is_valid(unit_model):
