@@ -7,9 +7,10 @@ else is self-dual.  Distances D(a,b) are least-common-ancestor heights,
 leaves carry self-distances below their parent, and the pairing is read off
 as s(a,b) = D(a, dual(b)).  Heights are ints in [0, g*lam], in units of 1/g
 on the level's grid (g the squared gcd of its dimensions), and become
-`Fraction` in one place: each level's list of grid values, which the
-within-level entries given to `ModelInstance` are read from.  Its
-constructor forces cross-level pairs to the max slope.
+`Fraction` in one place: each repair round maps the distinct distances of
+a level's tree to `Fraction(d, g)` and reads the within-level entries
+given to `ModelInstance` from that map, so the cost does not grow with g.
+Its constructor forces cross-level pairs to the max slope.
 
 A repair pass then raises heights until every entry satisfies
 
@@ -297,11 +298,11 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
         deg[dual[cid]] = d
 
     # One ultrametric tree per slope value present, in units of 1/g: every
-    # dim m at the level makes m*lam an int, so hi = g*lam is one too.
+    # dim m at the level makes m*lam an int, so g*lam is one too.
     by_slope: dict[Fraction, list[str]] = {}
     for cid in sorted(dims):
         by_slope.setdefault(slopes[cid], []).append(cid)
-    trees: list[tuple[list[str], _Node, int, list[Fraction]]] = []
+    trees: list[tuple[list[str], _Node, int]] = []
     for lam in sorted(by_slope):
         ids = by_slope[lam]
         units = []
@@ -313,9 +314,7 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
             seen.update(orbit)
             units.append((orbit, dims[cid] == 1))
         g = math.gcd(*(dims[c] for c in ids)) ** 2
-        hi = int(lam * g)
-        grid = [Fraction(k, g) for k in range(hi + 1)]
-        trees.append((ids, _build_tree(rng, units, hi, p.tree_depth), g, grid))
+        trees.append((ids, _build_tree(rng, units, int(lam * g), p.tree_depth), g))
 
     classes = [IrreducibleClass(cid, dims[cid], slopes[cid], deg[cid], dual[cid])
                for cid in sorted(dims)]
@@ -325,20 +324,21 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
     # round that raises nothing leaves `bare` as the model, flags unset.
     for _round in range(100):
         entries = {}  # s(a,b) = D(a, dual b) within each level
-        for ids, tree, _, grid in trees:
+        for ids, tree, g in trees:
             dist = _tree_distances(tree)
+            value = {d: Fraction(d, g) for d in set(dist.values())}
             for a_idx, a in enumerate(ids):
                 for b in ids[a_idx:]:
                     d = dist[(a, dual[b])]
                     if dist[(dual[a], b)] != d:
                         raise GeneratorError("dual involution is not a tree isometry")
-                    entries[a, b] = grid[d]
+                    entries[a, b] = value[d]
         bare = ModelInstance(classes, entries, chars)
         # least[c] = L * min_slope(c); its floor on a level's grid is
-        # ceil(g * min_slope(c) / 2), at most ceil(hi / 2) as u is a character.
+        # ceil(g * min_slope(c) / 2), at most ceil(g * lam / 2) as u is a character.
         least = dict(zip(bare.ids, map(min, zip(*(bare.S[chi] for chi in bare.chars)))))
         changed = sum(_enforce_floors(tree, {c: -(-least[c] * g // (2 * bare.L)) for c in ids})
-                      for ids, tree, g, _ in trees)
+                      for ids, tree, g in trees)
         if changed == 0:
             break
         stats.repair_rounds += 1

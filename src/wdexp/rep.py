@@ -125,7 +125,7 @@ def parse_rep(text: str, m: ModelInstance) -> WDRep:
             if mult < 1:
                 raise RepSyntaxError(f"multiplicity must be >= 1, got {mult}", t[2])
         name = take("name")
-        mm = re.fullmatch(r"Sp_([0-9]+)", name[1])
+        mm = re.fullmatch(r"Sp_(\d+)", name[1])
         if not mm:
             raise RepSyntaxError(f"expected 'Sp_<int>', found {name[1]!r}", name[2])
         r = int(mm.group(1))

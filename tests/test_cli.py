@@ -5,10 +5,12 @@ import io
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from conftest import ZOO_DOC
+from wdexp import generator
 from wdexp.cli import run_command
 from wdexp.generator import SplitMix64
 from wdexp.jordan import Partition
@@ -77,6 +79,27 @@ def test_gen_model_serializes_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(documents) == 1
     assert out.split()[1] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_gen_model_cost_does_not_grow_with_dims(tmp_path, capsys, monkeypatch):
+    # With --dims 10000 the level 1/2 holds only dimension-10000 classes, so
+    # its grid has g = 10^8 units of 1/g.  The generator makes one Fraction
+    # per distinct tree height, never one per grid point; past the cap the
+    # counter stops the run instead of letting it fill memory.
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        if len(made) > 100:
+            raise AssertionError("gen-model makes a Fraction per grid point")
+        return Fraction(*args)
+
+    monkeypatch.setattr(generator, "Fraction", counting_fraction)
+    path = tmp_path / "m.json"
+    code, out, _ = _run(capsys, "gen-model", "--dims", "10000", "-o", str(path))
+    assert code == 0
+    assert out.split()[1] == "cf8361aacb53bec46a39b90c0aa21aa835dbe2626ff323d237ff3ead58e1da3c"
+    assert len(made) <= 100
 
 
 def test_check_writes_report(tmp_path, capsys):
