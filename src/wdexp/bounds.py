@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 from .exponents import (character_twists, exponents_of, is_minimal_among, swan_profile,
                         tensor_exponents)
@@ -343,5 +344,55 @@ def swan_bridge_gap(x: WDRep, y: WDRep, m: ModelInstance) -> Fraction:
     return v - tensor_exponents(x, y, m).sw
 
 
+# One report row of `results_to_json`: its keys in sorted order, indented as
+# `json.dumps(..., indent=1)` indents a row of a list.  A value that spans
+# lines starts each further line with _ROW_PAD, or inside `inputs` with
+# _INPUTS_PAD.
+_ROW = ('{\n  "equality": %s,\n  "holds": %s,\n  "inputs": %s,\n  "lhs": "%s",\n'
+        '  "precondition_failed": %s,\n  "rhs": "%s",\n  "theorem": %s\n }')
+_ROW_PAD, _INPUTS_PAD = "\n  ", "\n   "
+
+
+class _Strings(dict):
+    """The JSON text of each string, encoded once per report: a pair's
+    digest, x and y repeat across its rows."""
+
+    def __missing__(self, s):
+        text = self[s] = encode_basestring_ascii(s)
+        return text
+
+
+def _json_value(v, strings: _Strings, pad: str) -> str:
+    """The `indent=1, sort_keys=True` text of v where `pad` starts a line."""
+    if type(v) is str:
+        return strings[v]
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    return json.dumps(v, indent=1, sort_keys=True).replace("\n", pad)
+
+
+def _json_inputs(d, strings: _Strings) -> str:
+    """The text of a row's `inputs`: a dict with string keys is written
+    here, anything else by `_json_value`."""
+    if type(d) is not dict or not d or not all(type(k) is str for k in d):
+        return _json_value(d, strings, _ROW_PAD)
+    return "{\n   " + ",\n   ".join([strings[k] + ": " + _json_value(v, strings, _INPUTS_PAD)
+                                     for k, v in sorted(d.items())]) + "\n  }"
+
+
 def results_to_json(results) -> str:
-    return json.dumps([r.to_json_dict() for r in results], indent=1, sort_keys=True) + "\n"
+    """The text of `json.dumps([r.to_json_dict() for r in results], indent=1,
+    sort_keys=True) + "\\n"`, written row by row without the pure-Python
+    encoder that `indent` selects."""
+    strings = _Strings()
+    rows = [_ROW % (_json_value(r.equality, strings, _ROW_PAD),
+                    _json_value(r.holds, strings, _ROW_PAD),
+                    _json_inputs(r.inputs, strings),
+                    format_rational(r.lhs),
+                    _json_value(r.precondition_failed, strings, _ROW_PAD),
+                    format_rational(r.rhs),
+                    _json_value(r.theorem, strings, _ROW_PAD))
+            for r in results]
+    return "[\n " + ",\n ".join(rows) + "\n]\n" if rows else "[]\n"

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from itertools import combinations_with_replacement
+from string import whitespace
 
 from .bounds import (check_sweep_args, results_to_json, run_sweep, sharpness_suite,
                      witness_model)
@@ -95,7 +96,7 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    theorems = tuple(t.strip() for t in args.theorems.split(",") if t.strip())
+    theorems = tuple(t.strip(whitespace) for t in args.theorems.split(",") if t.strip(whitespace))
     gen = _gen_params_from_args(args, args.seed)
     check_sweep_args(theorems, args.models, args.pairs, args.max_terms, args.max_r)
     if args.out:

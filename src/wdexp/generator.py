@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from string import whitespace
 
 from .model import (
     UNRAMIFIED_ID,
@@ -117,9 +118,9 @@ class GenParams:
     def from_strings(levels: str, classes_per_level=2, dims="1,2,3,4", max_deg=4,
                      tree_depth=3, char_per_level=1, seed=0) -> "GenParams":
         return GenParams(
-            slope_levels=tuple(parse_rational(t) for t in levels.split(",") if t.strip()),
+            slope_levels=tuple(parse_rational(t) for t in levels.split(",") if t.strip(whitespace)),
             classes_per_level=parse_int(classes_per_level),
-            dim_pool=tuple(parse_int(t) for t in str(dims).split(",") if t.strip()),
+            dim_pool=tuple(parse_int(t) for t in str(dims).split(",") if t.strip(whitespace)),
             max_deg=parse_int(max_deg),
             tree_depth=parse_int(tree_depth),
             char_per_level=parse_int(char_per_level),

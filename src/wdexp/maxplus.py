@@ -24,11 +24,15 @@ class MaxPlusElem:
         d: dict[Fraction, int] = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for a, c in items:
-            a = Fraction(a)
-            c = int(c)
+            if type(a) is not Fraction:
+                a = Fraction(a)
+            if type(c) is not int:
+                c = int(c)
             if c:
-                d[a] = d.get(a, 0) + c
-                if not d[a]:
+                c += d.get(a, 0)
+                if c:
+                    d[a] = c
+                else:
                     del d[a]
         self.coeffs = d
 
@@ -81,8 +85,10 @@ def s_map(constituents) -> MaxPlusElem:
     d = total dimension and v = total Swan exponent."""
     items = []
     for dim, slope in constituents:
-        dim = int(dim)
-        slope = Fraction(slope)
+        if type(dim) is not int:
+            dim = int(dim)
+        if type(slope) is not Fraction:
+            slope = Fraction(slope)
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         if slope < 0:

@@ -41,7 +41,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q) -> str:
     """Canonical reduced string: "3/4", "-1/2", "2", "0"."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -1,6 +1,6 @@
 """Semisimple representations as multisets of indecomposables Sp_r(class).
 
-Text grammar (whitespace-insensitive):
+Text grammar (insensitive to ASCII whitespace):
 
     rep  := term ('+' term)* | '0'
     term := [int '*'] 'Sp_' int '(' id ')'
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from string import whitespace
 
 from .model import ModelInstance
 
@@ -82,7 +83,7 @@ _TOKEN = re.compile(r"(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sy
 def _tokenize(text: str):
     pos, out = 0, []
     while pos < len(text):
-        if text[pos].isspace():
+        if text[pos] in whitespace:
             pos += 1
             continue
         mt = _TOKEN.match(text, pos)

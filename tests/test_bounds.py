@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from wdexp.bounds import (
     SWEEP_FAMILIES,
+    CheckResult,
     PairExponents,
     check_bound_A,
     check_bound_B,
@@ -24,6 +26,7 @@ from wdexp.bounds import (
 from wdexp.exponents import indec_tensor_kernel
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
 from wdexp.model import IrreducibleClass, ModelStructureError
+from wdexp.rationals import format_rational
 from wdexp.rep import WDRep, parse_rep
 
 ALL_FAMILIES = ("A", "AS", "B", "BS", "C", "CS")
@@ -284,6 +287,19 @@ def test_swan_bridge(zoo_model):
         assert swan_bridge_gap(x, y, zoo_model) >= 0
 
 
+def test_swan_bridge_gaps_are_pinned():
+    # sha256 of the gap of every pair a fixed sweep draws, one reduced
+    # rational a line, recorded before MaxPlusElem stopped converting keys
+    # that are already Fractions.
+    samples = []
+    run_sweep(ALL_FAMILIES, 4, 25, GenParams.from_strings("0,1/2,1,2"), seed=0,
+              sample_hook=lambda m, x, y: samples.append((m, x, y)))
+    assert len(samples) == 100
+    text = "".join(format_rational(swan_bridge_gap(x, y, m)) + "\n" for m, x, y in samples)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "499603ede32253120946eb4d6cc107216f3656060f978a0b6d6374df28034c09")
+
+
 def test_checks_for_pair_labels(zoo_model):
     x = parse_rep("Sp_1(a)", zoo_model)
     y = parse_rep("Sp_1(b)", zoo_model)
@@ -317,6 +333,43 @@ def test_sweep_output_is_pinned():
         "466b989cedf3a41aa6ce85fd09d2ffbb9897fd6fba02ca5ab028aab861bae54a")
     assert hashlib.sha256(summary.csv().encode()).hexdigest() == (
         "061d9cac08dd40b74a71d200304195367062b9dbcbcbc3d13f1e4cce3c169197")
+
+
+def _dumps_report(results):
+    return json.dumps([r.to_json_dict() for r in results], indent=1, sort_keys=True) + "\n"
+
+
+def test_report_writer_matches_json_dumps():
+    # results_to_json writes each row itself; its bytes must be those of
+    # json.dumps on the rows' dicts.
+    gen = GenParams.from_strings("0,1/2,1,2")
+    for entry in range(6):
+        results, _ = run_sweep(ALL_FAMILIES, 10, 50, gen, seed=entry * 10)
+        assert results_to_json(results) == _dumps_report(results), entry
+    suite = sharpness_suite()
+    assert {type(v) for r in suite for v in r.inputs.values()} == {int, str}
+    assert results_to_json(suite) == _dumps_report(suite)
+    assert results_to_json([]) == _dumps_report([]) == "[]\n"
+
+
+def test_report_writer_matches_json_dumps_on_odd_rows():
+    odd = [
+        CheckResult("A\u00e9", Fraction(-3, 4), 2, True, False, {
+            "x": "Sp_1(\u00e9)", "quote": 'say "hi"', "back": "a\\b", "ctrl": "\t\x07\x00\ud800",
+            "wide": "\U0001d53d", "empty": {}, "list": [1, "\u3000", {"z": [], "a": None}],
+            "deep": {"k": {"j": 1.5, "i": [[]]}}, "": "x", "flag": True, "none": None}),
+        CheckResult("\U0001d53d", 0, Fraction(1, 3), 1, 0, {}, precondition_failed=None),
+        CheckResult("C", 1, 1, True, True, ["not", "a", "dict"]),
+        CheckResult("C", 1, 1, True, True, {2: "int keys", 1: False}),
+        CheckResult("C", 1, 1, True, True, {"b": [{"c": {}}], "a": ""}, precondition_failed="?"),
+    ]
+    assert results_to_json(odd) == _dumps_report(odd)
+    for r in odd:
+        assert results_to_json([r]) == _dumps_report([r])
+    mixed = [CheckResult("C", 1, 1, True, True, {"a": 1, 2: "b"})]
+    for write in (_dumps_report, results_to_json):
+        with pytest.raises(TypeError):
+            write(mixed)
 
 
 def test_sweep_evaluates_each_pair_once(monkeypatch):

@@ -421,6 +421,25 @@ def test_integer_flags_follow_the_spelling_rule(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_only_ascii_whitespace_separates(tmp_path, capsys, model_file):
+    """Expressions, theorem lists and --levels/--dims lists skip only ASCII
+    whitespace: an ideographic space is a usage error, not a separator."""
+    assert _run(capsys, "eval", "-m", str(model_file), "-e", " Sp_1(u)\t+ Sp_2(u)\n")[0] == 0
+    assert _run(capsys, "check", "--theorems", " A,\tC ", "--models", "1", "--pairs", "1")[0] == 0
+    bad = (
+        ("eval", "-m", str(model_file), "-e", "Sp_1(u)\u3000+ Sp_2(u)"),
+        ("check", "--theorems", "A,\u3000C", "--models", "1", "--pairs", "1"),
+        ("check", "--theorems", "A,\u3000", "--models", "1", "--pairs", "1"),
+        ("gen-model", "--levels", "0,1,\u3000", "-o", str(tmp_path / "x.json")),
+        ("gen-model", "--dims", "1,\u3000", "-o", str(tmp_path / "x.json")),
+    )
+    for argv in bad:
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+    assert not (tmp_path / "x.json").exists()
+
+
 def _paths(node, prefix=()):
     """The key path of every entry below node, containers included."""
     items = node.items() if isinstance(node, dict) else enumerate(node)

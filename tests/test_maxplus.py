@@ -45,6 +45,30 @@ def test_canonical_form_drops_zeros():
     assert repr(elem((Fraction(1, 2), 1), (0, 2))) == "2[0] + [1/2]"
 
 
+def test_keys_and_coefficients_take_one_canonical_form():
+    want = {Fraction(1, 2): 3, Fraction(2): 1}
+    for coeffs in (
+        [(Fraction(1, 2), 3), (Fraction(2), 1)],
+        [("1/2", 3), (2, 1)],
+        [(Fraction(2, 4), 2), ("1/2", True), (2, True), (7, False)],
+        {"1/2": 3, Fraction(2): 1},
+        [(Fraction(1, 2), 3), ("3", 4), (2, 1), (3, -4)],
+    ):
+        e = MaxPlusElem(coeffs)
+        assert e.coeffs == want
+        assert all(type(a) is Fraction for a in e.coeffs)
+        assert all(type(c) is int for c in e.coeffs.values())
+    # a sum that cancels drops its key, and a later term can bring it back
+    assert MaxPlusElem([(1, 2), ("1", -2)]).coeffs == {}
+    assert MaxPlusElem([(1, 2), (0, 1), (Fraction(1), -2)]).coeffs == {Fraction(0): 1}
+    assert MaxPlusElem([(1, 2), (1, -2), (1, 5)]).coeffs == {Fraction(1): 5}
+    assert MaxPlusElem([(1, True), (1, -1)]) == MaxPlusElem.zero()
+    assert not elem((3, 1)) + elem((3, -1))
+    e = s_map([(True, "1/2"), (2, 0)])
+    assert e.coeffs == {Fraction(1, 2): 1, Fraction(0): 2}
+    assert all(type(c) is int for c in e.coeffs.values())
+
+
 def test_degree_weight_examples():
     assert mp_degree_weight(elem((Fraction(5, 7), 1))) == (1, Fraction(5, 7))
     assert mp_degree_weight(MaxPlusElem.zero()) == (0, 0)

@@ -31,6 +31,16 @@ def test_whitespace_insensitive(zoo_model):
     a = parse_rep("Sp_2(a)+3*Sp_1(b)", zoo_model)
     b = parse_rep("  Sp_2( a ) +  3 * Sp_1( b )  ", zoo_model)
     assert a == b
+    assert parse_rep("\tSp_2(a)\n+\r3*Sp_1(b)\f\v", zoo_model) == a
+
+
+def test_only_ascii_whitespace_separates(zoo_model):
+    # an ideographic space, a no-break space and an information separator
+    # are `str.isspace()` but not ASCII whitespace
+    for sep in ("\u3000", "\xa0", "\x1f"):
+        with pytest.raises(RepSyntaxError) as exc:
+            parse_rep(f"Sp_2(a){sep}+ Sp_1(b)", zoo_model)
+        assert exc.value.position == 7
 
 
 def test_canonical_order(zoo_model):
