@@ -10,22 +10,25 @@ evaluated only by `indec_tensor_kernel`:
 A pair of unramified indecomposables gives the rank formula r*s - min(r,s),
 and `tensor_exponents` expands the kernel bilinearly.  `kernel_row` is the
 kernel of Sp_1(i) with every class at once, times L, for the validator's
-M8.  Twisting by a character chi puts Sp_1(chi) on the left; Sp_r of the
-dual orbit of chi then twists into the unramified orbit, with ar = r-1.
-`exponents_of` is the twist by the unramified orbit Sp_1(u): the unit row
-s(u,i) = slope_i gives sw = r*m_i*slope_i, ar(Sp_r(u)) = r-1 and the
-additive rule ar(Sp_r(sigma)) = r*ar(sigma) for ramified sigma.
-`character_twists` lists the character twists of x once, and
-`is_minimal_among` compares them with `exponents_of(x)` for either mode.
-The kernel computes in integers on the model's integer tables
-(`ModelInstance.S`, `dim`, `deg`, `dual`).
+M8 and for class minimality.  Twisting by a character chi puts Sp_1(chi)
+on the left; Sp_r of the dual orbit of chi then twists into the unramified
+orbit, with ar = r-1.  `exponents_of` is the twist by the unramified orbit
+Sp_1(u): the unit row s(u,i) = slope_i gives sw = r*m_i*slope_i,
+ar(Sp_r(u)) = r-1 and the additive rule ar(Sp_r(sigma)) = r*ar(sigma) for
+ramified sigma.  `character_twists` lists the character twists of x once,
+and `is_minimal_among` compares them with `exponents_of(x)` for either
+mode.  `class_minimality` applies the same rule to every Sp_1(i) at once,
+reading the twists off the characters' kernel rows; it is the one source
+of the class flags.  The kernel computes in integers on the model's
+integer tables (`ModelInstance.S`, `dim`, `deg`, `dual`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import add, eq, mul
 
 from .model import MODES, UNRAMIFIED_ID, ModelInstance
 from .rep import WDRep
@@ -78,15 +81,15 @@ def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tup
 
 def kernel_row(a: int, m: ModelInstance) -> tuple[list[int], list[int], list[int]]:
     """The kernel of Sp_1(class a) tensor Sp_1(class b) for every class
-    index b, as three lists over b: L*ar, dim, and L*sw mod L.  The last is
-    nonzero exactly where sw is not an integer, the cells on which
-    `indec_tensor_kernel` raises; the others hold L times its ar."""
-    L, da = m.L, m.dim[a]
-    dims = [da * db for db in m.dim]
+    index b, as three lists over b: L*ar, L*sw and dim.  L*sw is a multiple
+    of L exactly where sw is an integer; on the other cells, where
+    `indec_tensor_kernel` raises, the row holds L times the rational values."""
+    L = m.L
+    dims = list(map(mul, repeat(m.dim[a]), m.dim))
     lsw = list(map(mul, dims, m.S[a]))
-    lar = [w + L * d for w, d in zip(lsw, dims)]
+    lar = list(map(add, lsw, map(mul, dims, repeat(L))))
     lar[m.dual[a]] -= L * m.deg[a]
-    return lar, dims, [w % L for w in lsw]
+    return lar, lsw, dims
 
 
 def tensor_exponents(x: WDRep, y: WDRep, m: ModelInstance) -> ExponentReport:
@@ -144,6 +147,23 @@ def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:
         raise ValueError("minimality is undefined for the zero representation")
     own = exponents_of(x, m)
     return is_minimal_among(own, character_twists(x, m, own), mode)
+
+
+def class_minimality(m: ModelInstance) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """(sigma, eta), in the order of MODES: bools over the class indices,
+    whether `is_minimal_rep` holds for Sp_1 of each class in that mode.
+    Cell b of a character's `kernel_row` is the twist of Sp_1(b) by it, and
+    cell b of the unramified orbit's row is Sp_1(b) itself, so class b is
+    minimal when no character's row falls below the unit row at b.  The
+    rows hold L times the exponents, so cells with a non-integral Swan
+    exponent, where `is_minimal_rep` raises, compare the rational values.
+    Raises ModelStructureError when m has no unramified orbit."""
+    ua = m.at(UNRAMIFIED_ID)
+    own = kernel_row(ua, m)
+    rows = [own if chi == ua else kernel_row(chi, m) for chi in m.chars]
+    # Item 1 of a row is L*sw (mode "sigma") and item 0 is L*ar ("eta").
+    return tuple(tuple(map(eq, map(min, zip(own[k], *(row[k] for row in rows))), own[k]))
+                 for k in (1, 0))
 
 
 def swan_profile(x: WDRep, m: ModelInstance) -> list[tuple[int, Fraction]]:

@@ -30,8 +30,9 @@ Raising heights keeps the tree laminar, so the ultrametric and
 dual-symmetry axioms survive repair.  The round that raises nothing has
 already built the final model.
 
-Flags are computed last, directly from that model, so the validator's
-re-verification holds by construction.
+Flags are computed last, by `exponents.class_minimality` on that model,
+the rule the validator re-verifies them with, so the re-verification holds
+by construction.  The flagged model is built from the same entries.
 
 The PRNG is splitmix64 with fixed reduction rules: identical parameters and
 seed reproduce identical models on any platform.
@@ -44,13 +45,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from string import whitespace
 
-from .model import (
-    UNRAMIFIED_ID,
-    IrreducibleClass,
-    ModelInstance,
-    is_minimal_class,
-    validate_model,
-)
+from .exponents import class_minimality
+from .model import UNRAMIFIED_ID, IrreducibleClass, ModelInstance, validate_model
 from .rationals import parse_int, parse_rational
 from .rep import Indecomposable, WDRep
 
@@ -347,11 +343,9 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
     else:
         raise GeneratorError("pairing repair did not converge in 100 rounds")
 
-    flagged = [
-        replace(c, minimal_sigma=is_minimal_class(c.id, "sigma", bare),
-                minimal_eta=is_minimal_class(c.id, "eta", bare))
-        for c in classes
-    ]
+    # `classes` is in sorted id order, as the flags are.
+    flagged = [replace(c, minimal_sigma=s, minimal_eta=e)
+               for c, s, e in zip(classes, *class_minimality(bare))]
     return ModelInstance(flagged, entries, chars)
 
 

@@ -7,7 +7,9 @@ of dimension-1 classes (the in-model character set).  The distinguished id
 "u" is reserved for the unramified-character orbit.
 
 `validate_model` checks the axiom set M1-M8 plus the structural type
-invariants and reports every violation with an explicit witness.  Structural
+invariants and reports every violation with an explicit witness.  It checks
+the class flags against `exponents.class_minimality`, the one
+twist-minimality rule, which `is_minimal_class` looks up.  Structural
 defects (unresolvable ids, a dual map that is not an involution, repeated
 pairing entries, an omitted entry that nothing forces) make `ModelInstance`
 raise `ModelStructureError` when the model is built: they make the axiom
@@ -76,11 +78,11 @@ class ModelInstance:
     to a), and `dim`, `deg`, `dual` (an index) and `slope` are tuples over
     a; `chars` lists the indices of the characters.  L is the lcm of the
     denominators of every slope and pairing entry, so `slope[a]` = L*slope
-    and `S[a][b]` = L*s(i,j) are exact ints for any input.  `classes` maps
-    id to class and `pairing`, derived from S and L, maps each sorted id
-    pair to its slope in sorted order; both are read-only.  No attribute
-    can be rebound, which is what lets `to_json()` make the file's text
-    from S once and keep it, and `digest()` hash that one text.
+    and `S[a][b]` = L*s(i,j) are exact ints for any input; S is the
+    model's only copy of the pairing.  `classes` maps id to class and is
+    read-only.  No attribute can be rebound, which is what lets `to_json()`
+    make the file's text from S once and keep it, and `digest()` hash that
+    one text.
 
     Construction raises ModelStructureError, in this order, unless every
     pairing entry names known ids, no pair is given in both orders, every
@@ -182,18 +184,6 @@ class ModelInstance:
         except KeyError:
             raise ModelStructureError(f"unknown class id {i!r}") from None
 
-    def pair(self, i: str, j: str) -> Fraction:
-        return Fraction(self.S[self.at(i)][self.at(j)], self.L)
-
-    @property
-    def pairing(self):
-        """Read-only {(i, j): s(i,j)} over sorted id pairs, in sorted order,
-        made from S on each call."""
-        ids, L = self.ids, self.L
-        return MappingProxyType({(i, ids[b]): Fraction(row[b], L)
-                                 for a, (i, row) in enumerate(zip(ids, self.S))
-                                 for b in range(a, len(ids))})
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -252,29 +242,16 @@ class ValidationReport:
 
 
 def is_minimal_class(i: str, mode: str, m: ModelInstance) -> bool:
-    """Whether twisting by any in-model character can lower the exponent.
+    """Whether no in-model character twist of Sp_1(i) lowers its Swan
+    exponent (mode "sigma") or its Artin exponent (mode "eta"): a lookup
+    into `exponents.class_minimality`, which raises ModelStructureError
+    when m has no unramified orbit."""
+    from .exponents import class_minimality  # deferred: exponents imports model
 
-    mode "sigma": every character chi satisfies dim_i * s(chi,i) >= sw_i.
-    mode "eta":   every character chi satisfies ar(chi ox sigma_i) >= ar_i,
-    where ar_i is 0 for the unramified orbit and dim_i*(slope_i+1) otherwise,
-    and the twisted Artin exponent is dim_i*(s(chi,i)+1) except that it is
-    0 when dim_i = 1 and chi is the dual orbit (the twist lands in the
-    unramified orbit).  Minimality is relative to the model's character set.
-    Both sides are compared times L, and never divided by dim_i.
-    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     a = m.at(i)
-    dim, L, S = m.dim[a], m.L, m.S
-    if mode == "sigma":
-        sw = dim * m.slope[a]
-        return all(dim * S[chi][a] >= sw for chi in m.chars)
-    ar = 0 if i == UNRAMIFIED_ID else dim * (m.slope[a] + L)
-    for chi in m.chars:
-        twisted = 0 if dim == 1 and chi == m.dual[a] else dim * (S[chi][a] + L)
-        if twisted < ar:
-            return False
-    return True
+    return class_minimality(m)[MODES.index(mode)][a]
 
 
 def _subdominant_ultrametric(W) -> list[list[int]]:
@@ -327,7 +304,7 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     On a valid model that is O(n^2); the worst case, many pairs with
     witnesses, is still O(n^3).
     """
-    from .exponents import kernel_row  # deferred: exponents imports model
+    from .exponents import class_minimality, kernel_row  # deferred: exponents imports model
 
     rep = ValidationReport()
     ids, S, L, slope, dim, dual = m.ids, m.S, m.L, m.slope, m.dim, m.dual
@@ -471,7 +448,8 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     # The kernel needs integral Swan exponents and both sides divide by
     # dimensions; when M1 or dim_positive already failed, that violation is
     # on record and the M8 comparison is skipped.  The rows of one eta share
-    # their maxima, and one scan of each row finds its failing cells.
+    # their maxima, one scan of each row finds its failing cells, and only
+    # those are tested for a Swan exponent that is not an integer.
     eta = [0 if i == UNRAMIFIED_ID else sl + L for i, sl in zip(ids, slope)]
     tops = {}
     for a, i in enumerate(ids):
@@ -480,17 +458,18 @@ def validate_model(m: ModelInstance) -> ValidationReport:
         if eta[a] not in tops:
             tops[eta[a]] = tuple(map(max, repeat(eta[a]), eta))
         top = tops[eta[a]]
-        lar, dims, rest = kernel_row(a, m)
+        lar, lsw, dims = kernel_row(a, m)
         for b in compress(range(n), map(gt, map(mul, dims, top), map(mul, lar, repeat(2)))):
-            if dim[b] >= 1 and not rest[b]:
+            if dim[b] >= 1 and not lsw[b] % L:
                 rep.add("M8", (i, ids[b]), Fraction(lar[b], L * dims[b]), Fraction(top[b], 2 * L))
 
-    # Flags re-verified against the character set, both directions.
-    for i, c in zip(ids, classes):
-        for mode, flag in (("sigma", c.minimal_sigma), ("eta", c.minimal_eta)):
-            actual = is_minimal_class(i, mode, m)
-            if flag != actual:
-                rep.add(f"flag_{mode}", (i,), int(flag), int(actual))
+    # Flags re-verified against the character set, both directions.  Without
+    # u there is no rule to compare them with, and unit_class is on record.
+    if UNRAMIFIED_ID in m.classes:
+        for i, c, *actual in zip(ids, classes, *class_minimality(m)):
+            for mode, flag, is_min in zip(MODES, (c.minimal_sigma, c.minimal_eta), actual):
+                if flag != is_min:
+                    rep.add(f"flag_{mode}", (i,), int(flag), int(is_min))
 
     return rep
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -94,9 +95,69 @@ def is_eta_homogeneous(x, m) -> bool:
     return len(values) == 1
 
 
+def pair(m, i, j) -> Fraction:
+    """s(i,j) of model m, read off its integer table."""
+    return Fraction(m.S[m.at(i)][m.at(j)], m.L)
+
+
+def pairing(m) -> dict:
+    """{(i, j): s(i,j)} of model m over sorted id pairs, in sorted order."""
+    ids, L = m.ids, m.L
+    return {(i, ids[b]): Fraction(row[b], L)
+            for a, (i, row) in enumerate(zip(ids, m.S)) for b in range(a, len(ids))}
+
+
 def dualized(m):
     """The model with every class replaced by its dual: class data is
     dual-invariant apart from the dual pointer, so each pairing entry
     {i,j} is re-sourced from {dual(i),dual(j)}."""
-    entries = {(i, j): m.pair(m.cls(i).dual, m.cls(j).dual) for (i, j), _ in m.pairing.items()}
+    entries = {(i, j): pair(m, m.cls(i).dual, m.cls(j).dual) for (i, j), _ in pairing(m).items()}
     return ModelInstance(m.classes.values(), entries, m.characters)
+
+
+def perturbations(m, rng):
+    """Single-entry and single-class perturbations of the valid model `m`:
+    entries moved to other table values, to negative or finer values, and
+    classes with dim 0 or negative, a slope with a new denominator, a deg
+    that does not divide dim, flipped flags, or a changed character list."""
+    classes = [m.classes[i] for i in sorted(m.classes)]
+    entries = pairing(m)
+    values = sorted(set(entries.values()))
+    keys = sorted(entries)
+    out = []
+    for k in range(20):
+        key = rng.choice(keys)
+        old = entries[key]
+        new = (rng.choice(values), old + Fraction(1, 3), old - Fraction(1, 2), old / 2,
+               Fraction(0))[k % 5]
+        out.append(ModelInstance(classes, {**entries, key: new}, m.characters))
+    changes = (
+        lambda c: replace(c, dim=0),
+        lambda c: replace(c, dim=-c.dim),
+        lambda c: replace(c, dim=c.dim + 1),
+        lambda c: replace(c, slope=c.slope + Fraction(1, 7)),
+        lambda c: replace(c, slope=2 * c.slope),
+        lambda c: replace(c, deg=0),
+        lambda c: replace(c, deg=c.dim + 1),
+        lambda c: replace(c, minimal_sigma=not c.minimal_sigma),
+        lambda c: replace(c, minimal_eta=not c.minimal_eta),
+        lambda c: replace(c, minimal_sigma=not c.minimal_sigma, minimal_eta=not c.minimal_eta),
+    )
+    for k in range(12):
+        a = rng.randrange(len(classes))
+        changed = classes[:a] + [changes[k % len(changes)](classes[a])] + classes[a + 1:]
+        out.append(ModelInstance(changed, pairing(m), m.characters))
+    dropped = rng.choice([ch for ch in m.characters if ch != "u"])
+    added = rng.choice([c.id for c in classes if c.id not in m.characters])
+    out.append(ModelInstance(classes, pairing(m), [ch for ch in m.characters if ch != dropped]))
+    out.append(ModelInstance(classes, pairing(m), list(m.characters) + [added]))
+    return out
+
+
+def validation_bases():
+    """The zoo model and five generated ones, whose `perturbations` the
+    pinned validation reports cover."""
+    bases = [model_from_json_dict(ZOO_DOC)]
+    bases += [gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl, seed=seed))
+              for cpl, seed in ((2, 0), (2, 1), (2, 2), (3, 3), (3, 4))]
+    return bases

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from conftest import pair
 from wdexp.bounds import run_sweep, sharpness_suite, swan_bridge_gap
 from wdexp.exponents import indec_tensor_kernel, tensor_exponents
 from wdexp.generator import GenParams, SplitMix64, gen_model
@@ -113,7 +114,7 @@ def test_criterion_4_kernel_cross_check():
         # complement with no unramified constituent.
         ci, cj = m.cls(i), m.cls(j)
         d = ci.deg if j == ci.dual else 0
-        swan = ci.dim * cj.dim * m.pair(i, j)
+        swan = ci.dim * cj.dim * pair(m, i, j)
         assert swan.denominator == 1
         swan = swan.numerator
         complement_dim = ci.dim * cj.dim - d

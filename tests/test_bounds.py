@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import pair
 from wdexp.bounds import (
     SWEEP_FAMILIES,
     CheckResult,
@@ -221,7 +222,7 @@ def test_prime_witness_strictly_beats_half():
     for ell in (3, 5):
         m = prime_dim_witness_model(ell)
         cid = f"p{ell}"
-        diag = m.pair(cid, cid)
+        diag = pair(m, cid, cid)
         assert diag == (1 - Fraction(1, ell)) * m.cls(cid).slope
         assert diag > m.cls(cid).slope / 2
 

@@ -513,7 +513,7 @@ def test_loader_fuzz_exit_codes(fuzz_records):
 # violation lines under it) of every fuzz document, with the model file's
 # path removed: a change to the loader or the model constructor that moves
 # any error message moves this value.
-LOADER_MESSAGES_SHA256 = "b13aef60a024ee55285c258524ef1bc831450d32efcc5ee51df90504dcae3a8c"
+LOADER_MESSAGES_SHA256 = "ab79c1e01c5abdbc0b62b92bff716848a8659abc87dfd0aae88020eec24d626a"
 
 
 def test_loader_fuzz_messages_are_pinned(fuzz_records):

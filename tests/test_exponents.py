@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import dualized, is_eta_homogeneous
+from conftest import dualized, is_eta_homogeneous, perturbations, validation_bases
 from wdexp.exponents import (
     exponents_of,
     indec_tensor_kernel,
@@ -167,18 +168,22 @@ def test_minimality_of_reps(zoo_model):
         is_minimal_rep(parse_rep("Sp_1(a)", zoo_model), "bogus", zoo_model)
 
 
-def test_minimal_rep_agrees_with_validator_on_classes(zoo_model):
-    # the kernel path against the validator's own definition, per class
-    models = [zoo_model] + [gen_model(GenParams.from_strings("0,1/2,1,2", seed=s))
-                            for s in range(10)]
+def test_minimal_rep_agrees_with_validator_on_classes():
+    # the flags the validator checks against `is_minimal_rep` of Sp_1(i), on
+    # valid and perturbed models alike, wherever the latter is defined
     cases = 0
-    for m in models:
-        for i in sorted(m.classes):
-            x = parse_rep(f"Sp_1({i})", m)
-            for mode in MODES:
-                assert is_minimal_rep(x, mode, m) == is_minimal_class(i, mode, m), (i, mode)
-                cases += 1
-    assert cases > 200
+    for n, base in enumerate(validation_bases()):
+        for m in [base] + perturbations(base, random.Random(n)):
+            for i in m.ids:
+                x = parse_rep(f"Sp_1({i})", m)
+                for mode in MODES:
+                    try:
+                        expected = is_minimal_rep(x, mode, m)
+                    except ValueError:
+                        continue
+                    assert is_minimal_class(i, mode, m) == expected, (n, i, mode)
+                    cases += 1
+    assert cases == 4820
 
 
 def test_exponents_of_single_term_closed_form(zoo_model, generated_model):

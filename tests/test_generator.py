@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import wdexp.generator
+from conftest import pair
 from wdexp.generator import (
     GenParams,
     GeneratorError,
@@ -71,7 +72,7 @@ def test_different_seeds_differ():
 def test_minimal_params_give_unit_plus_one_class():
     m = gen_model(GenParams(slope_levels=(Fraction(0),), classes_per_level=1, dim_pool=(2,)))
     assert set(m.classes) == {UNRAMIFIED_ID, "L0c0"}
-    assert m.pair("L0c0", UNRAMIFIED_ID) == m.cls("L0c0").slope
+    assert pair(m, "L0c0", UNRAMIFIED_ID) == m.cls("L0c0").slope
 
 
 def test_characters_cover_positive_levels(generated_model):
@@ -97,11 +98,11 @@ def test_pairing_floor_against_character_minimum(generated_model):
     m = generated_model
     ids = sorted(m.classes)
     min_slope = {
-        i: min(m.pair(chi, i) for chi in m.characters) for i in ids
+        i: min(pair(m, chi, i) for chi in m.characters) for i in ids
     }
     for a in ids:
         for b in ids:
-            assert m.pair(a, b) >= max(min_slope[a], min_slope[b]) / 2, (a, b)
+            assert pair(m, a, b) >= max(min_slope[a], min_slope[b]) / 2, (a, b)
 
 
 def test_gen_rep_zero_terms(generated_model):
@@ -140,7 +141,7 @@ def test_distinct_slopes_forced_to_max(generated_model):
     for a in ids:
         for b in ids:
             if m.cls(a).slope != m.cls(b).slope:
-                assert m.pair(a, b) == max(m.cls(a).slope, m.cls(b).slope)
+                assert pair(m, a, b) == max(m.cls(a).slope, m.cls(b).slope)
 
 
 def test_unit_class_minimal_in_generated(generated_model):

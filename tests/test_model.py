@@ -1,15 +1,15 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, product
 
 import pytest
 
-from conftest import dualized
+from conftest import dualized, pair, pairing, perturbations, validation_bases
 from wdexp.exponents import indec_tensor_kernel, kernel_row
 from wdexp.model import (
+    MODES,
     IrreducibleClass,
     ModelInstance,
     ModelStructureError,
@@ -183,9 +183,9 @@ def test_ambiguous_omission_is_an_error():
 
 def test_forced_entries_reconstructed(zoo_model):
     # the zoo document omits every unit-row and max-rule entry
-    assert zoo_model.pair("u", "c3") == Fraction(2)
-    assert zoo_model.pair("a", "b") == Fraction(1)
-    assert zoo_model.pair("t", "g") == Fraction(2)
+    assert pair(zoo_model, "u", "c3") == Fraction(2)
+    assert pair(zoo_model, "a", "b") == Fraction(1)
+    assert pair(zoo_model, "t", "g") == Fraction(2)
 
 
 def test_json_round_trip(zoo_model, tmp_path):
@@ -232,16 +232,27 @@ def test_validator_is_deterministic(zoo_model):
     assert [str(v) for v in r1.violations] == [str(v) for v in r2.violations]
 
 
+# A model without the unramified orbit u: a character a and a class b, both
+# carrying flags, and valid but for unit_class.  With no u there is no
+# twist-minimality rule to check the flags against.
+NO_UNIT_DOC = {
+    "classes": [
+        {"id": "a", "dim": 1, "slope": "0", "deg": 1, "dual": "a", "flags": ["minimal_sigma"]},
+        {"id": "b", "dim": 2, "slope": "1", "deg": 1, "dual": "b",
+         "flags": ["minimal_sigma", "minimal_eta"]},
+    ],
+    "pairing": [{"i": "a", "j": "a", "slope": "0"}, {"i": "b", "j": "b", "slope": "1/2"}],
+    "characters": ["a"],
+}
+
+
 def test_missing_unit_class_reported():
-    doc = {
-        "classes": [
-            {"id": "t", "dim": 1, "slope": "0", "deg": 1, "dual": "t", "flags": []},
-        ],
-        "pairing": [{"i": "t", "j": "t", "slope": "0"}],
-        "characters": ["t"],
-    }
-    report = validate_model(model_from_json_dict(doc))
-    assert "unit_class" in report.labels()
+    m = model_from_json_dict(NO_UNIT_DOC)
+    assert [str(v) for v in validate_model(m).violations] == ["unit_class[u]: lhs=0 rhs=1"]
+    for i in m.ids:
+        for mode in MODES:
+            with pytest.raises(ModelStructureError, match="unknown class id 'u'"):
+                is_minimal_class(i, mode, m)
 
 
 def test_character_set_must_be_all_dim1():
@@ -307,16 +318,16 @@ def test_constructor_is_the_completion_rule(zoo_model):
         classes = list(m.classes.values())
         slope = {i: c.slope for i, c in m.classes.items()}
         # every entry the unit row or the max rule forces is left out
-        sparse = {(i, j): v for (i, j), v in m.pairing.items()
+        sparse = {(i, j): v for (i, j), v in pairing(m).items()
                   if "u" not in (i, j) and slope[i] == slope[j]}
-        assert len(sparse) < len(m.pairing)
-        for entries in (sparse, dict(m.pairing)):
+        assert len(sparse) < len(pairing(m))
+        for entries in (sparse, pairing(m)):
             built = ModelInstance(classes, entries, m.characters)
-            assert built.pairing == m.pairing
-            assert list(built.pairing) == list(m.pairing)
+            assert pairing(built) == pairing(m)
+            assert list(pairing(built)) == list(pairing(m))
             assert built.digest() == m.digest()
     classes = list(zoo_model.classes.values())
-    given = dict(zoo_model.pairing)
+    given = pairing(zoo_model)
     with pytest.raises(ModelStructureError, match=r"^pairing names unknown id in \{a,nope\}$"):
         ModelInstance(classes, {**given, ("a", "nope"): Fraction(1)}, zoo_model.characters)
     del given["a", "a"]  # equal slopes: not forced
@@ -330,18 +341,14 @@ def test_model_instance_is_immutable(zoo_model):
         zoo_model.classes["x"] = zoo_model.classes["u"]
     with pytest.raises(TypeError):
         del zoo_model.classes["u"]
-    for name in ("classes", "pairing", "characters", "ids", "index", "dim", "deg", "dual",
-                 "chars", "L", "slope", "S"):
+    for name in ("classes", "characters", "ids", "index", "dim", "deg", "dual", "chars", "L",
+                 "slope", "S"):
         with pytest.raises(AttributeError):
             setattr(zoo_model, name, getattr(zoo_model, name))
         with pytest.raises(AttributeError):
             delattr(zoo_model, name)
     with pytest.raises(AttributeError):
         zoo_model.extra = 1
-    with pytest.raises(TypeError):
-        zoo_model.pairing["u", "u"] = Fraction(1)
-    with pytest.raises(TypeError):
-        del zoo_model.pairing["u", "u"]
     with pytest.raises(TypeError):
         zoo_model.index["u"] = 1
     for table in (zoo_model.ids, zoo_model.dim, zoo_model.deg, zoo_model.dual, zoo_model.chars,
@@ -408,14 +415,14 @@ def test_digest_is_computed_once(monkeypatch):
 
 
 def _reference_json(m):
-    """The model file's text as the writer made it from the `pairing` view:
+    """The model file's text as the writer made it from the `pairing` helper:
     a Fraction per cell, each formatted on its own, then the same dump."""
     classes = [{"id": c.id, "dim": c.dim, "slope": format_rational(c.slope), "deg": c.deg,
                 "dual": c.dual,
                 "flags": ["minimal_sigma"] * c.minimal_sigma + ["minimal_eta"] * c.minimal_eta}
                for c in map(m.cls, sorted(m.classes))]
-    pairing = [{"i": i, "j": j, "slope": format_rational(v)} for (i, j), v in m.pairing.items()]
-    doc = {"classes": classes, "pairing": pairing, "characters": sorted(m.characters)}
+    entries = [{"i": i, "j": j, "slope": format_rational(v)} for (i, j), v in pairing(m).items()]
+    doc = {"classes": classes, "pairing": entries, "characters": sorted(m.characters)}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -433,7 +440,7 @@ def test_writer_matches_the_pairing_view(zoo_model):
     bases = [zoo_model] + [gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl))
                            for cpl in (2, 3, 4, 5, 20)]
     for n, m in enumerate(bases):
-        models += [m] + _perturbations(m, random.Random(n)) + _axiom_breaks(m, random.Random(n))
+        models += [m] + perturbations(m, random.Random(n)) + _axiom_breaks(m, random.Random(n))
     for m in models:
         assert m.to_json() == _reference_json(m)
     assert len(models) == 287
@@ -469,9 +476,9 @@ def _reference_m6(m):
     The loop compares the ranks of the entries among the table's values,
     which order them as the entries themselves do, but as ints."""
     ids = sorted(m.classes)
-    value = sorted({m.pair(i, m.cls(j).dual) for i in ids for j in ids})
+    value = sorted({pair(m, i, m.cls(j).dual) for i in ids for j in ids})
     rank = {v: r for r, v in enumerate(value)}
-    dist = {(i, j): rank[m.pair(i, m.cls(j).dual)] for i in ids for j in ids}
+    dist = {(i, j): rank[pair(m, i, m.cls(j).dual)] for i in ids for j in ids}
     out = []
     for i in ids:
         for j in ids:
@@ -494,7 +501,7 @@ def _perturbed(m, rng, with_dual_image):
     """`m` with one pairing entry moved to another value of the table; with
     `with_dual_image`, the entry {dual i, dual j} moves with it, so M4 still
     holds and the O(n^2) check rather than the M4 gate decides M6."""
-    entries = dict(m.pairing.items())
+    entries = pairing(m)
     values = sorted(set(entries.values()))
     (i, j), old = rng.choice(sorted(entries.items()))
     new = rng.choice([v for v in values if v != old] or [old + 1])
@@ -558,7 +565,7 @@ def test_large_generated_model_validates():
     m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=40))
     assert len(m.classes) == 163
     start = perf_counter()
-    fresh = ModelInstance(m.classes.values(), m.pairing, m.characters)
+    fresh = ModelInstance(m.classes.values(), pairing(m), m.characters)
     assert validate_model(fresh).ok
     assert perf_counter() - start < 0.3
 
@@ -573,7 +580,7 @@ def _reference_cells(m):
     out = {"M1": [], "M3": [], "M4": [], "M5": []}
     for a, i in enumerate(ids):
         for j in ids[a:]:
-            s, dims = m.pair(i, j), c(i).dim * c(j).dim
+            s, dims = pair(m, i, j), c(i).dim * c(j).dim
             if s < 0:
                 out["M1"].append(Violation("M1", (i, j), s, Fraction(0)))
             elif (dims * s).denominator != 1:
@@ -581,14 +588,14 @@ def _reference_cells(m):
             hi = max(c(i).slope, c(j).slope)
             if s > hi or (c(i).slope != c(j).slope and s != hi):
                 out["M3"].append(Violation("M3", (i, j), s, hi))
-            image = m.pair(c(i).dual, c(j).dual)
+            image = pair(m, c(i).dual, c(j).dual)
             if s != image:
                 out["M4"].append(Violation("M4", (i, j), s, image))
     for i in ids:
-        diag = m.pair(i, c(i).dual)
+        diag = pair(m, i, c(i).dual)
         for k in ids:
-            if diag > m.pair(i, k):
-                out["M5"].append(Violation("M5", (i, k), diag, m.pair(i, k)))
+            if diag > pair(m, i, k):
+                out["M5"].append(Violation("M5", (i, k), diag, pair(m, i, k)))
     return out
 
 
@@ -607,7 +614,7 @@ def _axiom_breaks(m, rng):
     for a random entry and for s(i,i) of a class that is not self-dual; and
     with one self-pairing s(i, dual i) = D(i,i) raised to the largest entry
     of its row."""
-    classes, entries = list(m.classes.values()), dict(m.pairing.items())
+    classes, entries = list(m.classes.values()), pairing(m)
     picks = [rng.choice(sorted(entries))]
     paired = [i for i in m.ids if m.cls(i).dual != i]
     if paired:
@@ -621,8 +628,8 @@ def _axiom_breaks(m, rng):
             if with_dual_image:
                 changed[di, dj] = new
             out.append(ModelInstance(classes, changed, m.characters))
-    i = rng.choice([i for i in m.ids if len({m.pair(i, k) for k in m.ids}) > 1])
-    top = max(m.pair(i, k) for k in m.ids)
+    i = rng.choice([i for i in m.ids if len({pair(m, i, k) for k in m.ids}) > 1])
+    top = max(pair(m, i, k) for k in m.ids)
     out.append(ModelInstance(classes, {**entries, tuple(sorted((i, m.cls(i).dual))): top},
                              m.characters))
     return out
@@ -647,56 +654,9 @@ def test_row_tests_match_per_cell_loops():
 # -- the integer view: same reports as the rational comparisons ------------
 
 
-def _perturbations(m, rng):
-    """Single-entry and single-class perturbations of the valid model `m`:
-    entries moved to other table values, to negative or finer values, and
-    classes with dim 0 or negative, a slope with a new denominator, a deg
-    that does not divide dim, flipped flags, or a changed character list."""
-    classes = [m.classes[i] for i in sorted(m.classes)]
-    entries = dict(m.pairing.items())
-    values = sorted(set(entries.values()))
-    keys = sorted(entries)
-    out = []
-    for k in range(20):
-        key = rng.choice(keys)
-        old = entries[key]
-        new = (rng.choice(values), old + Fraction(1, 3), old - Fraction(1, 2), old / 2,
-               Fraction(0))[k % 5]
-        out.append(ModelInstance(classes, {**entries, key: new}, m.characters))
-    changes = (
-        lambda c: replace(c, dim=0),
-        lambda c: replace(c, dim=-c.dim),
-        lambda c: replace(c, dim=c.dim + 1),
-        lambda c: replace(c, slope=c.slope + Fraction(1, 7)),
-        lambda c: replace(c, slope=2 * c.slope),
-        lambda c: replace(c, deg=0),
-        lambda c: replace(c, deg=c.dim + 1),
-        lambda c: replace(c, minimal_sigma=not c.minimal_sigma),
-        lambda c: replace(c, minimal_eta=not c.minimal_eta),
-        lambda c: replace(c, minimal_sigma=not c.minimal_sigma, minimal_eta=not c.minimal_eta),
-    )
-    for k in range(12):
-        a = rng.randrange(len(classes))
-        changed = classes[:a] + [changes[k % len(changes)](classes[a])] + classes[a + 1:]
-        out.append(ModelInstance(changed, m.pairing, m.characters))
-    dropped = rng.choice([ch for ch in m.characters if ch != "u"])
-    added = rng.choice([c.id for c in classes if c.id not in m.characters])
-    out.append(ModelInstance(classes, m.pairing, [ch for ch in m.characters if ch != dropped]))
-    out.append(ModelInstance(classes, m.pairing, list(m.characters) + [added]))
-    return out
-
-
 def _validation_lines():
-    from wdexp.generator import GenParams, gen_model
-
-    from conftest import ZOO_DOC
-
-    bases = [model_from_json_dict(ZOO_DOC)]
-    bases += [gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl, seed=seed))
-              for cpl, seed in ((2, 0), (2, 1), (2, 2), (3, 3), (3, 4))]
-    for n, m in enumerate(bases):
-        rng = random.Random(n)
-        for k, model in enumerate(_perturbations(m, rng)):
+    for n, m in enumerate(validation_bases()):
+        for k, model in enumerate(perturbations(m, random.Random(n))):
             yield f"-- {n}.{k}"
             for v in validate_model(model).violations:
                 yield str(v)
@@ -704,11 +664,13 @@ def _validation_lines():
 
 def test_validation_reports_are_pinned():
     # sha256 of every violation line over about 200 perturbations, recorded
-    # when the validator still compared Fractions read through `pair`.
+    # when the validator still compared Fractions read through the pairing,
+    # and re-recorded when the class flags moved onto the kernel rows of
+    # `class_minimality`, which changed only flag_* lines.
     lines = list(_validation_lines())
     assert sum(line.startswith("-- ") for line in lines) == 204
     assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest() == (
-        "1946fca2e34ce038d614eb322d9b447fb92fbd96267367df03f38ca84732389e")
+        "12bf10e7a4420a993c7b93121318d8afc95898e25eef5ff9355cbfe098877ae1")
 
 
 def test_integer_view_holds_the_pairing(zoo_model):
@@ -723,8 +685,8 @@ def test_integer_view_holds_the_pairing(zoo_model):
             assert m.index[i] == m.at(i) == a
             assert (m.dim[a], m.deg[a], m.ids[m.dual[a]]) == (c.dim, c.deg, c.dual)
             assert Fraction(m.slope[a], m.L) == c.slope
-        assert len(m.pairing) == len(m.ids) * (len(m.ids) + 1) // 2
-        for (i, j), value in m.pairing.items():
+        assert len(pairing(m)) == len(m.ids) * (len(m.ids) + 1) // 2
+        for (i, j), value in pairing(m).items():
             assert i <= j
             assert Fraction(m.S[m.at(i)][m.at(j)], m.L) == Fraction(m.S[m.at(j)][m.at(i)], m.L) == value
         assert tuple(m.ids[c] for c in m.chars) == m.characters
@@ -741,7 +703,7 @@ def _rational_kernel(m, i, j):
     sw = dim*s(i,j) is not an integer."""
     ci, cj = m.cls(i), m.cls(j)
     dim = ci.dim * cj.dim
-    sw = dim * m.pair(i, j)
+    sw = dim * pair(m, i, j)
     if sw.denominator != 1:
         return None
     return sw + dim - (ci.deg if j == ci.dual else 0), dim
@@ -777,19 +739,20 @@ def test_kernel_row_matches_the_kernel_on_every_cell():
     for cpl in range(2, 6):
         for seed in range(3):
             m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl, seed=seed))
-            for model in [m] + _perturbations(m, random.Random(10 * cpl + seed)):
+            for model in [m] + perturbations(m, random.Random(10 * cpl + seed)):
                 for a, i in enumerate(model.ids):
-                    lar, dims, rest = kernel_row(a, model)
+                    lar, lsw, dims = kernel_row(a, model)
                     for b, j in enumerate(model.ids):
                         ref = _rational_kernel(model, i, j)
-                        if rest[b]:
+                        if lsw[b] % model.L:
                             assert ref is None
+                            assert lsw[b] == model.L * dims[b] * pair(model, i, j)
                             with pytest.raises(ValueError, match="is not an integer"):
                                 indec_tensor_kernel(1, i, 1, j, model)
                             seen.add("raises")
                             continue
-                        ar, _sw, dim = indec_tensor_kernel(1, i, 1, j, model)
-                        assert (lar[b], dims[b]) == (model.L * ar, dim)
+                        ar, sw, dim = indec_tensor_kernel(1, i, 1, j, model)
+                        assert (lar[b], lsw[b], dims[b]) == (model.L * ar, model.L * sw, dim)
                         assert ref == (ar, dim)
                         seen.add("dual" if j == model.cls(i).dual else "other")
                 report = validate_model(model)
