@@ -1,7 +1,8 @@
 """Bound checks on concrete inputs, sharpness witnesses, and the sweep.
 
-Each check evaluates one labeled inequality exactly and returns a
-CheckResult carrying both sides as rationals.  Labels:
+Each check decides one labeled inequality in ints, cross-multiplying its
+sides, and returns a CheckResult carrying both sides as rationals, the one
+place a check builds a `Fraction`.  Labels:
 
     A, AS           lower bound eta/varsigma(x ox y) >= max(.,.)/2,
                     valid under a minimality hypothesis on x
@@ -60,19 +61,29 @@ class CheckResult:
         }
 
 
-def _result(theorem, lhs, rhs, direction, inputs, precondition_failed=False):
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
-    holds = lhs >= rhs if direction == ">=" else lhs <= rhs
-    return CheckResult(theorem, lhs, rhs, holds, lhs == rhs, inputs, precondition_failed)
+def _decide(theorem, ln, ld, rn, rd, upper, inputs, precondition_failed=False):
+    """lhs = ln/ld against rhs = rn/rd, ld, rd > 0: lhs <= rhs if `upper`, else >=."""
+    a, b = ln * rd, rn * ld
+    return CheckResult(theorem, Fraction(ln, ld), Fraction(rn, rd), a <= b if upper else a >= b,
+                       a == b, inputs, precondition_failed)
+
+
+def _larger(u, v, mode):
+    """The larger normalized exponent of two reports, as (exponent, dim)."""
+    a, b = u.exponent(mode), v.exponent(mode)
+    return (a, u.dim) if a * v.dim >= b * u.dim else (b, v.dim)
 
 
 class PairExponents:
     """What the bound checks read of a nonzero pair (x, y) in model m, each
-    evaluated on first use and at most once; `x_ydual` is x ox dual(y)."""
+    evaluated on first use and at most once; `x_ydual` is x ox dual(y).
+    The checks divide by dimensions, so m's classes need dim >= 1 (M1)."""
 
     def __init__(self, x: WDRep, y: WDRep, m: ModelInstance):
         if x.is_zero or y.is_zero:
             raise ValueError("the bound checks need nonzero representations")
+        if min(m.dim) < 1:
+            raise ValueError("the bound checks need classes of positive dimension")
         self.x, self.y, self.m = x, y, m
 
     ex = cached_property(lambda p: exponents_of(p.x, p.m))
@@ -93,9 +104,10 @@ def check_bound_A(p: PairExponents, mode: str = "eta") -> CheckResult:
     """Lower bound: norm(x ox y) >= max(norm(x), norm(y)) / 2 when x cannot
     be lowered by any in-model character twist."""
     label = "A" if mode == "eta" else "AS"
-    rhs = max(p.ex.normalized(mode), p.ey.normalized(mode)) / 2
-    return _result(label, p.x_y.normalized(mode), rhs, ">=", dict(p.inputs, mode=mode),
-                   precondition_failed=not (p.x_minimal_eta if mode == "eta" else p.x_minimal_sigma))
+    rn, rd = _larger(p.ex, p.ey, mode)
+    return _decide(label, p.x_y.exponent(mode), p.x_y.dim, rn, 2 * rd, False,
+                   dict(p.inputs, mode=mode),
+                   not (p.x_minimal_eta if mode == "eta" else p.x_minimal_sigma))
 
 
 def check_bound_B(p: PairExponents, mode: str = "eta", variant: str = "sum") -> CheckResult:
@@ -116,9 +128,10 @@ def check_bound_B(p: PairExponents, mode: str = "eta", variant: str = "sum") -> 
         label = "B_indec" if mode == "eta" else "BS_irr"
     else:
         label = "B" if mode == "eta" else "BS"
-    dx, dy = p.x_xdual.normalized(mode), p.y_ydual.normalized(mode)
-    rhs = max(dx, dy) if variant == "indec_or_irr" else (dx + dy) / 2
-    return _result(label, p.x_ydual.normalized(mode), rhs, ">=",
+    dx, dy, t = p.x_xdual, p.y_ydual, p.x_ydual
+    rn, rd = (_larger(dx, dy, mode) if variant == "indec_or_irr" else
+              (dx.exponent(mode) * dy.dim + dy.exponent(mode) * dx.dim, 2 * dx.dim * dy.dim))
+    return _decide(label, t.exponent(mode), t.dim, rn, rd, False,
                    dict(p.inputs, mode=mode, variant=variant))
 
 
@@ -135,15 +148,15 @@ def check_bound_C(p: PairExponents, mode: str = "eta", variant: str = "general")
     if variant == "general":
         label = "C" if mode == "eta" else "CS"
         a, b = p.ex.exponent(mode), p.ey.exponent(mode)
-        lhs = p.x_y.exponent(mode)
-        rhs = p.ey.dim * a + p.ex.dim * b - min(a, b)
+        ln, ld = p.x_y.exponent(mode), 1
+        rn, rd = p.ey.dim * a + p.ex.dim * b - min(a, b), 1
     else:
         if not (p.x.is_irreducible and p.y.is_irreducible):
             raise ValueError("the irreducible C-variant needs irreducible representations")
         label = "C_irr" if mode == "eta" else "CS_irr"
-        lhs = p.x_y.normalized(mode)
-        rhs = max(p.ex.normalized(mode), p.ey.normalized(mode))
-    return _result(label, lhs, rhs, "<=", dict(p.inputs, mode=mode, variant=variant))
+        ln, ld = p.x_y.exponent(mode), p.x_y.dim
+        rn, rd = _larger(p.ex, p.ey, mode)
+    return _decide(label, ln, ld, rn, rd, True, dict(p.inputs, mode=mode, variant=variant))
 
 
 # -- sharpness witnesses -----------------------------------------------------
@@ -214,7 +227,8 @@ def sharpness_suite() -> list[CheckResult]:
     d1, v1, d2, v2 = 2, Fraction(3), 1, Fraction(5)
     w1, w2 = optimal_witness(d1, v1, d2, v2)
     _, v_prod = mp_degree_weight(mp_vee(w1, w2))
-    out.append(_result("CS", v_prod, pair_upper_bound(d1, v1, d2, v2), "<=",
+    out.append(_decide("CS", *v_prod.as_integer_ratio(),
+                       *pair_upper_bound(d1, v1, d2, v2).as_integer_ratio(), True,
                        {"witness": "max-plus pair", "d1": d1, "v1": "3", "d2": d2, "v2": "5"}))
     return out
 

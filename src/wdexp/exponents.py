@@ -57,12 +57,6 @@ class ExponentReport:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         return self.ar if mode == "eta" else self.sw
 
-    def normalized(self, mode: str) -> Fraction:
-        """eta for mode "eta", varsigma for mode "sigma"."""
-        if self.dim == 0:
-            raise ValueError("normalized exponent undefined for the zero representation")
-        return Fraction(self.exponent(mode), self.dim)
-
 
 def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tuple[int, int, int]:
     """(ar, sw, dim) of Sp_r(class_i) tensor Sp_s(class_j), in integers on
@@ -94,9 +88,7 @@ def kernel_row(a: int, m: ModelInstance) -> tuple[list[int], list[int], list[int
 
 def tensor_exponents(x: WDRep, y: WDRep, m: ModelInstance) -> ExponentReport:
     """Bilinear expansion of the kernel over term pairs; symmetric in x, y."""
-    ar = 0
-    sw = 0
-    dim = 0
+    ar = sw = dim = 0
     for kx, ix in x.terms:
         for ky, iy in y.terms:
             a, w, d = indec_tensor_kernel(ix.r, ix.cls, iy.r, iy.cls, m)
@@ -111,9 +103,7 @@ def _twist(chi: str, x: WDRep, m: ModelInstance) -> ExponentReport:
     `tensor_exponents` on a one-term WDRep: building one per twist made a
     10 x 50 `run_sweep` 16.5% slower (median of 16 interleaved runs, Python
     3.11.7, 2 CPUs)."""
-    ar = 0
-    sw = 0
-    dim = 0
+    ar = sw = dim = 0
     for k, ind in x.terms:
         a, w, d = indec_tensor_kernel(1, chi, ind.r, ind.cls, m)
         ar += k * a

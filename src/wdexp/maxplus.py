@@ -75,9 +75,7 @@ def mp_vee(x: MaxPlusElem, y: MaxPlusElem) -> MaxPlusElem:
 
 def mp_degree_weight(x: MaxPlusElem) -> tuple[int, Fraction]:
     """(d, v) = (sum of coefficients, key-weighted sum of coefficients)."""
-    d = sum(x.coeffs.values())
-    v = sum((c * a for a, c in x.coeffs.items()), Fraction(0))
-    return d, v
+    return sum(x.coeffs.values()), sum((c * a for a, c in x.coeffs.items()), Fraction(0))
 
 
 def s_map(constituents) -> MaxPlusElem:

@@ -151,11 +151,7 @@ def format_rep(x: WDRep) -> str:
     """Canonical printer; parse_rep(format_rep(x)) == x."""
     if x.is_zero:
         return "0"
-    parts = []
-    for k, ind in x.terms:
-        head = f"{k}*" if k != 1 else ""
-        parts.append(f"{head}Sp_{ind.r}({ind.cls})")
-    return " + ".join(parts)
+    return " + ".join(("" if k == 1 else f"{k}*") + f"Sp_{ind.r}({ind.cls})" for k, ind in x.terms)
 
 
 def rep_dim(x: WDRep, m: ModelInstance) -> int:

@@ -66,6 +66,36 @@ def zoo_model():
     return model_from_json_dict(ZOO_DOC)
 
 
+CENSUS_COUNTEREXAMPLE_DOC = {
+    # The smallest model of the small-model census on which a bound fails
+    # although M1-M8 accept it: u; a self-dual character c0 of slope 1 with
+    # s(c0,c0) = 0; a self-dual c1 (dim 2, slope 1, deg 1) with
+    # s(c0,c1) = 1/2 and s(c1,c1) = 0.  The flags are those that
+    # `class_minimality` gives.  AS fails on x = Sp_1(c1) + Sp_1(u),
+    # y = Sp_1(c1), with x sigma-minimal.  The generator's floor,
+    # 2*s(i,j) >= max(ms(i), ms(j)) with ms(c) the least s(chi,c) over the
+    # characters chi, fails at i = j = c1: 0 < ms(c1) = 1/2.
+    "classes": [
+        {"id": "u", "dim": 1, "slope": "0", "deg": 1, "dual": "u",
+         "flags": ["minimal_sigma", "minimal_eta"]},
+        {"id": "c0", "dim": 1, "slope": "1", "deg": 1, "dual": "c0", "flags": []},
+        {"id": "c1", "dim": 2, "slope": "1", "deg": 1, "dual": "c1", "flags": []},
+    ],
+    "pairing": [
+        {"i": "c0", "j": "c0", "slope": "0"},
+        {"i": "c0", "j": "c1", "slope": "1/2"},
+        {"i": "c1", "j": "c1", "slope": "0"},
+    ],
+    "characters": ["u", "c0"],
+}
+
+
+@pytest.fixture(scope="session")
+def census_counterexample():
+    """A model M1-M8 accept on which the AS-bound fails."""
+    return model_from_json_dict(CENSUS_COUNTEREXAMPLE_DOC)
+
+
 @pytest.fixture(scope="session")
 def gen_params():
     return GenParams.from_strings("0,1/2,1,2", seed=0)

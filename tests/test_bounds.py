@@ -1,12 +1,14 @@
 import hashlib
 import json
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import pair
+from conftest import pair, perturbations, validation_bases
 from wdexp.bounds import (
     SWEEP_FAMILIES,
     CheckResult,
@@ -24,11 +26,12 @@ from wdexp.bounds import (
     tame_character_witness_model,
     witness_model,
 )
-from wdexp.exponents import indec_tensor_kernel
+from wdexp.exponents import (class_minimality, exponents_of, indec_tensor_kernel, is_minimal_rep,
+                             tensor_exponents)
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
-from wdexp.model import IrreducibleClass, ModelStructureError
+from wdexp.model import IrreducibleClass, ModelStructureError, validate_model
 from wdexp.rationals import format_rational
-from wdexp.rep import WDRep, parse_rep
+from wdexp.rep import Indecomposable, WDRep, format_rep, parse_rep, rep_dual
 
 ALL_FAMILIES = ("A", "AS", "B", "BS", "C", "CS")
 
@@ -46,8 +49,6 @@ def test_bound_A_unramified_is_stronger(zoo_model):
         y = parse_rep(ytext, zoo_model)
         r = check_bound_A(PairExponents(x, y, zoo_model), "eta")
         assert r.holds and not r.precondition_failed
-        from wdexp.exponents import exponents_of
-
         full_max = max(
             exponents_of(x, zoo_model).eta, exponents_of(y, zoo_model).eta
         )
@@ -262,7 +263,6 @@ def test_homogeneous_minimal_twist_formula(zoo_model):
     # for an eta-minimal eta-homogeneous x, twisting by any character gives
     # eta = max(eta(x), eta(chi))
     from conftest import is_eta_homogeneous
-    from wdexp.exponents import exponents_of, is_minimal_rep, tensor_exponents
 
     rng = SplitMix64(21)
     tested = 0
@@ -455,3 +455,119 @@ def test_sp_level_triple_ultrametric_generated():
         lhs = eta_pair(r, i, s, j)
         rhs = max(eta_pair(r, i, t, k), eta_pair(t, k, s, j))
         assert lhs <= rhs, (i, j, k, r, s, t)
+
+
+# Reference decisions: the Fraction formulas the checks used before they
+# compared ints, reading the exponents straight from wdexp.exponents rather
+# than through a PairExponents record.
+
+SIGMA_LABELS = ("AS", "BS", "BS_irr", "CS", "CS_irr")
+
+
+def _normalized(e, mode) -> Fraction:
+    if e.dim == 0:
+        raise ValueError("normalized exponent undefined for the zero representation")
+    return Fraction(e.exponent(mode), e.dim)
+
+
+def reference_check(label, x, y, m):
+    """(theorem, lhs, rhs, holds, equality, precondition_failed) of `label`
+    on (x, y) in m, decided on Fractions."""
+    mode = "sigma" if label in SIGMA_LABELS else "eta"
+    ex, ey, xy = exponents_of(x, m), exponents_of(y, m), tensor_exponents(x, y, m)
+    precondition_failed = False
+    if label in ("A", "AS"):
+        lhs = _normalized(xy, mode)
+        rhs = max(_normalized(ex, mode), _normalized(ey, mode)) / 2
+        precondition_failed = not is_minimal_rep(x, mode, m)
+    elif label[0] == "B":
+        dx = _normalized(tensor_exponents(x, rep_dual(x, m), m), mode)
+        dy = _normalized(tensor_exponents(y, rep_dual(y, m), m), mode)
+        lhs = _normalized(tensor_exponents(x, rep_dual(y, m), m), mode)
+        rhs = (dx + dy) / 2 if label in ("B", "BS") else max(dx, dy)
+    elif label in ("C", "CS"):
+        a, b = ex.exponent(mode), ey.exponent(mode)
+        lhs, rhs = Fraction(xy.exponent(mode)), Fraction(ey.dim * a + ex.dim * b - min(a, b))
+    else:
+        lhs = _normalized(xy, mode)
+        rhs = max(_normalized(ex, mode), _normalized(ey, mode))
+    holds = lhs <= rhs if label[0] == "C" else lhs >= rhs
+    return label, lhs, rhs, holds, lhs == rhs, precondition_failed
+
+
+def _reference_rows(x, y, m):
+    return [reference_check(label, x, y, m) for labels in SWEEP_FAMILIES.values()
+            for label, _, needs in labels
+            if needs is None or (getattr(x, needs) and getattr(y, needs))]
+
+
+def _small_reps(m, terms, max_r):
+    """Every representation of m with 1..terms terms of Sp-length <= max_r."""
+    inds = [Indecomposable(r, i) for i in m.ids for r in range(1, max_r + 1)]
+    return [WDRep.from_terms([(1, ind) for ind in combo]) for n in range(1, terms + 1)
+            for combo in combinations_with_replacement(inds, n)]
+
+
+def _differential_cases(census_model):
+    """(model, x, y) from a generated sweep, from the perturbations of the
+    validation bases (drawn pairs and pairs of irreducibles), and every
+    pair of two-term, length-2 representations of the census model."""
+    cases = []
+    run_sweep(ALL_FAMILIES, 3, 20, GenParams.from_strings("0,1/2,1,2"), seed=7,
+              sample_hook=lambda m, x, y: cases.append((m, x, y)))
+    for n, base in enumerate(validation_bases()):
+        for k, m in enumerate([base] + perturbations(base, random.Random(n))):
+            rng = SplitMix64(1000 * n + k)
+            irr = [WDRep.from_terms([(1, Indecomposable(1, i))]) for i in m.ids]
+            for _ in range(10):
+                cases.append((m, gen_rep(m, 2, 2, rng.next64()), gen_rep(m, 2, 2, rng.next64())))
+                cases.append((m, irr[rng.below(len(irr))], irr[rng.below(len(irr))]))
+    reps = _small_reps(census_model, 2, 2)
+    cases += [(census_model, x, y) for x in reps for y in reps]
+    return cases
+
+
+def test_integer_decisions_match_the_fraction_reference(census_counterexample):
+    # Every label, on models the checks accept, gives the rows the Fraction
+    # formulas give, and the cases make every label fail somewhere, so the
+    # failing side of each comparison is compared too.
+    fails, holds, equalities, refused = Counter(), Counter(), Counter(), Counter()
+    for m, x, y in _differential_cases(census_counterexample):
+        if min(m.dim) < 1:
+            with pytest.raises(ValueError, match="positive dimension"):
+                checks_for_pair(ALL_FAMILIES, x, y, m)
+            refused["dim"] += 1
+            continue
+        try:
+            want = _reference_rows(x, y, m)
+        except ValueError:
+            with pytest.raises(ValueError, match="is not an integer"):
+                checks_for_pair(ALL_FAMILIES, x, y, m)
+            refused["sw"] += 1
+            continue
+        got = checks_for_pair(ALL_FAMILIES, x, y, m)
+        assert [(r.theorem, r.lhs, r.rhs, r.holds, r.equality, r.precondition_failed)
+                for r in got] == want, (m.digest(), format_rep(x), format_rep(y))
+        assert all(type(v) is Fraction for r in got for v in (r.lhs, r.rhs))
+        for label, _, _, ok, equal, _ in want:
+            (holds if ok else fails)[label] += 1
+            equalities[label] += equal
+    every = [label for labels in SWEEP_FAMILIES.values() for label, _, _ in labels]
+    assert sorted(fails) == sorted(holds) == sorted(every)
+    assert all(equalities[label] and equalities[label] < holds[label] for label in every)
+    assert refused["dim"] and refused["sw"]
+
+
+def test_census_counterexample_fails_AS_with_its_precondition_met(census_counterexample):
+    m = census_counterexample
+    assert validate_model(m).ok
+    sigma, eta = class_minimality(m)
+    assert [(i, m.cls(i).minimal_sigma, m.cls(i).minimal_eta) for i in m.ids] == list(
+        zip(m.ids, sigma, eta))
+    x = parse_rep("Sp_1(c1) + Sp_1(u)", m)
+    y = parse_rep("Sp_1(c1)", m)
+    rows = {r.theorem: r for r in checks_for_pair(ALL_FAMILIES, x, y, m)}
+    r = rows.pop("AS")
+    assert (r.lhs, r.rhs, r.holds, r.equality, r.precondition_failed) == (
+        Fraction(1, 3), Fraction(1, 2), False, False, False)
+    assert all(r.holds for r in rows.values())

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ZOO_DOC
-from wdexp import generator
+from wdexp import bounds, generator
 from wdexp.cli import run_command
 from wdexp.generator import SplitMix64
 from wdexp.jordan import Partition
@@ -113,6 +113,30 @@ def test_check_writes_report(tmp_path, capsys):
     assert rows and all(row["holds"] for row in rows)
     assert all(row["inputs"]["model"] for row in rows)
     assert "C:" in out
+
+
+def test_check_violation_exits_1(tmp_path, capsys, monkeypatch):
+    # SWEEP_FAMILIES calls the checks by their module names, so a patched
+    # check_bound_C is the one the sweep runs: its general eta row fails.
+    check_bound_C = bounds.check_bound_C
+
+    def violated(p, mode="eta", variant="general"):
+        r = check_bound_C(p, mode, variant)
+        if (mode, variant) != ("eta", "general"):
+            return r
+        return bounds.CheckResult(r.theorem, r.rhs + 1, r.rhs, False, False, r.inputs)
+
+    monkeypatch.setattr(bounds, "check_bound_C", violated)
+    out_path = tmp_path / "report.json"
+    code, out, _ = _run(
+        capsys, "check", "--theorems", "C", "--models", "1", "--pairs", "1",
+        "--seed", "7", "--out", str(out_path),
+    )
+    assert code == 1
+    failed = [row for row in json.loads(out_path.read_text()) if not row["holds"]]
+    assert len(failed) == 1 and failed[0]["theorem"] == "C"
+    assert Fraction(failed[0]["lhs"]) == Fraction(failed[0]["rhs"]) + 1
+    assert "C: samples=1 violations=1 equalities=0 precondition_failures=0" in out.splitlines()
 
 
 def test_check_csv_summary(tmp_path, capsys):
