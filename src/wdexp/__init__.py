@@ -34,6 +34,7 @@ from .maxplus import (
     MaxPlusElem,
     mp_degree_weight,
     mp_vee,
+    mp_vee_weight,
     optimal_witness,
     pair_upper_bound,
     s_map,

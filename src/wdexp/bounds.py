@@ -29,18 +29,18 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .exponents import (character_twists, exponents_of, is_minimal_among, swan_profile,
                         tensor_exponents)
 from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_rep
-from .maxplus import mp_degree_weight, mp_vee, optimal_witness, pair_upper_bound, s_map
+from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
 from .model import UNRAMIFIED_ID, IrreducibleClass, ModelInstance, validate_model
 from .rationals import format_rational
 from .rep import Indecomposable, WDRep, format_rep, rep_dual
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     theorem: str
     lhs: Fraction
     rhs: Fraction
@@ -226,7 +226,7 @@ def sharpness_suite() -> list[CheckResult]:
 
     d1, v1, d2, v2 = 2, Fraction(3), 1, Fraction(5)
     w1, w2 = optimal_witness(d1, v1, d2, v2)
-    _, v_prod = mp_degree_weight(mp_vee(w1, w2))
+    v_prod = mp_vee_weight(w1.coeffs.items(), w2.coeffs.items())
     out.append(_decide("CS", *v_prod.as_integer_ratio(),
                        *pair_upper_bound(d1, v1, d2, v2).as_integer_ratio(), True,
                        {"witness": "max-plus pair", "d1": d1, "v1": "3", "d2": d2, "v2": "5"}))
@@ -351,11 +351,13 @@ def checks_for_pair(theorems, x: WDRep, y: WDRep, m: ModelInstance):
 
 def swan_bridge_gap(x: WDRep, y: WDRep, m: ModelInstance) -> Fraction:
     """v(S(x) vee S(y)) - sw(x ox y): nonnegative on valid models (the
-    max-plus image dominates the true tensor Swan exponent)."""
-    sx = s_map(swan_profile(x, m))
-    sy = s_map(swan_profile(y, m))
-    _, v = mp_degree_weight(mp_vee(sx, sy))
-    return v - tensor_exponents(x, y, m).sw
+    max-plus image dominates the true tensor Swan exponent).  The weight is
+    summed in ints over the (L*slope, dim) pairs of `swan_profile`, so L*v
+    and L*sw are ints and the gap is the one Fraction a call builds."""
+    if min(m.dim) < 1 or min(m.slope) < 0:
+        raise ValueError("the Swan bridge needs classes of positive dimension and slope >= 0")
+    lv = mp_vee_weight(*[[(ls, d) for d, ls in swan_profile(z, m)] for z in (x, y)])
+    return Fraction(lv - m.L * tensor_exponents(x, y, m).sw, m.L)
 
 
 # One report row of `results_to_json`: its keys in sorted order, indented as

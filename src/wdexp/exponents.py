@@ -25,17 +25,16 @@ integer tables (`ModelInstance.S`, `dim`, `deg`, `dual`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, eq, mul
+from typing import NamedTuple
 
 from .model import MODES, UNRAMIFIED_ID, ModelInstance
 from .rep import WDRep
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(NamedTuple):
     """dim/ar/sw are integers; eta = ar/dim and varsigma = sw/dim are None
     exactly for the zero representation."""
 
@@ -156,7 +155,8 @@ def class_minimality(m: ModelInstance) -> tuple[tuple[bool, ...], tuple[bool, ..
                  for k in (1, 0))
 
 
-def swan_profile(x: WDRep, m: ModelInstance) -> list[tuple[int, Fraction]]:
-    """(dimension, slope) of each group of irreducible constituents of the
-    restriction of x to the Weil group; feeds the max-plus S-map."""
-    return [(k * ind.r * m.cls(ind.cls).dim, m.cls(ind.cls).slope) for k, ind in x.terms]
+def swan_profile(x: WDRep, m: ModelInstance) -> list[tuple[int, int]]:
+    """(dimension, L*slope) of each group of irreducible constituents of the
+    restriction of x to the Weil group, in ints from the model's tables."""
+    at, dim, slope = m.at, m.dim, m.slope
+    return [(k * ind.r * dim[a], slope[a]) for k, ind in x.terms for a in (at(ind.cls),)]

@@ -5,7 +5,8 @@ rational keys.  Addition is coefficient-wise; the vee product is the
 bi-additive extension of [a] v [b] = [max(a,b)].  Two homomorphisms read off
 totals: degree d([a]) = 1 and weight v([a]) = a.  The positive cone A+
 (keys >= 0, coefficients >= 0) is where representations land via the S-map,
-with d = dimension and v = Swan exponent.
+with d = dimension and v = Swan exponent.  `mp_vee_weight` sums v(x vee y)
+without building x vee y; the Swan bridge feeds it L-scaled int slopes.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ def mp_vee(x: MaxPlusElem, y: MaxPlusElem) -> MaxPlusElem:
             k = max(a, b)
             out[k] = out.get(k, 0) + ca * cb
     return MaxPlusElem(out)
+
+
+def mp_vee_weight(xs, ys):
+    """v(x vee y) = sum c_a*c_b*max(a, b) over two collections of (key,
+    coefficient) pairs, keys int or Fraction; 0 if either is empty."""
+    return sum([ca * cb * (a if a >= b else b) for a, ca in xs for b, cb in ys])
 
 
 def mp_degree_weight(x: MaxPlusElem) -> tuple[int, Fraction]:

@@ -2,13 +2,13 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import pair, perturbations, validation_bases
+from conftest import pair, pairing, perturbations, validation_bases
 from wdexp.bounds import (
     SWEEP_FAMILIES,
     CheckResult,
@@ -26,10 +26,11 @@ from wdexp.bounds import (
     tame_character_witness_model,
     witness_model,
 )
-from wdexp.exponents import (class_minimality, exponents_of, indec_tensor_kernel, is_minimal_rep,
-                             tensor_exponents)
+from wdexp.exponents import (ExponentReport, class_minimality, exponents_of, indec_tensor_kernel,
+                             is_minimal_rep, tensor_exponents)
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
-from wdexp.model import IrreducibleClass, ModelStructureError, validate_model
+from wdexp.maxplus import mp_degree_weight, mp_vee, s_map
+from wdexp.model import IrreducibleClass, ModelInstance, ModelStructureError, validate_model
 from wdexp.rationals import format_rational
 from wdexp.rep import Indecomposable, WDRep, format_rep, parse_rep, rep_dual
 
@@ -299,6 +300,82 @@ def test_swan_bridge_gaps_are_pinned():
     text = "".join(format_rational(swan_bridge_gap(x, y, m)) + "\n" for m, x, y in samples)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "499603ede32253120946eb4d6cc107216f3656060f978a0b6d6374df28034c09")
+
+
+def _bridge_gap_reference(x, y, m):
+    """v(S(x) vee S(y)) - sw(x ox y) through MaxPlusElem: the s_map image of
+    each (dim, slope) constituent, read from the model's classes rather than
+    its integer tables, then mp_vee and mp_degree_weight."""
+    def image(z):
+        return s_map([(k * ind.r * m.cls(ind.cls).dim, m.cls(ind.cls).slope)
+                      for k, ind in z.terms])
+    _, v = mp_degree_weight(mp_vee(image(x), image(y)))
+    return v - tensor_exponents(x, y, m).sw
+
+
+def test_swan_bridge_matches_the_max_plus_reference(zoo_model, census_counterexample):
+    # 200 zoo pairs, a 4 x 25 sweep, and every pair of one- and two-term,
+    # Sp-length <= 2 representations of the census model and the witnesses
+    rng = SplitMix64(23)
+    cases = [(zoo_model, gen_rep(zoo_model, 3, 4, rng.next64()),
+              gen_rep(zoo_model, 3, 4, rng.next64())) for _ in range(200)]
+    run_sweep(ALL_FAMILIES, 4, 25, GenParams.from_strings("0,1/2,1,2"), seed=1,
+              sample_hook=lambda m, x, y: cases.append((m, x, y)))
+    for m in (census_counterexample, dim2_witness_model(), prime_dim_witness_model(3),
+              prime_dim_witness_model(5), tame_character_witness_model()):
+        reps = _small_reps(m, 2, 2)
+        cases += [(m, x, y) for x in reps for y in reps]
+    assert len(cases) == 200 + 100 + 27 ** 2 + 4 * 14 ** 2
+    kinds = Counter()
+    for m, x, y in cases:
+        gap = swan_bridge_gap(x, y, m)
+        assert type(gap) is Fraction
+        assert gap == _bridge_gap_reference(x, y, m), (format_rep(x), format_rep(y))
+        kinds[(gap > 0, m.L > 1)] += 1
+    # zero gaps and many positive ones on models with L > 1, where a gap
+    # left unscaled would read L times too large
+    assert kinds == {(True, True): 857, (False, True): 760, (False, False): 196}
+
+
+def test_swan_bridge_rejects_a_class_of_dim_below_1_or_negative_slope(zoo_model):
+    classes = [zoo_model.cls(i) for i in zoo_model.ids]
+    a = zoo_model.at("a")
+    x = parse_rep("Sp_1(a)", zoo_model)
+    for bad in (replace(classes[a], dim=0), replace(classes[a], dim=-2),
+                replace(classes[a], slope=-classes[a].slope)):
+        m = ModelInstance(classes[:a] + [bad] + classes[a + 1:], pairing(zoo_model),
+                          zoo_model.characters)
+        with pytest.raises(ValueError):
+            swan_bridge_gap(x, x, m)
+
+
+def test_records_are_immutable_tuples_with_named_fields():
+    inputs = {"x": "Sp_1(u)", "mode": "eta"}
+    r = CheckResult("AS", Fraction(1, 3), Fraction(1, 2), False, False, inputs)
+    assert (r.theorem, r.lhs, r.rhs, r.holds, r.equality, r.inputs, r.precondition_failed) == (
+        "AS", Fraction(1, 3), Fraction(1, 2), False, False, inputs, False)
+    assert r == CheckResult(theorem="AS", lhs=Fraction(1, 3), rhs=Fraction(1, 2), holds=False,
+                            equality=False, inputs=dict(inputs), precondition_failed=False)
+    assert r != CheckResult("AS", Fraction(1, 3), Fraction(1, 2), False, False, inputs, True)
+    with pytest.raises(AttributeError):
+        r.holds = True
+    assert r.holds is False
+    doc = r.to_json_dict()
+    assert list(doc) == ["theorem", "lhs", "rhs", "holds", "equality", "precondition_failed",
+                         "inputs"]
+    assert doc == {"theorem": "AS", "lhs": "1/3", "rhs": "1/2", "holds": False,
+                   "equality": False, "precondition_failed": False, "inputs": inputs}
+    rep = ExponentReport(4, 7, 3)
+    assert (rep.dim, rep.ar, rep.sw) == (4, 7, 3)
+    assert rep == ExponentReport(dim=4, ar=7, sw=3) != ExponentReport(4, 7, 2)
+    with pytest.raises(AttributeError):
+        rep.ar = 0
+    assert rep.ar == 7
+    assert (rep.eta, rep.varsigma) == (Fraction(7, 4), Fraction(3, 4))
+    assert (rep.exponent("eta"), rep.exponent("sigma")) == (7, 3)
+    with pytest.raises(ValueError):
+        rep.exponent("zeta")
+    assert ExponentReport(0, 0, 0).eta is None is ExponentReport(0, 0, 0).varsigma
 
 
 def test_checks_for_pair_labels(zoo_model):

@@ -246,4 +246,7 @@ def test_eta_homogeneous(zoo_model):
 def test_swan_profile(zoo_model):
     x = parse_rep("2*Sp_3(a) + Sp_1(g)", zoo_model)
     prof = swan_profile(x, zoo_model)
-    assert sorted(prof) == [(1, Fraction(2)), (12, Fraction(1, 2))]
+    # (dim, L*slope) in ints: slopes 2 and 1/2 at the zoo model's L = 12
+    assert zoo_model.L == 12
+    assert sorted(prof) == [(1, 24), (12, 6)]
+    assert all(type(d) is int and type(ls) is int for d, ls in prof)

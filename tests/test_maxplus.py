@@ -7,6 +7,7 @@ from wdexp.maxplus import (
     MaxPlusElem,
     mp_degree_weight,
     mp_vee,
+    mp_vee_weight,
     optimal_witness,
     pair_upper_bound,
     s_map,
@@ -95,6 +96,30 @@ def test_ring_laws_random():
         assert (ds, vs) == (dx + dy, vx + vy)
         dv, _ = mp_degree_weight(mp_vee(x, y))
         assert dv == dx * dy
+
+
+def test_vee_weight_is_the_weight_of_the_vee_product():
+    # v(x vee y) read off the (key, coefficient) pairs of x and y: with the
+    # Fraction keys of a MaxPlusElem, with int keys (repeated keys and zero
+    # coefficients included, as MaxPlusElem canonicalizes them) and with
+    # zero elements on either side.
+    rng = SplitMix64(8)
+    zero = MaxPlusElem.zero()
+    empties = 0
+    for _ in range(300):
+        xs, ys = ([(rng.below(13) - 3, rng.below(7) - 3) for _ in range(rng.below(4))]
+                  for _ in range(2))
+        empties += not xs or not ys
+        x, y = (MaxPlusElem([(Fraction(a, 6), c) for a, c in zs]) for zs in (xs, ys))
+        assert mp_vee_weight(x.coeffs.items(), y.coeffs.items()) == mp_degree_weight(mp_vee(x, y))[1]
+        lv = mp_vee_weight(xs, ys)
+        assert type(lv) is int
+        assert lv == mp_degree_weight(mp_vee(MaxPlusElem(xs), MaxPlusElem(ys)))[1]
+        for z in (x, zero):
+            assert mp_vee_weight(z.coeffs.items(), zero.coeffs.items()) == 0
+            assert mp_vee_weight(zero.coeffs.items(), z.coeffs.items()) == 0
+    assert empties > 0
+    assert mp_vee_weight([(2, 3)], [(5, 1), (1, 2)]) == 3 * 5 + 6 * 2
 
 
 def test_s_map():
