@@ -31,11 +31,10 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .exponents import (character_twists, exponents_of, is_minimal_among, swan_profile,
-                        tensor_exponents)
+from .exponents import exponents_of, rep_minimality, swan_profile, tensor_exponents
 from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_rep
 from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
-from .model import UNRAMIFIED_ID, IrreducibleClass, ModelInstance, validate_model
+from .model import MODES, UNRAMIFIED_ID, IrreducibleClass, ModelInstance, validate_model
 from .rationals import format_rational
 from .rep import Indecomposable, WDRep, format_rep, rep_dual
 
@@ -93,9 +92,7 @@ class PairExponents:
     x_ydual = cached_property(lambda p: tensor_exponents(p.x, p.y_dual, p.m))
     x_xdual = cached_property(lambda p: tensor_exponents(p.x, rep_dual(p.x, p.m), p.m))
     y_ydual = cached_property(lambda p: tensor_exponents(p.y, p.y_dual, p.m))
-    x_twists = cached_property(lambda p: character_twists(p.x, p.m, p.ex))
-    x_minimal_eta = cached_property(lambda p: is_minimal_among(p.ex, p.x_twists, "eta"))
-    x_minimal_sigma = cached_property(lambda p: is_minimal_among(p.ex, p.x_twists, "sigma"))
+    x_minimal = cached_property(lambda p: rep_minimality(p.x, p.m, p.ex))
     inputs = cached_property(
         lambda p: {"model": p.m.digest(), "x": format_rep(p.x), "y": format_rep(p.y)})
 
@@ -106,8 +103,7 @@ def check_bound_A(p: PairExponents, mode: str = "eta") -> CheckResult:
     label = "A" if mode == "eta" else "AS"
     rn, rd = _larger(p.ex, p.ey, mode)
     return _decide(label, p.x_y.exponent(mode), p.x_y.dim, rn, 2 * rd, False,
-                   dict(p.inputs, mode=mode),
-                   not (p.x_minimal_eta if mode == "eta" else p.x_minimal_sigma))
+                   dict(p.inputs, mode=mode), not p.x_minimal[MODES.index(mode)])
 
 
 def check_bound_B(p: PairExponents, mode: str = "eta", variant: str = "sum") -> CheckResult:

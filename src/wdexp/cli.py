@@ -8,7 +8,6 @@ All diagnostics go to stderr; rationals print as reduced "p/q".
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import combinations_with_replacement
@@ -22,7 +21,7 @@ from .jordan import Partition, nilpotent_rank, tensor_partition, unramified_orac
 from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
 from .model import ModelStructureError, UNRAMIFIED_ID, dump_model, load_model, validate_model
 from .rationals import format_rational, parse_int, parse_rational
-from .rep import Indecomposable, RepSyntaxError, WDRep, format_rep, parse_rep
+from .rep import Indecomposable, WDRep, format_rep, parse_rep
 
 DEFAULT_LEVELS = "0,1/2,1,2"
 
@@ -261,8 +260,7 @@ def run_command(argv) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (ModelStructureError, RepSyntaxError, GeneratorError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, GeneratorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,12 +15,13 @@ on the left; Sp_r of the dual orbit of chi then twists into the unramified
 orbit, with ar = r-1.  `exponents_of` is the twist by the unramified orbit
 Sp_1(u): the unit row s(u,i) = slope_i gives sw = r*m_i*slope_i,
 ar(Sp_r(u)) = r-1 and the additive rule ar(Sp_r(sigma)) = r*ar(sigma) for
-ramified sigma.  `character_twists` lists the character twists of x once,
-and `is_minimal_among` compares them with `exponents_of(x)` for either
-mode.  `class_minimality` applies the same rule to every Sp_1(i) at once,
-reading the twists off the characters' kernel rows; it is the one source
-of the class flags.  The kernel computes in integers on the model's
-integer tables (`ModelInstance.S`, `dim`, `deg`, `dual`).
+ramified sigma.  Minimality has one shape, a pair (sigma, eta) in the
+order of MODES: `rep_minimality` evaluates every character twist of x once
+and compares both exponents with `exponents_of(x)`, and `is_minimal_rep`
+reads one mode of it.  `class_minimality` applies the same rule to every
+Sp_1(i) at once, reading the twists off the characters' kernel rows; it is
+the one source of the class flags.  The kernel computes in integers on the
+model's integer tables (`ModelInstance.S`, `dim`, `deg`, `dual`).
 """
 
 from __future__ import annotations
@@ -116,17 +117,14 @@ def exponents_of(x: WDRep, m: ModelInstance) -> ExponentReport:
     return _twist(UNRAMIFIED_ID, x, m)
 
 
-def character_twists(x: WDRep, m: ModelInstance, own: ExponentReport) -> list[ExponentReport]:
-    """x twisted by each in-model character; `own` = exponents_of(x) stands
-    in for the twist by the unramified orbit, which it equals."""
-    return [own if chi == UNRAMIFIED_ID else _twist(chi, x, m) for chi in m.characters]
-
-
-def is_minimal_among(own: ExponentReport, twists, mode: str) -> bool:
-    """The minimality rule: no twist has a lower Artin exponent (mode
-    "eta") or Swan exponent (mode "sigma") than `own`."""
-    least = own.exponent(mode)
-    return all(t.exponent(mode) >= least for t in twists)
+def rep_minimality(x: WDRep, m: ModelInstance, own: ExponentReport) -> tuple[bool, bool]:
+    """(sigma, eta), in the order of MODES: whether no in-model character
+    twist of x has a lower Swan or Artin exponent than `own` =
+    exponents_of(x), which is the twist by the unramified orbit.  Every
+    twist is evaluated before either comparison, so a twist that raises
+    does so in both modes."""
+    twists = [_twist(chi, x, m) for chi in m.characters if chi != UNRAMIFIED_ID]
+    return all(t.sw >= own.sw for t in twists), all(t.ar >= own.ar for t in twists)
 
 
 def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:
@@ -134,8 +132,9 @@ def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:
     "eta") or its Swan exponent (mode "sigma")."""
     if x.is_zero:
         raise ValueError("minimality is undefined for the zero representation")
-    own = exponents_of(x, m)
-    return is_minimal_among(own, character_twists(x, m, own), mode)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return rep_minimality(x, m, exponents_of(x, m))[MODES.index(mode)]
 
 
 def class_minimality(m: ModelInstance) -> tuple[tuple[bool, ...], tuple[bool, ...]]:

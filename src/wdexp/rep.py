@@ -159,8 +159,8 @@ def rep_dim(x: WDRep, m: ModelInstance) -> int:
 
 
 def rep_dual(x: WDRep, m: ModelInstance) -> WDRep:
-    """Replace each class by its dual orbit, preserving lengths and
-    multiplicities.  At orbit level this is the contragredient."""
-    return WDRep.from_terms(
-        (k, Indecomposable(ind.r, m.cls(ind.cls).dual)) for k, ind in x.terms
-    )
+    """The contragredient: each class renamed to its dual orbit, lengths and
+    multiplicities kept; the dual is an involution, so one sort normalizes."""
+    at, dual, ids = m.at, m.dual, m.ids
+    terms = sorted([(ids[dual[at(ind.cls)]], ind.r, k) for k, ind in x.terms])
+    return WDRep(tuple([(k, Indecomposable(r, c)) for c, r, k in terms]))

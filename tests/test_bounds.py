@@ -453,8 +453,9 @@ def test_report_writer_matches_json_dumps_on_odd_rows():
 def test_sweep_evaluates_each_pair_once(monkeypatch):
     # Every label of a pair reads one evaluation: four distinct tensors,
     # the exponents and minimality of x and y, one digest and two printed
-    # expressions.  Both minimality modes read one list of the twists of x,
-    # whose twist by the unramified orbit is the exponents of x.
+    # expressions.  Both minimality modes read one `rep_minimality` pass
+    # over the twists of x, whose twist by the unramified orbit is the
+    # exponents of x.
     import wdexp.bounds as bounds
     import wdexp.exponents as exponents
     from wdexp.model import ModelInstance
@@ -467,7 +468,7 @@ def test_sweep_evaluates_each_pair_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("tensor_exponents", "exponents_of", "character_twists", "rep_dual", "format_rep"):
+    for name in ("tensor_exponents", "exponents_of", "rep_minimality", "rep_dual", "format_rep"):
         monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
     monkeypatch.setattr(ModelInstance, "digest", counting("digest", ModelInstance.digest))
     twists, twist = Counter(), exponents._twist
@@ -485,7 +486,7 @@ def test_sweep_evaluates_each_pair_once(monkeypatch):
         assert count <= pairs * (len(m.characters) + 1)
     assert calls["tensor_exponents"] <= 4 * n
     assert calls["exponents_of"] <= 2 * n
-    assert calls["character_twists"] <= n
+    assert calls["rep_minimality"] <= n
     assert calls["rep_dual"] <= 2 * n
     assert calls["format_rep"] <= 2 * n
     assert calls["digest"] <= n

@@ -3,17 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dualized, is_eta_homogeneous, perturbations, validation_bases
+from conftest import dualized, is_eta_homogeneous, pairing, perturbations, validation_bases
 from wdexp.exponents import (
     exponents_of,
     indec_tensor_kernel,
     is_minimal_rep,
+    rep_minimality,
     swan_profile,
     tensor_exponents,
 )
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
-from wdexp.model import MODES, UNRAMIFIED_ID, is_minimal_class
-from wdexp.rep import WDRep, format_rep, parse_rep, rep_dual
+from wdexp.model import MODES, UNRAMIFIED_ID, ModelInstance, ModelStructureError, is_minimal_class
+from wdexp.rep import Indecomposable, WDRep, format_rep, parse_rep, rep_dual
 
 
 def twist(chi, x, m):
@@ -166,6 +167,53 @@ def test_minimality_of_reps(zoo_model):
         is_minimal_rep(WDRep.zero(), "eta", zoo_model)
     with pytest.raises(ValueError, match="mode must be one of"):
         is_minimal_rep(parse_rep("Sp_1(a)", zoo_model), "bogus", zoo_model)
+
+
+def reference_minimality(x, m):
+    """(sigma, eta) of x from the twist by every id in m.characters, `u`
+    included, each computed as tensor_exponents(Sp_1(chi), x) and compared
+    with the twist by `u`."""
+    def twist_by(chi):
+        return tensor_exponents(WDRep(((1, Indecomposable(1, chi)),)), x, m)
+
+    own = twist_by(UNRAMIFIED_ID)
+    twists = [twist_by(chi) for chi in m.characters]
+    return all(t.sw >= own.sw for t in twists), all(t.ar >= own.ar for t in twists)
+
+
+def _outcome(f):
+    """f()'s value, or the type of the ValueError it raises."""
+    try:
+        return f()
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_rep_minimality_matches_reference(zoo_model, census_counterexample):
+    # drawn representations over valid, generated, perturbed and unit-less
+    # models: both modes agree with the reference, and where it raises the
+    # code raises the same exception type
+    census = census_counterexample
+    no_unit = ModelInstance([census.cls(i) for i in ("c0", "c1")],
+                            {k: v for k, v in pairing(census).items() if UNRAMIFIED_ID not in k},
+                            ["c0"])
+    bases = [zoo_model, census] + [
+        gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl, seed=seed))
+        for cpl in (2, 5) for seed in (0, 1)]
+    models = bases + [p for n, b in enumerate(bases) for p in perturbations(b, random.Random(n))]
+    rng = SplitMix64(17)
+    seen = set()
+    for m in models + [no_unit]:
+        for _ in range(12):
+            x = gen_rep(m, 3, 4, rng.next64())
+            expected = _outcome(lambda: reference_minimality(x, m))
+            assert _outcome(lambda: rep_minimality(x, m, exponents_of(x, m))) == expected
+            for k, mode in enumerate(MODES):
+                want = expected if isinstance(expected, type) else expected[k]
+                assert _outcome(lambda: is_minimal_rep(x, mode, m)) == want, (format_rep(x), mode)
+            seen.add(expected)
+    assert seen == {(True, True), (True, False), (False, True), (False, False), ValueError,
+                    ModelStructureError}
 
 
 def test_minimal_rep_agrees_with_validator_on_classes():
