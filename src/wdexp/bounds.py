@@ -31,12 +31,12 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .exponents import exponents_of, rep_minimality, swan_profile, tensor_exponents
+from .exponents import expand_kernel, rep_exponents, rep_minimality, swan_profile, tensor_exponents
 from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_rep
 from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
 from .model import MODES, UNRAMIFIED_ID, IrreducibleClass, ModelInstance, validate_model
 from .rationals import format_rational
-from .rep import Indecomposable, WDRep, format_rep, rep_dual
+from .rep import Indecomposable, WDRep, format_rep
 
 
 class CheckResult(NamedTuple):
@@ -74,9 +74,9 @@ def _larger(u, v, mode):
 
 
 class PairExponents:
-    """What the bound checks read of a nonzero pair (x, y) in model m, each
-    evaluated on first use and at most once; `x_ydual` is x ox dual(y).
-    The checks divide by dimensions, so m's classes need dim >= 1 (M1)."""
+    """What the bound checks read of a nonzero pair (x, y) in model m: a
+    `RepExponents` record per side, then x ox y, x ox dual(y) and x's
+    minimality on first use.  The checks divide by dim, so need M1's dim >= 1."""
 
     def __init__(self, x: WDRep, y: WDRep, m: ModelInstance):
         if x.is_zero or y.is_zero:
@@ -84,14 +84,11 @@ class PairExponents:
         if min(m.dim) < 1:
             raise ValueError("the bound checks need classes of positive dimension")
         self.x, self.y, self.m = x, y, m
+        self.rx, self.ry = rx, ry = rep_exponents(x, m), rep_exponents(y, m)
+        self.ex, self.ey, self.x_xdual, self.y_ydual = rx.own, ry.own, rx.x_xdual, ry.x_xdual
 
-    ex = cached_property(lambda p: exponents_of(p.x, p.m))
-    ey = cached_property(lambda p: exponents_of(p.y, p.m))
-    y_dual = cached_property(lambda p: rep_dual(p.y, p.m))
-    x_y = cached_property(lambda p: tensor_exponents(p.x, p.y, p.m))
-    x_ydual = cached_property(lambda p: tensor_exponents(p.x, p.y_dual, p.m))
-    x_xdual = cached_property(lambda p: tensor_exponents(p.x, rep_dual(p.x, p.m), p.m))
-    y_ydual = cached_property(lambda p: tensor_exponents(p.y, p.y_dual, p.m))
+    x_y = cached_property(lambda p: expand_kernel(p.rx.terms, p.ry.terms, p.m))
+    x_ydual = cached_property(lambda p: expand_kernel(p.rx.terms, p.ry.dual, p.m))
     x_minimal = cached_property(lambda p: rep_minimality(p.x, p.m, p.ex))
     inputs = cached_property(
         lambda p: {"model": p.m.digest(), "x": format_rep(p.x), "y": format_rep(p.y)})
@@ -116,7 +113,7 @@ def check_bound_B(p: PairExponents, mode: str = "eta", variant: str = "sum") -> 
     if variant not in ("sum", "indec_or_irr"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "indec_or_irr":
-        for z in (p.x, p.y):
+        for z in (p.rx, p.ry):
             if not z.is_indecomposable:
                 raise ValueError("the strong B-variant needs single-term representations")
             if mode == "sigma" and not z.is_irreducible:
@@ -147,7 +144,7 @@ def check_bound_C(p: PairExponents, mode: str = "eta", variant: str = "general")
         ln, ld = p.x_y.exponent(mode), 1
         rn, rd = p.ey.dim * a + p.ex.dim * b - min(a, b), 1
     else:
-        if not (p.x.is_irreducible and p.y.is_irreducible):
+        if not (p.rx.is_irreducible and p.ry.is_irreducible):
             raise ValueError("the irreducible C-variant needs irreducible representations")
         label = "C_irr" if mode == "eta" else "CS_irr"
         ln, ld = p.x_y.exponent(mode), p.x_y.dim
@@ -233,7 +230,8 @@ def sharpness_suite() -> list[CheckResult]:
 
 
 # Sweep selector -> its labels in emission order, each with the check that
-# produces it and the WDRep property both x and y need (None: every pair).
+# produces it and the shape both x and y need, a field of their records
+# (None: every pair).
 # The checks are called by their module names, so a wrapped checker is the
 # one a sweep runs.
 SWEEP_FAMILIES = {
@@ -342,7 +340,7 @@ def checks_for_pair(theorems, x: WDRep, y: WDRep, m: ModelInstance):
     p = PairExponents(x, y, m)
     return [check(p) for family, labels in SWEEP_FAMILIES.items() if family in theorems
             for _label, check, needs in labels
-            if needs is None or (getattr(x, needs) and getattr(y, needs))]
+            if needs is None or (getattr(p.rx, needs) and getattr(p.ry, needs))]
 
 
 def swan_bridge_gap(x: WDRep, y: WDRep, m: ModelInstance) -> Fraction:

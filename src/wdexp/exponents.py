@@ -1,27 +1,28 @@
 """Artin/Swan exponents of representations and their tensor products.
 
-Everything reduces to one closed kernel on pairs of indecomposables,
-evaluated only by `indec_tensor_kernel`:
+Everything reduces to one closed kernel on pairs of indecomposables:
 
     dim = r*s*m_i*m_j
     sw  = r*s*m_i*m_j*s(i,j)
     ar  = sw + dim - d*min(r,s),   d = deg_i if j is the dual of i else 0
 
-A pair of unramified indecomposables gives the rank formula r*s - min(r,s),
-and `tensor_exponents` expands the kernel bilinearly.  `kernel_row` is the
-kernel of Sp_1(i) with every class at once, times L, for the validator's
-M8 and for class minimality.  Twisting by a character chi puts Sp_1(chi)
-on the left; Sp_r of the dual orbit of chi then twists into the unramified
-orbit, with ar = r-1.  `exponents_of` is the twist by the unramified orbit
-Sp_1(u): the unit row s(u,i) = slope_i gives sw = r*m_i*slope_i,
-ar(Sp_r(u)) = r-1 and the additive rule ar(Sp_r(sigma)) = r*ar(sigma) for
-ramified sigma.  Minimality has one shape, a pair (sigma, eta) in the
-order of MODES: `rep_minimality` evaluates every character twist of x once
-and compares both exponents with `exponents_of(x)`, and `is_minimal_rep`
-reads one mode of it.  `class_minimality` applies the same rule to every
-Sp_1(i) at once, reading the twists off the characters' kernel rows; it is
-the one source of the class flags.  The kernel computes in integers on the
-model's integer tables (`ModelInstance.S`, `dim`, `deg`, `dual`).
+A pair of unramified indecomposables gives the rank formula r*s - min(r,s).
+Terms are resolved to (multiplicity, Sp-length, class index) triples once
+per representation, and `expand_kernel`, the one loop that evaluates the
+kernel, sums it bilinearly over the term pairs of two such tuples in
+integers on the model's tables (`ModelInstance.S`, `dim`, `deg`, `dual`).
+`indec_tensor_kernel` is its one-term case and `tensor_exponents` its
+WDRep form.  `kernel_row` is the kernel of Sp_1(i) with every class at
+once, times L, for the validator's M8 and for class minimality.  Twisting
+by a character chi puts Sp_1(chi) on the left; Sp_r of the dual orbit of
+chi twists into the unramified orbit, with ar = r-1.  `exponents_of` is
+the twist by Sp_1(u), whose unit row s(u,i) = slope_i gives
+sw = r*m_i*slope_i.  `rep_exponents` builds a representation's record
+once: its terms, its dual's (k, r, dual[a]), its exponents and x ox
+dual(x).  Minimality has one shape, a pair (sigma, eta) in the order of
+MODES: `rep_minimality` compares every character twist of x with
+`exponents_of(x)`, and `is_minimal_rep` reads one mode of it.
+`class_minimality` applies it to every Sp_1(i) at once, for the class flags.
 """
 
 from __future__ import annotations
@@ -58,19 +59,40 @@ class ExponentReport(NamedTuple):
         return self.ar if mode == "eta" else self.sw
 
 
+def resolve_terms(x: WDRep, m: ModelInstance) -> tuple[tuple[int, int, int], ...]:
+    """The terms of x as (multiplicity, Sp-length, class index) triples."""
+    return tuple([(k, ind.r, m.at(ind.cls)) for k, ind in x.terms])
+
+
+def expand_kernel(xs, ys, m: ModelInstance) -> ExponentReport:
+    """The kernel summed bilinearly over the term pairs of two resolved
+    representations, x's terms outer, in integers on the model's integer
+    tables: each term pair's sw = dim*S[a][b]/L must be exact."""
+    S, dim, deg, dual, L = m.S, m.dim, m.deg, m.dual, m.L
+    n = lsw = lost = 0
+    for k, r, a in xs:
+        row, ra, da = S[a], r * dim[a], dual[a]
+        for l, s, b in ys:
+            d = ra * s * dim[b]
+            w = d * row[b]
+            if w % L:
+                raise ValueError(f"sw of Sp_{r}({m.ids[a]}) tensor Sp_{s}({m.ids[b]}) is not an "
+                                 f"integer: {Fraction(w, L)}")
+            kl = k * l
+            n += kl * d
+            lsw += kl * w
+            if b == da:
+                lost += kl * deg[a] * (r if r < s else s)
+    sw = lsw // L
+    return ExponentReport(n, sw + n - lost, sw)
+
+
 def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tuple[int, int, int]:
-    """(ar, sw, dim) of Sp_r(class_i) tensor Sp_s(class_j), in integers on
-    the model's integer tables: sw = dim*S[i][j]/L must be exact."""
+    """(ar, sw, dim) of Sp_r(class_i) tensor Sp_s(class_j)."""
     if r < 1 or s < 1:
         raise ValueError("Sp-lengths must be >= 1")
-    a, b = m.at(i), m.at(j)
-    dim = r * s * m.dim[a] * m.dim[b]
-    sw, rest = divmod(dim * m.S[a][b], m.L)
-    if rest:
-        raise ValueError(f"sw of Sp_{r}({i}) tensor Sp_{s}({j}) is not an integer: "
-                         f"{Fraction(dim * m.S[a][b], m.L)}")
-    d = m.deg[a] if b == m.dual[a] else 0
-    return sw + dim - d * min(r, s), sw, dim
+    dim, ar, sw = expand_kernel(((1, r, m.at(i)),), ((1, s, m.at(j)),), m)
+    return ar, sw, dim
 
 
 def kernel_row(a: int, m: ModelInstance) -> tuple[list[int], list[int], list[int]]:
@@ -88,33 +110,12 @@ def kernel_row(a: int, m: ModelInstance) -> tuple[list[int], list[int], list[int
 
 def tensor_exponents(x: WDRep, y: WDRep, m: ModelInstance) -> ExponentReport:
     """Bilinear expansion of the kernel over term pairs; symmetric in x, y."""
-    ar = sw = dim = 0
-    for kx, ix in x.terms:
-        for ky, iy in y.terms:
-            a, w, d = indec_tensor_kernel(ix.r, ix.cls, iy.r, iy.cls, m)
-            ar += kx * ky * a
-            sw += kx * ky * w
-            dim += kx * ky * d
-    return ExponentReport(dim, ar, sw)
-
-
-def _twist(chi: str, x: WDRep, m: ModelInstance) -> ExponentReport:
-    """Exponents of Sp_1(chi) tensor x, term by term through the kernel, not
-    `tensor_exponents` on a one-term WDRep: building one per twist made a
-    10 x 50 `run_sweep` 16.5% slower (median of 16 interleaved runs, Python
-    3.11.7, 2 CPUs)."""
-    ar = sw = dim = 0
-    for k, ind in x.terms:
-        a, w, d = indec_tensor_kernel(1, chi, ind.r, ind.cls, m)
-        ar += k * a
-        sw += k * w
-        dim += k * d
-    return ExponentReport(dim, ar, sw)
+    return expand_kernel(resolve_terms(x, m), resolve_terms(y, m), m)
 
 
 def exponents_of(x: WDRep, m: ModelInstance) -> ExponentReport:
     """Exponents of a representation: its twist by the unramified orbit."""
-    return _twist(UNRAMIFIED_ID, x, m)
+    return expand_kernel(((1, 1, m.at(UNRAMIFIED_ID)),), resolve_terms(x, m), m)
 
 
 def rep_minimality(x: WDRep, m: ModelInstance, own: ExponentReport) -> tuple[bool, bool]:
@@ -123,8 +124,30 @@ def rep_minimality(x: WDRep, m: ModelInstance, own: ExponentReport) -> tuple[boo
     exponents_of(x), which is the twist by the unramified orbit.  Every
     twist is evaluated before either comparison, so a twist that raises
     does so in both modes."""
-    twists = [_twist(chi, x, m) for chi in m.characters if chi != UNRAMIFIED_ID]
+    terms, u = resolve_terms(x, m), m.index.get(UNRAMIFIED_ID)
+    twists = [expand_kernel(((1, 1, chi),), terms, m) for chi in m.chars if chi != u]
     return all(t.sw >= own.sw for t in twists), all(t.ar >= own.ar for t in twists)
+
+
+class RepExponents(NamedTuple):
+    """What the bound checks read of one representation x: the resolved
+    terms of x and of its dual, its exponents, x ox dual(x), its shape."""
+
+    terms: tuple[tuple[int, int, int], ...]
+    dual: tuple[tuple[int, int, int], ...]
+    own: ExponentReport
+    x_xdual: ExponentReport
+    is_indecomposable: bool
+    is_irreducible: bool
+
+
+def rep_exponents(x: WDRep, m: ModelInstance) -> RepExponents:
+    """The record of x.  Its dual's terms are in the order of `rep_dual`, so
+    x ox dual(x) raises where `tensor_exponents(x, rep_dual(x, m), m)` does."""
+    terms, dual = resolve_terms(x, m), m.dual
+    dterms = tuple([(k, r, a) for a, r, k in sorted([(dual[a], r, k) for k, r, a in terms])])
+    return RepExponents(terms, dterms, expand_kernel(((1, 1, m.at(UNRAMIFIED_ID)),), terms, m),
+                        expand_kernel(terms, dterms, m), x.is_indecomposable, x.is_irreducible)
 
 
 def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:

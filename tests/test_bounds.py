@@ -27,7 +27,7 @@ from wdexp.bounds import (
     witness_model,
 )
 from wdexp.exponents import (ExponentReport, class_minimality, exponents_of, indec_tensor_kernel,
-                             is_minimal_rep, tensor_exponents)
+                             is_minimal_rep, rep_minimality, tensor_exponents)
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
 from wdexp.maxplus import mp_degree_weight, mp_vee, s_map
 from wdexp.model import IrreducibleClass, ModelInstance, ModelStructureError, validate_model
@@ -451,13 +451,14 @@ def test_report_writer_matches_json_dumps_on_odd_rows():
 
 
 def test_sweep_evaluates_each_pair_once(monkeypatch):
-    # Every label of a pair reads one evaluation: four distinct tensors,
-    # the exponents and minimality of x and y, one digest and two printed
-    # expressions.  Both minimality modes read one `rep_minimality` pass
-    # over the twists of x, whose twist by the unramified orbit is the
-    # exponents of x.
+    # Every label of a pair reads one evaluation: one digest, two printed
+    # expressions and, per pair, the kernel loop over the four two-sided
+    # products, the unit twists of x and y and the other character twists
+    # of x, which with its unit twist decide its minimality.  No twist of
+    # y, no dual WDRep and no public tensor call.
     import wdexp.bounds as bounds
     import wdexp.exponents as exponents
+    import wdexp.rep as rep
     from wdexp.model import ModelInstance
 
     calls = Counter()
@@ -468,26 +469,32 @@ def test_sweep_evaluates_each_pair_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("tensor_exponents", "exponents_of", "rep_minimality", "rep_dual", "format_rep"):
-        monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
+    for module, name in ((bounds, "tensor_exponents"), (exponents, "tensor_exponents"),
+                         (rep, "rep_dual"), (bounds, "format_rep")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(ModelInstance, "digest", counting("digest", ModelInstance.digest))
-    twists, twist = Counter(), exponents._twist
+    pairs, kernel = [], exponents.expand_kernel
 
-    def counting_twist(chi, x, m):
-        twists[m] += 1
-        return twist(chi, x, m)
+    def hook(m, x, y):
+        pairs.append((m, exponents.resolve_terms(x, m), exponents.resolve_terms(y, m), Counter()))
 
-    monkeypatch.setattr(exponents, "_twist", counting_twist)
-    models, pairs = 4, 25
-    run_sweep(ALL_FAMILIES, models, pairs, GenParams.from_strings("0,1/2,1,2"), seed=0)
-    n = models * pairs
-    assert len(twists) == models
-    for m, count in twists.items():
-        assert count <= pairs * (len(m.characters) + 1)
-    assert calls["tensor_exponents"] <= 4 * n
-    assert calls["exponents_of"] <= 2 * n
-    assert calls["rep_minimality"] <= n
-    assert calls["rep_dual"] <= 2 * n
+    def counting_kernel(xs, ys, m):
+        _, x, y, seen = pairs[-1]
+        seen["all"] += 1
+        twist = len(xs) == 1 and xs[0][:2] == (1, 1) and xs[0][2] in m.chars
+        seen["y twists"] += twist and xs[0][2] != m.at("u") and ys == y != x and xs not in (x, y)
+        return kernel(xs, ys, m)
+
+    for module in (bounds, exponents):
+        monkeypatch.setattr(module, "expand_kernel", counting_kernel)
+    models, n = 4, 100
+    run_sweep(ALL_FAMILIES, models, n // models, GenParams.from_strings("0,1/2,1,2"), seed=0,
+              sample_hook=hook)
+    assert len(pairs) == n and len({id(m) for m, *_ in pairs}) == models
+    for m, _, _, seen in pairs:
+        assert seen["all"] <= 4 + 2 + len(m.characters) - 1
+        assert seen["y twists"] == 0
+    assert calls["tensor_exponents"] == calls["rep_dual"] == 0
     assert calls["format_rep"] <= 2 * n
     assert calls["digest"] <= n
 
@@ -634,6 +641,46 @@ def test_integer_decisions_match_the_fraction_reference(census_counterexample):
     assert sorted(fails) == sorted(holds) == sorted(every)
     assert all(equalities[label] and equalities[label] < holds[label] for label in every)
     assert refused["dim"] and refused["sw"]
+
+
+def _outcome(fn):
+    """repr of fn()'s value as a tuple, or its exception's type and message."""
+    try:
+        return repr(tuple(fn()))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_kernel_evaluations_are_pinned(census_counterexample):
+    # sha256 of the pair's tensors, x's exponents and x's minimality over
+    # the differential cases, one line a case, recorded before the kernel
+    # read resolved terms; and every PairExponents field against the
+    # public functions.  A field may raise an error of another field of
+    # its pair, as one representation's exponents and x ox dual(x) are
+    # evaluated together.
+    lines, fields = [], Counter()
+    for m, x, y in _differential_cases(census_counterexample):
+        public = {
+            "x_y": lambda: tensor_exponents(x, y, m),
+            "x_ydual": lambda: tensor_exponents(x, rep_dual(y, m), m),
+            "ex": lambda: exponents_of(x, m),
+            "x_minimal": lambda: rep_minimality(x, m, exponents_of(x, m)),
+            "ey": lambda: exponents_of(y, m),
+            "x_xdual": lambda: tensor_exponents(x, rep_dual(x, m), m),
+            "y_ydual": lambda: tensor_exponents(y, rep_dual(y, m), m),
+        }
+        want = {name: _outcome(fn) for name, fn in public.items()}
+        lines.append(" | ".join(list(want.values())[:4]) + "\n")
+        if min(m.dim) < 1:
+            continue
+        errors = {v for v in want.values() if not v.startswith("(")}
+        for name in public:
+            got = _outcome(lambda: getattr(PairExponents(x, y, m), name))
+            assert got == want[name] or got in errors, (name, format_rep(x), format_rep(y))
+            fields[got == want[name]] += 1
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "51d5acf95c3c82cb10f33f66dda2329ec0e4941cd63d77251cbcea5c40f4fc73")
+    assert fields[True] > 30000, fields
 
 
 def test_census_counterexample_fails_AS_with_its_precondition_met(census_counterexample):

@@ -15,7 +15,8 @@ from wdexp.generator import (
     gen_model_with_stats,
     gen_rep,
 )
-from wdexp.model import UNRAMIFIED_ID, is_minimal_class, validate_model
+from wdexp.model import (UNRAMIFIED_ID, IrreducibleClass, ModelInstance, is_minimal_class,
+                         validate_model)
 from wdexp.rep import rep_dim
 
 
@@ -47,6 +48,22 @@ def test_infeasible_dimension_pool_fails_loudly():
     params = GenParams(slope_levels=(Fraction(1, 3),), dim_pool=(2, 4))
     with pytest.raises(GeneratorError):
         gen_model(params)
+
+
+def test_a_model_validation_rejects_is_a_generator_error(monkeypatch):
+    # One attempt and no retry: a model that fails validation names its
+    # violations in the error.
+    bad = ModelInstance([IrreducibleClass(UNRAMIFIED_ID, 1, Fraction(0), 1, UNRAMIFIED_ID, True, True),
+                         IrreducibleClass("a", 2, Fraction(1, 3), 1, "a")],
+                        {("a", "a"): Fraction(1, 3)}, [UNRAMIFIED_ID])
+    violations = validate_model(bad).violations
+    assert violations
+    calls = []
+    monkeypatch.setattr(wdexp.generator, "_attempt", lambda *args: calls.append(args) or bad)
+    with pytest.raises(GeneratorError, match="fails validation") as info:
+        gen_model_with_stats(GenParams.from_strings("0,1"))
+    assert len(calls) == 1
+    assert str(violations[0]) in str(info.value)
 
 
 def test_generated_models_are_valid(gen_params):
@@ -131,7 +148,7 @@ def test_gen_rep_covers_every_class(generated_model):
 
 def test_stats_reported(gen_params):
     _, stats = gen_model_with_stats(gen_params)
-    assert stats.attempts >= 1
+    assert stats.attempts == 1
     assert stats.repair_rounds >= 0
 
 
