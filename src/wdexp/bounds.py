@@ -31,12 +31,12 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .exponents import expand_kernel, rep_exponents, rep_minimality, swan_profile, tensor_exponents
+from .exponents import expand_kernel, rep_exponents, rep_minimality, swan_profile
 from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_rep
 from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
 from .model import MODES, UNRAMIFIED_ID, IrreducibleClass, ModelInstance, validate_model
 from .rationals import format_rational
-from .rep import Indecomposable, WDRep, format_rep
+from .rep import Indecomposable, WDRep, format_rep, resolve_terms
 
 
 class CheckResult(NamedTuple):
@@ -89,7 +89,7 @@ class PairExponents:
 
     x_y = cached_property(lambda p: expand_kernel(p.rx.terms, p.ry.terms, p.m))
     x_ydual = cached_property(lambda p: expand_kernel(p.rx.terms, p.ry.dual, p.m))
-    x_minimal = cached_property(lambda p: rep_minimality(p.x, p.m, p.ex))
+    x_minimal = cached_property(lambda p: rep_minimality(p.rx.terms, p.m, p.ex))
     inputs = cached_property(
         lambda p: {"model": p.m.digest(), "x": format_rep(p.x), "y": format_rep(p.y)})
 
@@ -350,8 +350,9 @@ def swan_bridge_gap(x: WDRep, y: WDRep, m: ModelInstance) -> Fraction:
     and L*sw are ints and the gap is the one Fraction a call builds."""
     if min(m.dim) < 1 or min(m.slope) < 0:
         raise ValueError("the Swan bridge needs classes of positive dimension and slope >= 0")
-    lv = mp_vee_weight(*[[(ls, d) for d, ls in swan_profile(z, m)] for z in (x, y)])
-    return Fraction(lv - m.L * tensor_exponents(x, y, m).sw, m.L)
+    xs, ys = resolve_terms(x, m), resolve_terms(y, m)
+    lv = mp_vee_weight(swan_profile(xs, m), swan_profile(ys, m))
+    return Fraction(lv - m.L * expand_kernel(xs, ys, m).sw, m.L)
 
 
 # One report row of `results_to_json`: its keys in sorted order, indented as

@@ -7,8 +7,8 @@ Everything reduces to one closed kernel on pairs of indecomposables:
     ar  = sw + dim - d*min(r,s),   d = deg_i if j is the dual of i else 0
 
 A pair of unramified indecomposables gives the rank formula r*s - min(r,s).
-Terms are resolved to (multiplicity, Sp-length, class index) triples once
-per representation, and `expand_kernel`, the one loop that evaluates the
+Terms are resolved to class-index triples once per representation by
+`rep.resolve_terms`, and `expand_kernel`, the one loop that evaluates the
 kernel, sums it bilinearly over the term pairs of two such tuples in
 integers on the model's tables (`ModelInstance.S`, `dim`, `deg`, `dual`).
 `indec_tensor_kernel` is its one-term case and `tensor_exponents` its
@@ -18,9 +18,9 @@ by a character chi puts Sp_1(chi) on the left; Sp_r of the dual orbit of
 chi twists into the unramified orbit, with ar = r-1.  `exponents_of` is
 the twist by Sp_1(u), whose unit row s(u,i) = slope_i gives
 sw = r*m_i*slope_i.  `rep_exponents` builds a representation's record
-once: its terms, its dual's (k, r, dual[a]), its exponents and x ox
+once: its terms, its dual's (`rep.dual_terms`), its exponents and x ox
 dual(x).  Minimality has one shape, a pair (sigma, eta) in the order of
-MODES: `rep_minimality` compares every character twist of x with
+MODES: `rep_minimality` compares every character twist of x's terms with
 `exponents_of(x)`, and `is_minimal_rep` reads one mode of it.
 `class_minimality` applies it to every Sp_1(i) at once, for the class flags.
 """
@@ -33,7 +33,7 @@ from operator import add, eq, mul
 from typing import NamedTuple
 
 from .model import MODES, UNRAMIFIED_ID, ModelInstance
-from .rep import WDRep
+from .rep import WDRep, dual_terms, resolve_terms
 
 
 class ExponentReport(NamedTuple):
@@ -57,11 +57,6 @@ class ExponentReport(NamedTuple):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         return self.ar if mode == "eta" else self.sw
-
-
-def resolve_terms(x: WDRep, m: ModelInstance) -> tuple[tuple[int, int, int], ...]:
-    """The terms of x as (multiplicity, Sp-length, class index) triples."""
-    return tuple([(k, ind.r, m.at(ind.cls)) for k, ind in x.terms])
 
 
 def expand_kernel(xs, ys, m: ModelInstance) -> ExponentReport:
@@ -118,13 +113,13 @@ def exponents_of(x: WDRep, m: ModelInstance) -> ExponentReport:
     return expand_kernel(((1, 1, m.at(UNRAMIFIED_ID)),), resolve_terms(x, m), m)
 
 
-def rep_minimality(x: WDRep, m: ModelInstance, own: ExponentReport) -> tuple[bool, bool]:
+def rep_minimality(terms, m: ModelInstance, own: ExponentReport) -> tuple[bool, bool]:
     """(sigma, eta), in the order of MODES: whether no in-model character
-    twist of x has a lower Swan or Artin exponent than `own` =
-    exponents_of(x), which is the twist by the unramified orbit.  Every
-    twist is evaluated before either comparison, so a twist that raises
-    does so in both modes."""
-    terms, u = resolve_terms(x, m), m.index.get(UNRAMIFIED_ID)
+    twist of x, resolved to `terms`, has a lower Swan or Artin exponent than
+    `own` = exponents_of(x), which is the twist by the unramified orbit.
+    Every twist is evaluated before either comparison, so a twist that
+    raises does so in both modes."""
+    u = m.index.get(UNRAMIFIED_ID)
     twists = [expand_kernel(((1, 1, chi),), terms, m) for chi in m.chars if chi != u]
     return all(t.sw >= own.sw for t in twists), all(t.ar >= own.ar for t in twists)
 
@@ -142,10 +137,10 @@ class RepExponents(NamedTuple):
 
 
 def rep_exponents(x: WDRep, m: ModelInstance) -> RepExponents:
-    """The record of x.  Its dual's terms are in the order of `rep_dual`, so
-    x ox dual(x) raises where `tensor_exponents(x, rep_dual(x, m), m)` does."""
-    terms, dual = resolve_terms(x, m), m.dual
-    dterms = tuple([(k, r, a) for a, r, k in sorted([(dual[a], r, k) for k, r, a in terms])])
+    """The record of x.  Its dual's terms are those of `rep_dual`, so x ox
+    dual(x) raises where `tensor_exponents(x, rep_dual(x, m), m)` does."""
+    terms = resolve_terms(x, m)
+    dterms = dual_terms(terms, m)
     return RepExponents(terms, dterms, expand_kernel(((1, 1, m.at(UNRAMIFIED_ID)),), terms, m),
                         expand_kernel(terms, dterms, m), x.is_indecomposable, x.is_irreducible)
 
@@ -157,7 +152,8 @@ def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:
         raise ValueError("minimality is undefined for the zero representation")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return rep_minimality(x, m, exponents_of(x, m))[MODES.index(mode)]
+    unit, terms = ((1, 1, m.at(UNRAMIFIED_ID)),), resolve_terms(x, m)
+    return rep_minimality(terms, m, expand_kernel(unit, terms, m))[MODES.index(mode)]
 
 
 def class_minimality(m: ModelInstance) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
@@ -177,8 +173,8 @@ def class_minimality(m: ModelInstance) -> tuple[tuple[bool, ...], tuple[bool, ..
                  for k in (1, 0))
 
 
-def swan_profile(x: WDRep, m: ModelInstance) -> list[tuple[int, int]]:
-    """(dimension, L*slope) of each group of irreducible constituents of the
-    restriction of x to the Weil group, in ints from the model's tables."""
-    at, dim, slope = m.at, m.dim, m.slope
-    return [(k * ind.r * dim[a], slope[a]) for k, ind in x.terms for a in (at(ind.cls),)]
+def swan_profile(terms, m: ModelInstance) -> list[tuple[int, int]]:
+    """(L*slope, dim) in ints of each group of irreducible Weil-group constituents
+    of x, resolved to `terms`: the (key, coefficient) pairs of `mp_vee_weight`."""
+    dim, slope = m.dim, m.slope
+    return [(slope[a], k * r * dim[a]) for k, r, a in terms]

@@ -14,7 +14,6 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .model import UNRAMIFIED_ID
@@ -50,7 +49,7 @@ def exact_rank(rows) -> int:
     Fraction-free: each reduction replaces row by piv_lead*row -
     row_lead*piv, which preserves rank over the rationals exactly.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for row in rows:
         row = {c: v for c, v in row.items() if v}
@@ -75,7 +74,7 @@ def _sparse_mul(a: dict, b: dict) -> dict:
     """Product of sparse maps {row: {col: val}} over a shared index space."""
     out = {}
     for r, row in a.items():
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         for k, va in row.items():
             for c, vb in b.get(k, {}).items():
                 w = acc.get(c, 0) + va * vb

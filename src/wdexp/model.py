@@ -171,12 +171,6 @@ class ModelInstance:
 
     # -- lookups ---------------------------------------------------------
 
-    def cls(self, i: str) -> IrreducibleClass:
-        try:
-            return self.classes[i]
-        except KeyError:
-            raise ModelStructureError(f"unknown class id {i!r}") from None
-
     def at(self, i: str) -> int:
         """The index of class i in `ids`."""
         try:

@@ -6,9 +6,10 @@ Text grammar (insensitive to ASCII whitespace):
     term := [int '*'] 'Sp_' int '(' id ')'
     int  := [0-9]+   (ASCII digits, as in slopes)
 
-Normalization merges equal indecomposables and sorts terms by
-(class id, Sp-length); the canonical printer inverts `parse_rep` on
-normalized values.  The empty multiset is the zero representation.
+Normalization merges equal indecomposables and sorts terms by (class id,
+Sp-length); the canonical printer inverts `parse_rep` on normalized values.
+The empty multiset is the zero representation.  A representation meets a
+model only here: `resolve_terms` and `dual_terms`, the one dual rule.
 """
 
 from __future__ import annotations
@@ -154,13 +155,22 @@ def format_rep(x: WDRep) -> str:
     return " + ".join(("" if k == 1 else f"{k}*") + f"Sp_{ind.r}({ind.cls})" for k, ind in x.terms)
 
 
+def resolve_terms(x: WDRep, m: ModelInstance) -> tuple[tuple[int, int, int], ...]:
+    """The terms of x as (multiplicity, Sp-length, class index) triples."""
+    return tuple([(k, ind.r, m.at(ind.cls)) for k, ind in x.terms])
+
+
+def dual_terms(terms, m: ModelInstance) -> tuple[tuple[int, int, int], ...]:
+    """The resolved terms of the contragredient, (k, r, dual[a]) in the order
+    of a normalized WDRep (indices follow the sorted ids), the one dual rule."""
+    return tuple([(k, r, a) for a, r, k in sorted([(m.dual[a], r, k) for k, r, a in terms])])
+
+
 def rep_dim(x: WDRep, m: ModelInstance) -> int:
-    return sum(k * ind.r * m.cls(ind.cls).dim for k, ind in x.terms)
+    return sum(k * r * m.dim[a] for k, r, a in resolve_terms(x, m))
 
 
 def rep_dual(x: WDRep, m: ModelInstance) -> WDRep:
-    """The contragredient: each class renamed to its dual orbit, lengths and
-    multiplicities kept; the dual is an involution, so one sort normalizes."""
-    at, dual, ids = m.at, m.dual, m.ids
-    terms = sorted([(ids[dual[at(ind.cls)]], ind.r, k) for k, ind in x.terms])
-    return WDRep(tuple([(k, Indecomposable(r, c)) for c, r, k in terms]))
+    """The contragredient of x: its `dual_terms`, normalized by `from_terms`."""
+    dterms = dual_terms(resolve_terms(x, m), m)
+    return WDRep.from_terms([(k, Indecomposable(r, m.ids[a])) for k, r, a in dterms])

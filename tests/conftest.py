@@ -141,7 +141,8 @@ def dualized(m):
     """The model with every class replaced by its dual: class data is
     dual-invariant apart from the dual pointer, so each pairing entry
     {i,j} is re-sourced from {dual(i),dual(j)}."""
-    entries = {(i, j): pair(m, m.cls(i).dual, m.cls(j).dual) for (i, j), _ in pairing(m).items()}
+    c = m.classes
+    entries = {(i, j): pair(m, c[i].dual, c[j].dual) for (i, j), _ in pairing(m).items()}
     return ModelInstance(m.classes.values(), entries, m.characters)
 
 

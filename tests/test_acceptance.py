@@ -112,7 +112,7 @@ def test_criterion_4_kernel_cross_check():
         # partition; the irreducible tensor contributes d unramified
         # characters (d = twist degeneracy, dual pairs only) plus a
         # complement with no unramified constituent.
-        ci, cj = m.cls(i), m.cls(j)
+        ci, cj = m.classes[i], m.classes[j]
         d = ci.deg if j == ci.dual else 0
         swan = ci.dim * cj.dim * pair(m, i, j)
         assert swan.denominator == 1

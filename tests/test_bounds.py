@@ -27,12 +27,12 @@ from wdexp.bounds import (
     witness_model,
 )
 from wdexp.exponents import (ExponentReport, class_minimality, exponents_of, indec_tensor_kernel,
-                             is_minimal_rep, rep_minimality, tensor_exponents)
+                             is_minimal_rep, rep_exponents, rep_minimality, tensor_exponents)
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
 from wdexp.maxplus import mp_degree_weight, mp_vee, s_map
 from wdexp.model import IrreducibleClass, ModelInstance, ModelStructureError, validate_model
 from wdexp.rationals import format_rational
-from wdexp.rep import Indecomposable, WDRep, format_rep, parse_rep, rep_dual
+from wdexp.rep import Indecomposable, WDRep, format_rep, parse_rep, rep_dual, resolve_terms
 
 ALL_FAMILIES = ("A", "AS", "B", "BS", "C", "CS")
 
@@ -120,7 +120,7 @@ def test_bound_B_distinct_slopes_hit_max(zoo_model):
     y = parse_rep("Sp_1(b)", zoo_model)
     r = check_bound_B(PairExponents(x, y, zoo_model), "sigma", "indec_or_irr")
     assert r.theorem == "BS_irr" and r.holds
-    assert r.lhs == max(zoo_model.cls("a").slope, zoo_model.cls("b").slope)
+    assert r.lhs == max(zoo_model.classes["a"].slope, zoo_model.classes["b"].slope)
 
 
 def test_bound_C_examples(unit_model, zoo_model):
@@ -225,8 +225,8 @@ def test_prime_witness_strictly_beats_half():
         m = prime_dim_witness_model(ell)
         cid = f"p{ell}"
         diag = pair(m, cid, cid)
-        assert diag == (1 - Fraction(1, ell)) * m.cls(cid).slope
-        assert diag > m.cls(cid).slope / 2
+        assert diag == (1 - Fraction(1, ell)) * m.classes[cid].slope
+        assert diag > m.classes[cid].slope / 2
 
 
 def test_witness_model_rejects_a_pair_given_in_both_orders():
@@ -245,7 +245,7 @@ def test_sp_level_triple_ultrametric(zoo_model):
     m = zoo_model
 
     def eta_pair(r, i, s, j):
-        ar, _, dim = indec_tensor_kernel(r, i, s, m.cls(j).dual, m)
+        ar, _, dim = indec_tensor_kernel(r, i, s, m.classes[j].dual, m)
         return Fraction(ar, dim)
 
     cases = 0
@@ -275,7 +275,7 @@ def test_homogeneous_minimal_twist_formula(zoo_model):
         ex = exponents_of(x, zoo_model).eta
         for chi in zoo_model.characters:
             lhs = tensor_exponents(parse_rep(f"Sp_1({chi})", zoo_model), x, zoo_model).eta
-            c = zoo_model.cls(chi)
+            c = zoo_model.classes[chi]
             eta_chi = Fraction(0) if chi == "u" else c.slope + 1
             assert lhs == max(ex, eta_chi), (x, chi)
     assert tested >= 20
@@ -307,7 +307,7 @@ def _bridge_gap_reference(x, y, m):
     each (dim, slope) constituent, read from the model's classes rather than
     its integer tables, then mp_vee and mp_degree_weight."""
     def image(z):
-        return s_map([(k * ind.r * m.cls(ind.cls).dim, m.cls(ind.cls).slope)
+        return s_map([(k * ind.r * m.classes[ind.cls].dim, m.classes[ind.cls].slope)
                       for k, ind in z.terms])
     _, v = mp_degree_weight(mp_vee(image(x), image(y)))
     return v - tensor_exponents(x, y, m).sw
@@ -337,8 +337,22 @@ def test_swan_bridge_matches_the_max_plus_reference(zoo_model, census_counterexa
     assert kinds == {(True, True): 857, (False, True): 760, (False, False): 196}
 
 
+def test_swan_bridge_resolves_each_term_once(monkeypatch, zoo_model):
+    # The profiles and the tensor read the same resolved terms: one
+    # ModelInstance.at call per term of x and of y.
+    at, calls = ModelInstance.at, []
+    monkeypatch.setattr(ModelInstance, "at", lambda m, i: calls.append(i) or at(m, i))
+    rng = SplitMix64(24)
+    for _ in range(50):
+        x = gen_rep(zoo_model, 3, 4, rng.next64())
+        y = gen_rep(zoo_model, 3, 4, rng.next64())
+        calls.clear()
+        swan_bridge_gap(x, y, zoo_model)
+        assert calls == [ind.cls for z in (x, y) for _, ind in z.terms], (x, y)
+
+
 def test_swan_bridge_rejects_a_class_of_dim_below_1_or_negative_slope(zoo_model):
-    classes = [zoo_model.cls(i) for i in zoo_model.ids]
+    classes = [zoo_model.classes[i] for i in zoo_model.ids]
     a = zoo_model.at("a")
     x = parse_rep("Sp_1(a)", zoo_model)
     for bad in (replace(classes[a], dim=0), replace(classes[a], dim=-2),
@@ -452,10 +466,11 @@ def test_report_writer_matches_json_dumps_on_odd_rows():
 
 def test_sweep_evaluates_each_pair_once(monkeypatch):
     # Every label of a pair reads one evaluation: one digest, two printed
-    # expressions and, per pair, the kernel loop over the four two-sided
-    # products, the unit twists of x and y and the other character twists
-    # of x, which with its unit twist decide its minimality.  No twist of
-    # y, no dual WDRep and no public tensor call.
+    # expressions and, per pair, one resolution of x and of y and the
+    # kernel loop over the four two-sided products, the unit twists of x
+    # and y and the other character twists of x, which with its unit twist
+    # decide its minimality.  No twist of y, no dual WDRep and no public
+    # tensor call.
     import wdexp.bounds as bounds
     import wdexp.exponents as exponents
     import wdexp.rep as rep
@@ -469,14 +484,21 @@ def test_sweep_evaluates_each_pair_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for module, name in ((bounds, "tensor_exponents"), (exponents, "tensor_exponents"),
-                         (rep, "rep_dual"), (bounds, "format_rep")):
+    for module, name in ((exponents, "tensor_exponents"), (rep, "rep_dual"),
+                         (bounds, "format_rep")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(ModelInstance, "digest", counting("digest", ModelInstance.digest))
-    pairs, kernel = [], exponents.expand_kernel
+    pairs, kernel, resolve = [], exponents.expand_kernel, exponents.resolve_terms
 
     def hook(m, x, y):
-        pairs.append((m, exponents.resolve_terms(x, m), exponents.resolve_terms(y, m), Counter()))
+        pairs.append((m, resolve(x, m), resolve(y, m), Counter()))
+
+    def counting_resolve(x, m):
+        pairs[-1][3]["resolutions"] += 1
+        return resolve(x, m)
+
+    for module in (bounds, exponents, rep):
+        monkeypatch.setattr(module, "resolve_terms", counting_resolve)
 
     def counting_kernel(xs, ys, m):
         _, x, y, seen = pairs[-1]
@@ -494,6 +516,7 @@ def test_sweep_evaluates_each_pair_once(monkeypatch):
     for m, _, _, seen in pairs:
         assert seen["all"] <= 4 + 2 + len(m.characters) - 1
         assert seen["y twists"] == 0
+        assert seen["resolutions"] <= 2
     assert calls["tensor_exponents"] == calls["rep_dual"] == 0
     assert calls["format_rep"] <= 2 * n
     assert calls["digest"] <= n
@@ -530,7 +553,7 @@ def test_sp_level_triple_ultrametric_generated():
     ids = sorted(m.classes)
 
     def eta_pair(r, i, s, j):
-        ar, _, dim = indec_tensor_kernel(r, i, s, m.cls(j).dual, m)
+        ar, _, dim = indec_tensor_kernel(r, i, s, m.classes[j].dual, m)
         return Fraction(ar, dim)
 
     rng = SplitMix64(31)
@@ -664,7 +687,7 @@ def test_kernel_evaluations_are_pinned(census_counterexample):
             "x_y": lambda: tensor_exponents(x, y, m),
             "x_ydual": lambda: tensor_exponents(x, rep_dual(y, m), m),
             "ex": lambda: exponents_of(x, m),
-            "x_minimal": lambda: rep_minimality(x, m, exponents_of(x, m)),
+            "x_minimal": lambda: rep_minimality(resolve_terms(x, m), m, exponents_of(x, m)),
             "ey": lambda: exponents_of(y, m),
             "x_xdual": lambda: tensor_exponents(x, rep_dual(x, m), m),
             "y_ydual": lambda: tensor_exponents(y, rep_dual(y, m), m),
@@ -683,11 +706,27 @@ def test_kernel_evaluations_are_pinned(census_counterexample):
     assert fields[True] > 30000, fields
 
 
+def test_record_duals_are_the_resolved_rep_dual(census_counterexample):
+    # A record's dual terms are those of rep_dual, a normalized WDRep, in
+    # the same order, on every representation of the differential cases
+    # whose record can be built.
+    terms = Counter()
+    for m, x, y in _differential_cases(census_counterexample):
+        for z in (x, y):
+            try:
+                record = rep_exponents(z, m)
+            except ValueError:
+                continue
+            assert record.dual == resolve_terms(rep_dual(z, m), m), format_rep(z)
+            terms[min(len(z.terms), 2)] += 1
+    assert terms[1] > 1000 and terms[2] > 2500, terms
+
+
 def test_census_counterexample_fails_AS_with_its_precondition_met(census_counterexample):
     m = census_counterexample
     assert validate_model(m).ok
     sigma, eta = class_minimality(m)
-    assert [(i, m.cls(i).minimal_sigma, m.cls(i).minimal_eta) for i in m.ids] == list(
+    assert [(i, m.classes[i].minimal_sigma, m.classes[i].minimal_eta) for i in m.ids] == list(
         zip(m.ids, sigma, eta))
     x = parse_rep("Sp_1(c1) + Sp_1(u)", m)
     y = parse_rep("Sp_1(c1)", m)

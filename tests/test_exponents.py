@@ -14,7 +14,7 @@ from wdexp.exponents import (
 )
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
 from wdexp.model import MODES, UNRAMIFIED_ID, ModelInstance, ModelStructureError, is_minimal_class
-from wdexp.rep import Indecomposable, WDRep, format_rep, parse_rep, rep_dual
+from wdexp.rep import Indecomposable, WDRep, format_rep, parse_rep, rep_dual, resolve_terms
 
 
 def twist(chi, x, m):
@@ -194,7 +194,7 @@ def test_rep_minimality_matches_reference(zoo_model, census_counterexample):
     # models: both modes agree with the reference, and where it raises the
     # code raises the same exception type
     census = census_counterexample
-    no_unit = ModelInstance([census.cls(i) for i in ("c0", "c1")],
+    no_unit = ModelInstance([census.classes[i] for i in ("c0", "c1")],
                             {k: v for k, v in pairing(census).items() if UNRAMIFIED_ID not in k},
                             ["c0"])
     bases = [zoo_model, census] + [
@@ -207,7 +207,8 @@ def test_rep_minimality_matches_reference(zoo_model, census_counterexample):
         for _ in range(12):
             x = gen_rep(m, 3, 4, rng.next64())
             expected = _outcome(lambda: reference_minimality(x, m))
-            assert _outcome(lambda: rep_minimality(x, m, exponents_of(x, m))) == expected
+            got = _outcome(lambda: rep_minimality(resolve_terms(x, m), m, exponents_of(x, m)))
+            assert got == expected
             for k, mode in enumerate(MODES):
                 want = expected if isinstance(expected, type) else expected[k]
                 assert _outcome(lambda: is_minimal_rep(x, mode, m)) == want, (format_rep(x), mode)
@@ -251,14 +252,14 @@ def test_length_one_kernel_identity(zoo_model):
     ids = sorted(zoo_model.classes)
     for i in ids:
         for j in ids:
-            jd = zoo_model.cls(j).dual
-            m_ij = zoo_model.cls(i).dim * zoo_model.cls(j).dim
+            jd = zoo_model.classes[j].dual
+            m_ij = zoo_model.classes[i].dim * zoo_model.classes[j].dim
             for r in range(1, 5):
                 for s in range(1, r + 1):
                     ar, _, dim = indec_tensor_kernel(r, i, s, jd, zoo_model)
                     ar1, _, dim1 = indec_tensor_kernel(1, i, 1, jd, zoo_model)
                     gap = Fraction(ar, dim) - Fraction(ar1, dim1)
-                    d = zoo_model.cls(i).deg if i == j else 0
+                    d = zoo_model.classes[i].deg if i == j else 0
                     assert gap == d * (1 - Fraction(1, r)) / m_ij, (i, j, r, s)
 
 
@@ -293,8 +294,8 @@ def test_eta_homogeneous(zoo_model):
 
 def test_swan_profile(zoo_model):
     x = parse_rep("2*Sp_3(a) + Sp_1(g)", zoo_model)
-    prof = swan_profile(x, zoo_model)
-    # (dim, L*slope) in ints: slopes 2 and 1/2 at the zoo model's L = 12
+    prof = swan_profile(resolve_terms(x, zoo_model), zoo_model)
+    # (L*slope, dim) in ints: slopes 1/2 and 2 at the zoo model's L = 12
     assert zoo_model.L == 12
-    assert sorted(prof) == [(1, 24), (12, 6)]
-    assert all(type(d) is int and type(ls) is int for d, ls in prof)
+    assert sorted(prof) == [(6, 12), (24, 1)]
+    assert all(type(ls) is int and type(d) is int for ls, d in prof)

@@ -89,7 +89,7 @@ def test_different_seeds_differ():
 def test_minimal_params_give_unit_plus_one_class():
     m = gen_model(GenParams(slope_levels=(Fraction(0),), classes_per_level=1, dim_pool=(2,)))
     assert set(m.classes) == {UNRAMIFIED_ID, "L0c0"}
-    assert pair(m, "L0c0", UNRAMIFIED_ID) == m.cls("L0c0").slope
+    assert pair(m, "L0c0", UNRAMIFIED_ID) == m.classes["L0c0"].slope
 
 
 def test_characters_cover_positive_levels(generated_model):
@@ -97,7 +97,7 @@ def test_characters_cover_positive_levels(generated_model):
     # that slope when integral, or at the next integer above otherwise
     slopes = {c.slope for c in generated_model.classes.values() if c.slope > 0}
     char_slopes = {
-        generated_model.cls(ch).slope for ch in generated_model.characters
+        generated_model.classes[ch].slope for ch in generated_model.characters
     }
     for s in slopes:
         target = s if s.denominator == 1 else Fraction(math.ceil(s))
@@ -157,8 +157,8 @@ def test_distinct_slopes_forced_to_max(generated_model):
     ids = sorted(m.classes)
     for a in ids:
         for b in ids:
-            if m.cls(a).slope != m.cls(b).slope:
-                assert pair(m, a, b) == max(m.cls(a).slope, m.cls(b).slope)
+            if m.classes[a].slope != m.classes[b].slope:
+                assert pair(m, a, b) == max(m.classes[a].slope, m.classes[b].slope)
 
 
 def test_unit_class_minimal_in_generated(generated_model):

@@ -420,7 +420,7 @@ def _reference_json(m):
     classes = [{"id": c.id, "dim": c.dim, "slope": format_rational(c.slope), "deg": c.deg,
                 "dual": c.dual,
                 "flags": ["minimal_sigma"] * c.minimal_sigma + ["minimal_eta"] * c.minimal_eta}
-               for c in map(m.cls, sorted(m.classes))]
+               for c in map(m.classes.get, sorted(m.classes))]
     entries = [{"i": i, "j": j, "slope": format_rational(v)} for (i, j), v in pairing(m).items()]
     doc = {"classes": classes, "pairing": entries, "characters": sorted(m.characters)}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -476,9 +476,9 @@ def _reference_m6(m):
     The loop compares the ranks of the entries among the table's values,
     which order them as the entries themselves do, but as ints."""
     ids = sorted(m.classes)
-    value = sorted({pair(m, i, m.cls(j).dual) for i in ids for j in ids})
+    value = sorted({pair(m, i, m.classes[j].dual) for i in ids for j in ids})
     rank = {v: r for r, v in enumerate(value)}
-    dist = {(i, j): rank[pair(m, i, m.cls(j).dual)] for i in ids for j in ids}
+    dist = {(i, j): rank[pair(m, i, m.classes[j].dual)] for i in ids for j in ids}
     out = []
     for i in ids:
         for j in ids:
@@ -507,7 +507,7 @@ def _perturbed(m, rng, with_dual_image):
     new = rng.choice([v for v in values if v != old] or [old + 1])
     entries[i, j] = new
     if with_dual_image:
-        di, dj = m.cls(i).dual, m.cls(j).dual
+        di, dj = m.classes[i].dual, m.classes[j].dual
         entries[min(di, dj), max(di, dj)] = new
     return ModelInstance(m.classes.values(), entries, m.characters)
 
@@ -576,23 +576,23 @@ def test_large_generated_model_validates():
 def _reference_cells(m):
     """M1, M3, M4 and M5 as plain loops over every cell, in the validator's
     order, on the rationals that `pair` and the classes give."""
-    ids, c = sorted(m.classes), m.cls
+    ids, c = sorted(m.classes), m.classes
     out = {"M1": [], "M3": [], "M4": [], "M5": []}
     for a, i in enumerate(ids):
         for j in ids[a:]:
-            s, dims = pair(m, i, j), c(i).dim * c(j).dim
+            s, dims = pair(m, i, j), c[i].dim * c[j].dim
             if s < 0:
                 out["M1"].append(Violation("M1", (i, j), s, Fraction(0)))
             elif (dims * s).denominator != 1:
                 out["M1"].append(Violation("M1", (i, j), dims * s, Fraction(0)))
-            hi = max(c(i).slope, c(j).slope)
-            if s > hi or (c(i).slope != c(j).slope and s != hi):
+            hi = max(c[i].slope, c[j].slope)
+            if s > hi or (c[i].slope != c[j].slope and s != hi):
                 out["M3"].append(Violation("M3", (i, j), s, hi))
-            image = pair(m, c(i).dual, c(j).dual)
+            image = pair(m, c[i].dual, c[j].dual)
             if s != image:
                 out["M4"].append(Violation("M4", (i, j), s, image))
     for i in ids:
-        diag = pair(m, i, c(i).dual)
+        diag = pair(m, i, c[i].dual)
         for k in ids:
             if diag > pair(m, i, k):
                 out["M5"].append(Violation("M5", (i, k), diag, pair(m, i, k)))
@@ -616,13 +616,13 @@ def _axiom_breaks(m, rng):
     of its row."""
     classes, entries = list(m.classes.values()), pairing(m)
     picks = [rng.choice(sorted(entries))]
-    paired = [i for i in m.ids if m.cls(i).dual != i]
+    paired = [i for i in m.ids if m.classes[i].dual != i]
     if paired:
         picks.append((rng.choice(paired),) * 2)
     out = []
     for (i, j), with_dual_image in product(picks, (False, True)):
-        di, dj = sorted((m.cls(i).dual, m.cls(j).dual))
-        hi = max(m.cls(i).slope, m.cls(j).slope)
+        di, dj = sorted((m.classes[i].dual, m.classes[j].dual))
+        hi = max(m.classes[i].slope, m.classes[j].slope)
         for new in (-Fraction(1, 2), hi + Fraction(1, 2), entries[i, j] + Fraction(1, 7)):
             changed = {**entries, (i, j): new}
             if with_dual_image:
@@ -630,7 +630,7 @@ def _axiom_breaks(m, rng):
             out.append(ModelInstance(classes, changed, m.characters))
     i = rng.choice([i for i in m.ids if len({pair(m, i, k) for k in m.ids}) > 1])
     top = max(pair(m, i, k) for k in m.ids)
-    out.append(ModelInstance(classes, {**entries, tuple(sorted((i, m.cls(i).dual))): top},
+    out.append(ModelInstance(classes, {**entries, tuple(sorted((i, m.classes[i].dual))): top},
                              m.characters))
     return out
 
@@ -681,7 +681,7 @@ def test_integer_view_holds_the_pairing(zoo_model):
     for m in models:
         assert m.ids == tuple(sorted(m.classes))
         for a, i in enumerate(m.ids):
-            c = m.cls(i)
+            c = m.classes[i]
             assert m.index[i] == m.at(i) == a
             assert (m.dim[a], m.deg[a], m.ids[m.dual[a]]) == (c.dim, c.deg, c.dual)
             assert Fraction(m.slope[a], m.L) == c.slope
@@ -701,7 +701,7 @@ def _rational_kernel(m, i, j):
     """(ar, dim) of Sp_1(i) tensor Sp_1(j) from the pairing's rationals and
     the classes: ar = sw + dim - (deg_i if j is the dual of i); None where
     sw = dim*s(i,j) is not an integer."""
-    ci, cj = m.cls(i), m.cls(j)
+    ci, cj = m.classes[i], m.classes[j]
     dim = ci.dim * cj.dim
     sw = dim * pair(m, i, j)
     if sw.denominator != 1:
@@ -713,17 +713,17 @@ def _reference_m8(m):
     """M8 as the per-cell loop over `indec_tensor_kernel`, in order."""
     out = []
     for i in m.ids:
-        ci = m.cls(i)
+        ci = m.classes[i]
         if not ci.minimal_eta or ci.dim < 1:
             continue
         for j in m.ids:
-            if m.cls(j).dim < 1:
+            if m.classes[j].dim < 1:
                 continue
             try:
                 ar, _sw, dim = indec_tensor_kernel(1, i, 1, j, m)
             except ValueError:
                 continue
-            top = max(Fraction(0) if k == "u" else m.cls(k).slope + 1 for k in (i, j))
+            top = max(Fraction(0) if k == "u" else m.classes[k].slope + 1 for k in (i, j))
             if Fraction(ar, dim) < top / 2:
                 out.append(Violation("M8", (i, j), Fraction(ar, dim), top / 2))
     return out
@@ -754,7 +754,7 @@ def test_kernel_row_matches_the_kernel_on_every_cell():
                         ar, sw, dim = indec_tensor_kernel(1, i, 1, j, model)
                         assert (lar[b], lsw[b], dims[b]) == (model.L * ar, model.L * sw, dim)
                         assert ref == (ar, dim)
-                        seen.add("dual" if j == model.cls(i).dual else "other")
+                        seen.add("dual" if j == model.classes[i].dual else "other")
                 report = validate_model(model)
                 m8 = [v for v in report.violations if v.axiom == "M8"]
                 assert m8 == _reference_m8(model)
