@@ -50,6 +50,6 @@ from .model import (
     dump_model,
     validate_model,
 )
-from .rep import Indecomposable, RepSyntaxError, WDRep, format_rep, parse_rep, rep_dual
+from .rep import RepSyntaxError, WDRep, format_rep, parse_rep, rep_dual
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -36,7 +35,7 @@ from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_
 from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
 from .model import MODES, UNRAMIFIED_ID, IrreducibleClass, ModelInstance, validate_model
 from .rationals import format_rational
-from .rep import Indecomposable, WDRep, format_rep, resolve_terms
+from .rep import WDRep, format_rep, resolve_terms
 
 
 class CheckResult(NamedTuple):
@@ -75,23 +74,20 @@ def _larger(u, v, mode):
 
 class PairExponents:
     """What the bound checks read of a nonzero pair (x, y) in model m: a
-    `RepExponents` record per side, then x ox y, x ox dual(y) and x's
-    minimality on first use.  The checks divide by dim, so need M1's dim >= 1."""
+    `RepExponents` record per side, x ox y, x ox dual(y), x's minimality
+    and the report's inputs.  The checks divide by dim, so need M1's dim >= 1."""
 
     def __init__(self, x: WDRep, y: WDRep, m: ModelInstance):
         if x.is_zero or y.is_zero:
             raise ValueError("the bound checks need nonzero representations")
         if min(m.dim) < 1:
             raise ValueError("the bound checks need classes of positive dimension")
-        self.x, self.y, self.m = x, y, m
         self.rx, self.ry = rx, ry = rep_exponents(x, m), rep_exponents(y, m)
         self.ex, self.ey, self.x_xdual, self.y_ydual = rx.own, ry.own, rx.x_xdual, ry.x_xdual
-
-    x_y = cached_property(lambda p: expand_kernel(p.rx.terms, p.ry.terms, p.m))
-    x_ydual = cached_property(lambda p: expand_kernel(p.rx.terms, p.ry.dual, p.m))
-    x_minimal = cached_property(lambda p: rep_minimality(p.rx.terms, p.m, p.ex))
-    inputs = cached_property(
-        lambda p: {"model": p.m.digest(), "x": format_rep(p.x), "y": format_rep(p.y)})
+        self.x_y = expand_kernel(rx.terms, ry.terms, m)
+        self.x_ydual = expand_kernel(rx.terms, ry.dual, m)
+        self.x_minimal = rep_minimality(rx.terms, m, rx.own)
+        self.inputs = {"model": m.digest(), "x": format_rep(x), "y": format_rep(y)}
 
 
 def check_bound_A(p: PairExponents, mode: str = "eta") -> CheckResult:
@@ -199,7 +195,7 @@ def sharpness_suite() -> list[CheckResult]:
     out = []
 
     m2 = dim2_witness_model()
-    x = WDRep.from_terms([(1, Indecomposable(1, "w"))])
+    x = WDRep.from_terms([(1, 1, "w")])
     p = PairExponents(x, x, m2)
     out.append(check_bound_A(p, "eta"))
     out.append(check_bound_A(p, "sigma"))
@@ -207,14 +203,14 @@ def sharpness_suite() -> list[CheckResult]:
 
     for ell in (3, 5):
         mw = prime_dim_witness_model(ell)
-        xw = WDRep.from_terms([(1, Indecomposable(1, f"p{ell}"))])
+        xw = WDRep.from_terms([(1, 1, f"p{ell}")])
         p = PairExponents(xw, xw, mw)
         out.append(check_bound_B(p, "sigma", "indec_or_irr"))
         out.append(check_bound_A(p, "sigma"))
 
     mt = tame_character_witness_model()
-    xt = WDRep.from_terms([(1, Indecomposable(1, "t"))])
-    yu = WDRep.from_terms([(1, Indecomposable(1, UNRAMIFIED_ID))])
+    xt = WDRep.from_terms([(1, 1, "t")])
+    yu = WDRep.from_terms([(1, 1, UNRAMIFIED_ID)])
     out.append(check_bound_C(PairExponents(xt, yu, mt), "eta", "general"))
 
     d1, v1, d2, v2 = 2, Fraction(3), 1, Fraction(5)

@@ -21,7 +21,7 @@ from .jordan import Partition, nilpotent_rank, tensor_partition, unramified_orac
 from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
 from .model import ModelStructureError, UNRAMIFIED_ID, dump_model, load_model, validate_model
 from .rationals import format_rational, parse_int, parse_rational
-from .rep import Indecomposable, WDRep, format_rep, parse_rep
+from .rep import WDRep, format_rep, parse_rep
 
 DEFAULT_LEVELS = "0,1/2,1,2"
 
@@ -120,7 +120,7 @@ def _cmd_oracle(args) -> int:
         raise ValueError("--max-r and --max-terms must be >= 1")
     unit = witness_model()
     reps = [
-        WDRep.from_terms([(1, Indecomposable(r, UNRAMIFIED_ID)) for r in combo])
+        WDRep.from_terms([(1, r, UNRAMIFIED_ID) for r in combo])
         for n in range(1, args.max_terms + 1)
         for combo in combinations_with_replacement(range(1, args.max_r + 1), n)
     ]

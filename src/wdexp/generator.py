@@ -50,7 +50,7 @@ from string import whitespace
 from .exponents import class_minimality
 from .model import UNRAMIFIED_ID, IrreducibleClass, ModelInstance, validate_model
 from .rationals import parse_int, parse_rational
-from .rep import Indecomposable, WDRep
+from .rep import WDRep
 
 
 class GeneratorError(RuntimeError):
@@ -379,5 +379,5 @@ def gen_rep(m: ModelInstance, max_terms: int, max_r: int, seed: int) -> WDRep:
     terms = []
     for _ in range(n):
         r = 1 + rng.below(max_r)
-        terms.append((1, Indecomposable(r, rng.choice(m.ids))))
+        terms.append((1, r, rng.choice(m.ids)))
     return WDRep.from_terms(terms)

@@ -170,13 +170,13 @@ def tensor_partition(r: int, s: int) -> Partition:
 
 def _unramified_partition(x: WDRep) -> Partition:
     parts = []
-    for k, ind in x.terms:
-        if ind.cls != UNRAMIFIED_ID:
+    for k, r, cls in x.terms:
+        if cls != UNRAMIFIED_ID:
             raise ValueError(
-                f"representation has non-unramified class {ind.cls!r}; the oracle "
+                f"representation has non-unramified class {cls!r}; the oracle "
                 f"only covers the unramified orbit"
             )
-        parts.extend([ind.r] * k)
+        parts.extend([r] * k)
     parts.sort(reverse=True)
     return Partition(tuple(parts))
 

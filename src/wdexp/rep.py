@@ -6,6 +6,8 @@ Text grammar (insensitive to ASCII whitespace):
     term := [int '*'] 'Sp_' int '(' id ')'
     int  := [0-9]+   (ASCII digits, as in slopes)
 
+A term is a (multiplicity, Sp-length, class id) triple, the shape that
+`resolve_terms` returns with a class index in place of the id.
 Normalization merges equal indecomposables and sorts terms by (class id,
 Sp-length); the canonical printer inverts `parse_rep` on normalized values.
 The empty multiset is the zero representation.  A representation meets a
@@ -28,20 +30,11 @@ class RepSyntaxError(ValueError):
 
 
 @dataclass(frozen=True)
-class Indecomposable:
-    r: int
-    cls: str
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"Sp-length must be >= 1, got {self.r}")
-
-
-@dataclass(frozen=True)
 class WDRep:
-    """terms: tuple of (multiplicity, Indecomposable), normalized."""
+    """terms: tuple of (multiplicity, Sp-length, class id) triples,
+    normalized; `resolve_terms` gives the same triples with class indices."""
 
-    terms: tuple[tuple[int, Indecomposable], ...] = ()
+    terms: tuple[tuple[int, int, str], ...] = ()
 
     @staticmethod
     def zero() -> "WDRep":
@@ -49,13 +42,15 @@ class WDRep:
 
     @staticmethod
     def from_terms(items) -> "WDRep":
-        merged: dict[Indecomposable, int] = {}
-        for k, ind in items:
+        """Normalize (multiplicity, Sp-length, class id) triples."""
+        merged: dict[tuple[str, int], int] = {}
+        for k, r, cls in items:
+            if r < 1:
+                raise ValueError(f"Sp-length must be >= 1, got {r}")
             if k < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {k}")
-            merged[ind] = merged.get(ind, 0) + k
-        ordered = sorted(merged.items(), key=lambda kv: (kv[0].cls, kv[0].r))
-        return WDRep(tuple((k, ind) for ind, k in ordered))
+            merged[cls, r] = merged.get((cls, r), 0) + k
+        return WDRep(tuple([(k, r, cls) for (cls, r), k in sorted(merged.items())]))
 
     @property
     def is_zero(self) -> bool:
@@ -69,13 +64,10 @@ class WDRep:
     @property
     def is_irreducible(self) -> bool:
         """A single term Sp_1(i) of multiplicity 1."""
-        return self.is_indecomposable and self.terms[0][1].r == 1
+        return self.is_indecomposable and self.terms[0][1] == 1
 
     def __add__(self, other: "WDRep") -> "WDRep":
-        return WDRep.from_terms(list(self.terms) + list(other.terms))
-
-    def classes(self) -> set[str]:
-        return {ind.cls for _, ind in self.terms}
+        return WDRep.from_terms(self.terms + other.terms)
 
 
 _TOKEN = re.compile(r"(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[*+()]))")
@@ -139,7 +131,7 @@ def parse_rep(text: str, m: ModelInstance) -> WDRep:
         if cls not in m.classes:
             raise RepSyntaxError(f"unknown class id {cls!r}", cls_tok[2])
         take("sym", ")")
-        return (mult, Indecomposable(r, cls))
+        return (mult, r, cls)
 
     items = [term()]
     while peek()[0] != "end":
@@ -152,12 +144,12 @@ def format_rep(x: WDRep) -> str:
     """Canonical printer; parse_rep(format_rep(x)) == x."""
     if x.is_zero:
         return "0"
-    return " + ".join(("" if k == 1 else f"{k}*") + f"Sp_{ind.r}({ind.cls})" for k, ind in x.terms)
+    return " + ".join(("" if k == 1 else f"{k}*") + f"Sp_{r}({cls})" for k, r, cls in x.terms)
 
 
 def resolve_terms(x: WDRep, m: ModelInstance) -> tuple[tuple[int, int, int], ...]:
     """The terms of x as (multiplicity, Sp-length, class index) triples."""
-    return tuple([(k, ind.r, m.at(ind.cls)) for k, ind in x.terms])
+    return tuple([(k, r, m.at(cls)) for k, r, cls in x.terms])
 
 
 def dual_terms(terms, m: ModelInstance) -> tuple[tuple[int, int, int], ...]:
@@ -173,4 +165,4 @@ def rep_dim(x: WDRep, m: ModelInstance) -> int:
 def rep_dual(x: WDRep, m: ModelInstance) -> WDRep:
     """The contragredient of x: its `dual_terms`, normalized by `from_terms`."""
     dterms = dual_terms(resolve_terms(x, m), m)
-    return WDRep.from_terms([(k, Indecomposable(r, m.ids[a])) for k, r, a in dterms])
+    return WDRep.from_terms([(k, r, m.ids[a]) for k, r, a in dterms])

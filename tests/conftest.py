@@ -119,8 +119,8 @@ def is_eta_homogeneous(x, m) -> bool:
     if x.is_zero:
         raise ValueError("homogeneity is undefined for the zero representation")
     values = set()
-    for _, ind in x.terms:
-        ar, _sw, dim = indec_tensor_kernel(1, UNRAMIFIED_ID, 1, ind.cls, m)
+    for _, _, cls in x.terms:
+        ar, _sw, dim = indec_tensor_kernel(1, UNRAMIFIED_ID, 1, cls, m)
         values.add(Fraction(ar, dim))
     return len(values) == 1
 

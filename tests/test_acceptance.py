@@ -44,13 +44,13 @@ def sweep():
 
 
 def test_criterion_1_unramified_oracle_equivalence(unit_model):
-    from wdexp.rep import Indecomposable, WDRep
+    from wdexp.rep import WDRep
 
     t0 = time.monotonic()
     reps = []
     for n in (1, 2, 3):
         for combo in combinations_with_replacement(range(1, 9), n):
-            reps.append(WDRep.from_terms([(1, Indecomposable(r, "u")) for r in combo]))
+            reps.append(WDRep.from_terms([(1, r, "u") for r in combo]))
     mismatches = 0
     pairs = 0
     for x in reps:

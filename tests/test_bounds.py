@@ -32,7 +32,7 @@ from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
 from wdexp.maxplus import mp_degree_weight, mp_vee, s_map
 from wdexp.model import IrreducibleClass, ModelInstance, ModelStructureError, validate_model
 from wdexp.rationals import format_rational
-from wdexp.rep import Indecomposable, WDRep, format_rep, parse_rep, rep_dual, resolve_terms
+from wdexp.rep import WDRep, format_rep, parse_rep, rep_dual, resolve_terms
 
 ALL_FAMILIES = ("A", "AS", "B", "BS", "C", "CS")
 
@@ -307,8 +307,8 @@ def _bridge_gap_reference(x, y, m):
     each (dim, slope) constituent, read from the model's classes rather than
     its integer tables, then mp_vee and mp_degree_weight."""
     def image(z):
-        return s_map([(k * ind.r * m.classes[ind.cls].dim, m.classes[ind.cls].slope)
-                      for k, ind in z.terms])
+        return s_map([(k * r * m.classes[cls].dim, m.classes[cls].slope)
+                      for k, r, cls in z.terms])
     _, v = mp_degree_weight(mp_vee(image(x), image(y)))
     return v - tensor_exponents(x, y, m).sw
 
@@ -348,7 +348,7 @@ def test_swan_bridge_resolves_each_term_once(monkeypatch, zoo_model):
         y = gen_rep(zoo_model, 3, 4, rng.next64())
         calls.clear()
         swan_bridge_gap(x, y, zoo_model)
-        assert calls == [ind.cls for z in (x, y) for _, ind in z.terms], (x, y)
+        assert calls == [cls for z in (x, y) for _, _, cls in z.terms], (x, y)
 
 
 def test_swan_bridge_rejects_a_class_of_dim_below_1_or_negative_slope(zoo_model):
@@ -425,6 +425,21 @@ def test_sweep_output_is_pinned():
         "466b989cedf3a41aa6ce85fd09d2ffbb9897fd6fba02ca5ab028aab861bae54a")
     assert hashlib.sha256(summary.csv().encode()).hexdigest() == (
         "061d9cac08dd40b74a71d200304195367062b9dbcbcbc3d13f1e4cce3c169197")
+
+
+@pytest.mark.parametrize("theorems, rows, report, csv", [
+    (("C",), 102, "d139d0929de72e7cd887102166664b8682ad7c91064310a03379e5ceebb506bd",
+     "fa552388524b4e0fde83376f075b2bdfac8f42adef7aca4d974b8ffb7772015e"),
+    (("CS", "B"), 214, "25277ee8562caf8801a76cd389944dbde41e25617a40eb43310383abc897288d",
+     "5787bd464a5400099c1ae35a49937a7a9c1952d2811b6597dfc487b43b015323"),
+])
+def test_subset_sweep_output_is_pinned(theorems, rows, report, csv):
+    # A sweep of some families reads only part of each pair's record; its
+    # report and summary are those recorded while the record was lazy.
+    results, summary = run_sweep(theorems, 4, 25, GenParams.from_strings("0,1/2,1,2"), seed=0)
+    assert len(results) == rows
+    assert hashlib.sha256(results_to_json(results).encode()).hexdigest() == report
+    assert hashlib.sha256(summary.csv().encode()).hexdigest() == csv
 
 
 def _dumps_report(results):
@@ -611,9 +626,9 @@ def _reference_rows(x, y, m):
 
 def _small_reps(m, terms, max_r):
     """Every representation of m with 1..terms terms of Sp-length <= max_r."""
-    inds = [Indecomposable(r, i) for i in m.ids for r in range(1, max_r + 1)]
-    return [WDRep.from_terms([(1, ind) for ind in combo]) for n in range(1, terms + 1)
-            for combo in combinations_with_replacement(inds, n)]
+    singles = [(1, r, i) for i in m.ids for r in range(1, max_r + 1)]
+    return [WDRep.from_terms(combo) for n in range(1, terms + 1)
+            for combo in combinations_with_replacement(singles, n)]
 
 
 def _differential_cases(census_model):
@@ -626,7 +641,7 @@ def _differential_cases(census_model):
     for n, base in enumerate(validation_bases()):
         for k, m in enumerate([base] + perturbations(base, random.Random(n))):
             rng = SplitMix64(1000 * n + k)
-            irr = [WDRep.from_terms([(1, Indecomposable(1, i))]) for i in m.ids]
+            irr = [WDRep.from_terms([(1, 1, i)]) for i in m.ids]
             for _ in range(10):
                 cases.append((m, gen_rep(m, 2, 2, rng.next64()), gen_rep(m, 2, 2, rng.next64())))
                 cases.append((m, irr[rng.below(len(irr))], irr[rng.below(len(irr))]))

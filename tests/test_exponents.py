@@ -14,7 +14,7 @@ from wdexp.exponents import (
 )
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
 from wdexp.model import MODES, UNRAMIFIED_ID, ModelInstance, ModelStructureError, is_minimal_class
-from wdexp.rep import Indecomposable, WDRep, format_rep, parse_rep, rep_dual, resolve_terms
+from wdexp.rep import WDRep, format_rep, parse_rep, rep_dual, resolve_terms
 
 
 def twist(chi, x, m):
@@ -110,10 +110,10 @@ def test_tensor_laws_on_generated_models(seed):
     rng = SplitMix64(100 + seed)
     for _ in range(20):
         x, y, z = (gen_rep(m, 3, 4, rng.next64()) for _ in range(3))
-        for _, ix in x.terms:
-            for _, iy in y.terms:
-                assert (indec_tensor_kernel(ix.r, ix.cls, iy.r, iy.cls, m)
-                        == indec_tensor_kernel(iy.r, iy.cls, ix.r, ix.cls, m))
+        for _, r, i in x.terms:
+            for _, s, j in y.terms:
+                assert (indec_tensor_kernel(r, i, s, j, m)
+                        == indec_tensor_kernel(s, j, r, i, m))
         txy, txz = tensor_exponents(x, y, m), tensor_exponents(x, z, m)
         assert tensor_exponents(y, x, m) == txy
         t_sum = tensor_exponents(x, y + z, m)
@@ -174,7 +174,7 @@ def reference_minimality(x, m):
     included, each computed as tensor_exponents(Sp_1(chi), x) and compared
     with the twist by `u`."""
     def twist_by(chi):
-        return tensor_exponents(WDRep(((1, Indecomposable(1, chi)),)), x, m)
+        return tensor_exponents(WDRep(((1, 1, chi),)), x, m)
 
     own = twist_by(UNRAMIFIED_ID)
     twists = [twist_by(chi) for chi in m.characters]

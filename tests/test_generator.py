@@ -131,16 +131,16 @@ def test_gen_rep_deterministic_and_bounded(generated_model):
     b = gen_rep(generated_model, 3, 4, 123)
     assert a == b
     assert not a.is_zero
-    total_terms = sum(k for k, _ in a.terms)
+    total_terms = sum(k for k, _, _ in a.terms)
     assert 1 <= total_terms <= 3
-    assert all(1 <= ind.r <= 4 for _, ind in a.terms)
+    assert all(1 <= r <= 4 for _, r, _ in a.terms)
     assert rep_dim(a, generated_model) > 0
 
 
 def test_gen_rep_covers_every_class(generated_model):
     seen = set()
     for seed in range(10_000):
-        seen.update(gen_rep(generated_model, 3, 4, seed).classes())
+        seen.update(cls for _, _, cls in gen_rep(generated_model, 3, 4, seed).terms)
         if seen == set(generated_model.classes):
             break
     assert seen == set(generated_model.classes)

@@ -13,7 +13,7 @@ from wdexp.jordan import (
     tensor_partition,
     unramified_oracle_artin,
 )
-from wdexp.rep import Indecomposable, WDRep, parse_rep
+from wdexp.rep import WDRep, parse_rep
 
 
 def test_partition_invariants():
@@ -165,7 +165,7 @@ def test_oracle_rejects_ramified(zoo_model):
 def test_oracle_agrees_with_formula_random(unit_model):
     rng = SplitMix64(99)
     for _ in range(40):
-        terms_x = [(1, Indecomposable(1 + rng.below(6), "u")) for _ in range(1 + rng.below(3))]
-        terms_y = [(1, Indecomposable(1 + rng.below(6), "u")) for _ in range(1 + rng.below(3))]
+        terms_x = [(1, 1 + rng.below(6), "u") for _ in range(1 + rng.below(3))]
+        terms_y = [(1, 1 + rng.below(6), "u") for _ in range(1 + rng.below(3))]
         x, y = WDRep.from_terms(terms_x), WDRep.from_terms(terms_y)
         assert unramified_oracle_artin(x, y) == tensor_exponents(x, y, unit_model).ar

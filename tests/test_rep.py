@@ -1,8 +1,8 @@
 import pytest
 
 from wdexp.exponents import exponents_of
+from wdexp.generator import gen_rep
 from wdexp.rep import (
-    Indecomposable,
     RepSyntaxError,
     WDRep,
     format_rep,
@@ -14,12 +14,12 @@ from wdexp.rep import (
 
 def test_parse_single_term(unit_model):
     x = parse_rep("Sp_3(u)", unit_model)
-    assert x.terms == ((1, Indecomposable(3, "u")),)
+    assert x.terms == ((1, 3, "u"),)
 
 
 def test_parse_merges_equal_terms(zoo_model):
     x = parse_rep("2*Sp_2(a) + Sp_2(a)", zoo_model)
-    assert x.terms == ((3, Indecomposable(2, "a")),)
+    assert x.terms == ((3, 2, "a"),)
 
 
 def test_parse_zero(unit_model):
@@ -46,7 +46,7 @@ def test_only_ascii_whitespace_separates(zoo_model):
 def test_canonical_order(zoo_model):
     x = parse_rep("Sp_2(b) + Sp_1(a) + Sp_3(a)", zoo_model)
     assert format_rep(x) == "Sp_1(a) + Sp_3(a) + Sp_2(b)"
-    assert [(ind.cls, ind.r) for _, ind in x.terms] == [("a", 1), ("a", 3), ("b", 2)]
+    assert [(cls, r) for _, r, cls in x.terms] == [("a", 1), ("a", 3), ("b", 2)]
 
 
 def test_printer_parser_round_trip(zoo_model):
@@ -110,8 +110,18 @@ def test_dim(zoo_model):
     assert rep_dim(x, zoo_model) == 2 * 2 + 2 * 3 * 3
 
 
+def test_terms_are_int_int_str_triples(zoo_model):
+    # Every way of making a representation gives (multiplicity, Sp-length,
+    # class id) triples.
+    x = parse_rep("2*Sp_3(c3) + Sp_1(g) + Sp_2(a)", zoo_model)
+    made = [x, gen_rep(zoo_model, 3, 4, 5), WDRep.from_terms([(1, 2, "a"), (2, 2, "a")]),
+            rep_dual(x, zoo_model), x + parse_rep("Sp_3(c3) + Sp_1(u)", zoo_model)]
+    for z in made:
+        assert z.terms and all(list(map(type, t)) == [int, int, str] for t in z.terms), z
+
+
 def test_zero_multiplicity_rejected():
     with pytest.raises(ValueError):
-        WDRep.from_terms([(0, Indecomposable(1, "u"))])
-    with pytest.raises(ValueError):
-        Indecomposable(0, "u")
+        WDRep.from_terms([(0, 1, "u")])
+    with pytest.raises(ValueError, match="Sp-length must be >= 1, got 0"):
+        WDRep.from_terms([(1, 0, "u")])
