@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import gt, le, mod, mul
+from operator import ge, gt, le, mod, mul
 from types import MappingProxyType
 
 from .rationals import format_rational, parse_rational
@@ -99,27 +99,28 @@ class ModelInstance:
         by_id = {c.id: c for c in classes}
         ids = tuple(sorted(by_id))
         index = {i: a for a, i in enumerate(ids)}
-        given = {}
-        for (i, j), v in entries.items():
-            a, b = index.get(i), index.get(j)
-            if a is None or b is None:
-                raise ModelStructureError(f"pairing names unknown id in {{{i},{j}}}")
-            given[(a, b) if a <= b else (b, a)] = v
-        if len(given) < len(entries):
-            i, j = min(k for k in entries if k[0] < k[1] and k[::-1] in entries)
-            raise ModelStructureError(f"pairing gives the pair {{{i},{j}}} twice")
         ordered = [by_id[i] for i in ids]
+        values = entries.values()  # each distinct value object is scaled once
+        distinct = dict(zip(map(id, values), values))
         L = math.lcm(*{c.slope.denominator for c in ordered},
-                     *{v.denominator for v in given.values()})
+                     *{v.denominator for v in distinct.values()})
+        scaled = {k: v.numerator * (L // v.denominator) for k, v in distinct.items()}
         slope = tuple(c.slope.numerator * (L // c.slope.denominator) for c in ordered)
         n = len(ids)
         S = [[None] * n for _ in range(n)]
-        for (a, b), v in given.items():
-            S[a][b] = S[b][a] = v.numerator * (L // v.denominator)
+        try:
+            for (i, j), v in entries.items():
+                a, b = index[i], index[j]
+                S[a][b] = S[b][a] = scaled[id(v)]
+        except KeyError:
+            raise ModelStructureError(f"pairing names unknown id in {{{i},{j}}}") from None
+        # A pair given in both orders fills one cell a <= b for two entries.
+        filled = sum(n - a - row[a:].count(None) for a, row in enumerate(S))
+        if filled < len(entries):
+            i, j = min(k for k in entries if k[0] < k[1] and k[::-1] in entries)
+            raise ModelStructureError(f"pairing gives the pair {{{i},{j}}} twice")
         u = index.get(UNRAMIFIED_ID)
-        # The keys of `given` are distinct pairs a <= b, so the table has a
-        # gap only when there are fewer of them than its n(n+1)/2 cells.
-        if len(given) < n * (n + 1) // 2:
+        if filled < n * (n + 1) // 2:
             for a, row in enumerate(S):
                 for b in range(a, n):
                     if row[b] is not None:
@@ -284,9 +285,10 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     tables (`ModelInstance.S`, `slope`, ...), and a violation reports
     Fraction(S, L).
 
-    M1, M3, M4 and M5 first test each row as a whole, and only a row
-    that fails runs the loop over its cells.  M8 finds its failing cells
-    with one scan of the kernel's row (`kernel_row`).  M6 has one path.
+    The type invariants first test the whole class tables, and M1, M3,
+    M4, M5 and M8 each row as a whole; only a table or row that fails runs
+    the loop over its classes or cells.  M8 finds the failing cells of such
+    a row with one scan of the kernel's row (`kernel_row`).  M6 has one path.
     Let U be the subdominant ultrametric of min(D, D^T), D(i,j) =
     s(i, dual j), which Prim's algorithm builds in O(n^2).  Any two-step
     path i-k-j has a largest weight of at least U(i,j), so an off-diagonal
@@ -301,30 +303,37 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     from .exponents import class_minimality, kernel_row  # deferred: exponents imports model
 
     rep = ValidationReport()
-    ids, S, L, slope, dim, dual = m.ids, m.S, m.L, m.slope, m.dim, m.dual
+    ids, S, L, slope, dim, deg, dual = m.ids, m.S, m.L, m.slope, m.dim, m.deg, m.dual
     n = len(ids)
     classes = [m.classes[i] for i in ids]
 
     def q(x):
         return Fraction(x, L)
 
-    # Type invariants on classes.
-    for i, c in zip(ids, classes):
-        if c.dim < 1:
-            rep.add("dim_positive", (i,), c.dim, 1)
-        if c.deg < 1:
-            rep.add("deg_positive", (i,), c.deg, 1)
-        if c.slope < 0:
-            rep.add("slope_nonneg", (i,), c.slope, 0)
-        if c.dim >= 1 and (c.dim * c.slope).denominator != 1:
-            rep.add("slope_integral", (i,), c.dim * c.slope, 0)
-        if c.deg >= 1 and c.dim % c.deg != 0:
-            rep.add("deg_divides_dim", (i,), c.dim % c.deg, 0)
-        if c.dim == 1 and c.deg != 1:
-            rep.add("char_deg", (i,), c.deg, 1)
-        d = m.classes[c.dual]
-        if (d.dim, d.slope, d.deg) != (c.dim, c.slope, c.deg):
-            rep.add("dual_preserves_data", (i, c.dual), Fraction(d.dim), Fraction(c.dim))
+    # Type invariants on classes, first tested on the whole int tables.
+    # char_deg holds whenever the others do: deg >= 1 divides dim = 1.
+    types_hold = (min(dim, default=1) >= 1 and min(deg, default=1) >= 1
+                  and min(slope, default=0) >= 0
+                  and not any(map(mod, map(mul, dim, slope), repeat(L)))
+                  and not any(map(mod, dim, deg))
+                  and all(t == tuple(map(t.__getitem__, dual)) for t in (dim, slope, deg)))
+    if not types_hold:
+        for i, c in zip(ids, classes):
+            if c.dim < 1:
+                rep.add("dim_positive", (i,), c.dim, 1)
+            if c.deg < 1:
+                rep.add("deg_positive", (i,), c.deg, 1)
+            if c.slope < 0:
+                rep.add("slope_nonneg", (i,), c.slope, 0)
+            if c.dim >= 1 and (c.dim * c.slope).denominator != 1:
+                rep.add("slope_integral", (i,), c.dim * c.slope, 0)
+            if c.deg >= 1 and c.dim % c.deg != 0:
+                rep.add("deg_divides_dim", (i,), c.dim % c.deg, 0)
+            if c.dim == 1 and c.deg != 1:
+                rep.add("char_deg", (i,), c.deg, 1)
+            d = m.classes[c.dual]
+            if (d.dim, d.slope, d.deg) != (c.dim, c.slope, c.deg):
+                rep.add("dual_preserves_data", (i, c.dual), Fraction(d.dim), Fraction(c.dim))
 
     # The distinguished unramified orbit.
     if UNRAMIFIED_ID not in m.classes:
@@ -443,15 +452,23 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     # dimensions; when M1 or dim_positive already failed, that violation is
     # on record and the M8 comparison is skipped.  The rows of one eta share
     # their maxima, one scan of each row finds its failing cells, and only
-    # those are tested for a Swan exponent that is not an integer.
+    # those are tested for a Swan exponent that is not an integer.  When the
+    # type invariants hold (so every dim >= 1), a row is first tested on S:
+    # off the dual cell, b passes exactly when 2*S[a][b] >= top[b] - 2L, and
+    # the dual cell, which loses L*deg, is tested as its kernel cell.
     eta = [0 if i == UNRAMIFIED_ID else sl + L for i, sl in zip(ids, slope)]
     tops = {}
     for a, i in enumerate(ids):
         if not classes[a].minimal_eta or dim[a] < 1:
             continue
         if eta[a] not in tops:
-            tops[eta[a]] = tuple(map(max, repeat(eta[a]), eta))
-        top = tops[eta[a]]
+            top = tuple(map(max, repeat(eta[a]), eta))
+            tops[eta[a]] = top, tuple([(t + 1) // 2 - L for t in top])
+        top, floor = tops[eta[a]]
+        d, k = dual[a], dim[a] * dim[dual[a]]
+        if (types_hold and all(map(ge, S[a], floor))
+                and k * top[d] <= 2 * (k * (S[a][d] + L) - L * deg[a])):
+            continue
         lar, lsw, dims = kernel_row(a, m)
         for b in compress(range(n), map(gt, map(mul, dims, top), map(mul, lar, repeat(2)))):
             if dim[b] >= 1 and not lsw[b] % L:
@@ -530,19 +547,26 @@ def model_from_json_dict(doc: dict) -> ModelInstance:
                 raise ModelStructureError(f"class {k}: unknown flag {flag!r}")
         classes.append(IrreducibleClass(cid, dim, parsed[slope], deg, dual,
                                         "minimal_sigma" in flags, "minimal_eta" in flags))
+    pairing = _require_list(doc, "pairing", [])
     entries = {}
-    for k, e in enumerate(_require_list(doc, "pairing", [])):
-        # The checks of _require_fields, made inline; only an entry that
-        # fails them goes through it, which raises with its message.
-        if isinstance(e, dict):
+    try:  # entries of exact JSON types: one pass, and one count for repeated pairs
+        for e in pairing:
+            if type(e) is not dict:
+                break
             i, j, slope = e.get("i"), e.get("j"), e.get("slope")
-        if not (isinstance(e, dict) and isinstance(i, str) and isinstance(j, str)
-                and isinstance(slope, (str, int)) and not isinstance(slope, bool)):
+            if not (type(i) is type(j) is str and (type(slope) is str or type(slope) is int)):
+                break
+            entries[(i, j) if i <= j else (j, i)] = parsed[slope]
+    except ValueError:  # a slope that does not parse
+        pass
+    if len(entries) < len(pairing):  # rerun the checks in entry order: name the first defect
+        entries = {}
+        for k, e in enumerate(pairing):
             i, j, slope = _require_fields(e, ("i", "j", "slope"), f"pairing entry {k}")
-        key = (i, j) if i <= j else (j, i)
-        if key in entries:
-            raise ModelStructureError(f"pairing entry {k} repeats the pair {{{i},{j}}}")
-        entries[key] = parsed[slope]
+            key = (i, j) if i <= j else (j, i)
+            if key in entries:
+                raise ModelStructureError(f"pairing entry {k} repeats the pair {{{i},{j}}}")
+            entries[key] = parsed[slope]
     characters = _require_list(doc, "characters", [])
     if not all(isinstance(ch, str) for ch in characters):
         raise ModelStructureError("'characters' must list class ids")

@@ -149,7 +149,10 @@ def format_rep(x: WDRep) -> str:
 
 def resolve_terms(x: WDRep, m: ModelInstance) -> tuple[tuple[int, int, int], ...]:
     """The terms of x as (multiplicity, Sp-length, class index) triples."""
-    return tuple([(k, r, m.at(cls)) for k, r, cls in x.terms])
+    try:
+        return tuple([(k, r, m.index[cls]) for k, r, cls in x.terms])
+    except KeyError:
+        return tuple([(k, r, m.at(cls)) for k, r, cls in x.terms])
 
 
 def dual_terms(terms, m: ModelInstance) -> tuple[tuple[int, int, int], ...]:

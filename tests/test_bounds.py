@@ -338,17 +338,22 @@ def test_swan_bridge_matches_the_max_plus_reference(zoo_model, census_counterexa
 
 
 def test_swan_bridge_resolves_each_term_once(monkeypatch, zoo_model):
-    # The profiles and the tensor read the same resolved terms: one
-    # ModelInstance.at call per term of x and of y.
-    at, calls = ModelInstance.at, []
-    monkeypatch.setattr(ModelInstance, "at", lambda m, i: calls.append(i) or at(m, i))
+    # The profiles and the tensor read the same resolved terms: x and y go
+    # through one `resolve_terms` call each, and no term is looked up on
+    # its own through ModelInstance.at.
+    import wdexp.bounds as bounds
+
+    at, resolve, calls = ModelInstance.at, bounds.resolve_terms, []
+    monkeypatch.setattr(ModelInstance, "at", lambda m, i: calls.append(("at", i)) or at(m, i))
+    monkeypatch.setattr(bounds, "resolve_terms", lambda z, m: calls.extend(
+        ("resolve", cls) for _, _, cls in z.terms) or resolve(z, m))
     rng = SplitMix64(24)
     for _ in range(50):
         x = gen_rep(zoo_model, 3, 4, rng.next64())
         y = gen_rep(zoo_model, 3, 4, rng.next64())
         calls.clear()
         swan_bridge_gap(x, y, zoo_model)
-        assert calls == [cls for z in (x, y) for _, _, cls in z.terms], (x, y)
+        assert calls == [("resolve", cls) for z in (x, y) for _, _, cls in z.terms], (x, y)
 
 
 def test_swan_bridge_rejects_a_class_of_dim_below_1_or_negative_slope(zoo_model):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -6,7 +7,7 @@ from itertools import chain, product
 
 import pytest
 
-from conftest import dualized, pair, pairing, perturbations, validation_bases
+from conftest import ZOO_DOC, dualized, pair, pairing, perturbations, validation_bases
 from wdexp.exponents import indec_tensor_kernel, kernel_row
 from wdexp.model import (
     MODES,
@@ -334,6 +335,117 @@ def test_constructor_is_the_completion_rule(zoo_model):
     with pytest.raises(ModelStructureError, match=r"^pairing entry \{a,a\} omitted but not "
                                                   r"forced by the unit row or the max rule$"):
         ModelInstance(classes, given, zoo_model.characters)
+
+
+def test_loading_ignores_entry_order_and_orientation():
+    from wdexp.generator import GenParams, gen_model
+
+    m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=20))
+    assert len(m.ids) == 83
+    doc = m.to_json_dict()
+    slope = {c["id"]: c["slope"] for c in doc["classes"]}
+    # every entry the unit row or the max rule forces is dropped
+    kept = [e for e in doc["pairing"] if "u" not in (e["i"], e["j"])
+            and slope[e["i"]] == slope[e["j"]]]
+    rng = random.Random(24)
+    rng.shuffle(kept)
+    for e in kept[::2]:
+        e["i"], e["j"] = e["j"], e["i"]
+    assert len(kept) < len(doc["pairing"])
+    assert model_from_json_dict({**doc, "pairing": kept}).digest() == m.digest()
+    # A pair repeated in reverse order, then a malformed entry: the repeat
+    # comes first in entry order, so it is the defect named.
+    k = next(k for k, e in enumerate(kept) if e["i"] != e["j"])
+    e = kept[k]
+    repeat = {"i": e["j"], "j": e["i"], "slope": e["slope"]}
+    for bad in ({"i": "u", "j": "u", "slope": 1.5}, {"i": "u", "slope": "0"},
+                {"i": "u", "j": "u", "slope": "1/0"}, ["u", "u", "0"]):
+        pairing = kept[:k + 5] + [repeat] + kept[k + 5:k + 9] + [bad] + kept[k + 9:]
+        with pytest.raises(ModelStructureError,
+                           match=rf"^pairing entry {k + 5} repeats the pair "
+                                 rf"\{{{repeat['i']},{repeat['j']}\}}$"):
+            model_from_json_dict({**doc, "pairing": pairing})
+
+
+def test_constructor_ignores_value_identity():
+    # Equal slopes as one shared object, as distinct objects, or as ints
+    # where they are integral, build the same tables and file.
+    for m in validation_bases():
+        classes, entries = list(m.classes.values()), pairing(m)
+        shared = {}
+        variants = (
+            {key: shared.setdefault(v, v) for key, v in entries.items()},
+            {key: Fraction(v.numerator, v.denominator) for key, v in entries.items()},
+            {key: v.numerator if v.denominator == 1 else v for key, v in entries.items()},
+        )
+        assert len({id(v) for v in variants[0].values()}) == len(set(entries.values()))
+        assert len({id(v) for v in variants[1].values()}) == len(entries)
+        for given in variants:
+            built = ModelInstance(classes, given, m.characters)
+            assert (built.S, built.L, built.slope) == (m.S, m.L, m.slope)
+            assert built.digest() == m.digest()
+
+
+# The zoo model with the character pair g, gd given slope -1: the only
+# pinned report with slope_nonneg lines, recorded before the type
+# invariants were first tested on whole tables.
+NEGATIVE_SLOPE_REPORT = """\
+slope_nonneg[g]: lhs=-1 rhs=0
+slope_nonneg[gd]: lhs=-1 rhs=0
+M1[g,u]: lhs=-1 rhs=0
+M1[gd,u]: lhs=-1 rhs=0
+M3[c3,g]: lhs=1 rhs=2
+M3[c3,gd]: lhs=1 rhs=2
+M3[g,g]: lhs=1 rhs=-1
+M3[g,gd]: lhs=0 rhs=-1
+M3[g,u]: lhs=-1 rhs=0
+M3[gd,gd]: lhs=1 rhs=-1
+M3[gd,u]: lhs=-1 rhs=0
+M5[g,u]: lhs=0 rhs=-1
+M5[gd,u]: lhs=0 rhs=-1
+M5[u,g]: lhs=0 rhs=-1
+M5[u,gd]: lhs=0 rhs=-1
+M6[a,c3,g]: lhs=2 rhs=1
+M6[a,c3,gd]: lhs=2 rhs=1
+M6[b,c3,g]: lhs=2 rhs=1
+M6[b,c3,gd]: lhs=2 rhs=1
+M6[c3,a,g]: lhs=2 rhs=1
+M6[c3,a,gd]: lhs=2 rhs=1
+M6[c3,b,g]: lhs=2 rhs=1
+M6[c3,b,gd]: lhs=2 rhs=1
+M6[c3,t,g]: lhs=2 rhs=1
+M6[c3,t,gd]: lhs=2 rhs=1
+M6[c3,u,g]: lhs=2 rhs=1
+M6[c3,u,gd]: lhs=2 rhs=1
+M6[g,g,u]: lhs=0 rhs=-1
+M6[g,gd,a]: lhs=1 rhs=1/2
+M6[g,gd,t]: lhs=1 rhs=0
+M6[g,gd,u]: lhs=1 rhs=-1
+M6[gd,g,a]: lhs=1 rhs=1/2
+M6[gd,g,t]: lhs=1 rhs=0
+M6[gd,g,u]: lhs=1 rhs=-1
+M6[gd,gd,u]: lhs=0 rhs=-1
+M6[t,c3,g]: lhs=2 rhs=1
+M6[t,c3,gd]: lhs=2 rhs=1
+M6[u,c3,g]: lhs=2 rhs=1
+M6[u,c3,gd]: lhs=2 rhs=1
+M6[u,u,g]: lhs=0 rhs=-1
+M6[u,u,gd]: lhs=0 rhs=-1
+flag_sigma[g]: lhs=0 rhs=1
+flag_eta[g]: lhs=0 rhs=1
+flag_sigma[gd]: lhs=0 rhs=1
+flag_eta[gd]: lhs=0 rhs=1
+flag_sigma[u]: lhs=1 rhs=0
+"""
+
+
+def test_negative_slope_report_is_pinned():
+    doc = copy.deepcopy(ZOO_DOC)
+    for c in doc["classes"]:
+        if c["id"] in ("g", "gd"):
+            c["slope"] = "-1"
+    report = validate_model(model_from_json_dict(doc))
+    assert "".join(f"{v}\n" for v in report.violations) == NEGATIVE_SLOPE_REPORT
 
 
 def test_model_instance_is_immutable(zoo_model):
