@@ -87,6 +87,7 @@ def _cmd_minimal(args) -> int:
 
 def _cmd_gen_model(args) -> int:
     params = _gen_params_from_args(args, args.seed)
+    _check_writable(args.out)
     model, stats = gen_model_with_stats(params)
     dump_model(model, args.out)
     print(f"model {model.digest()} ({len(model.classes)} classes, "

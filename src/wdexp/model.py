@@ -121,17 +121,26 @@ class ModelInstance:
             raise ModelStructureError(f"pairing gives the pair {{{i},{j}}} twice")
         u = index.get(UNRAMIFIED_ID)
         if filled < n * (n + 1) // 2:
+            # A row with a gap takes the forced values of its slope's row:
+            # the unit row's value in column u (row u is `slope` itself), the
+            # larger slope where the slopes differ, None where they are equal.
+            # The forced values are symmetric, so a gap left below the
+            # diagonal would have raised at its mirror in an earlier row.
+            forced = {}
             for a, row in enumerate(S):
-                for b in range(a, n):
-                    if row[b] is not None:
-                        continue
-                    if u in (a, b):
-                        row[b] = S[b][a] = slope[b if a == u else a]
-                    elif slope[a] != slope[b]:
-                        row[b] = S[b][a] = max(slope[a], slope[b])
-                    else:
-                        raise ModelStructureError(f"pairing entry {{{ids[a]},{ids[b]}}} omitted "
-                                                  "but not forced by the unit row or the max rule")
+                if None not in row:
+                    continue
+                f = slope if a == u else forced.get(slope[a])
+                if f is None:
+                    sa = slope[a]
+                    f = forced[sa] = [None if sb == sa else max(sa, sb) for sb in slope]
+                    if u is not None:
+                        f[u] = sa
+                row[:] = [x if x is not None else y for x, y in zip(row, f)]
+                if None in row:
+                    b = row.index(None)
+                    raise ModelStructureError(f"pairing entry {{{ids[a]},{ids[b]}}} omitted "
+                                              "but not forced by the unit row or the max rule")
         seen = set()
         for c in classes:
             if c.id in seen:
@@ -181,22 +190,27 @@ class ModelInstance:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        """The file's document from `ids`, `S` and `L`; each distinct value is formatted once."""
-        ids, L, S = self.ids, self.L, self.S
-        text = {v: format_rational(Fraction(v, L)) for v in {*self.slope, *chain(*S)}}
-        classes = [{"id": i, "dim": c.dim, "slope": text[sl], "deg": c.deg, "dual": c.dual,
-                    "flags": [f for f in _FLAGS if getattr(c, f)]}
-                   for i, c, sl in zip(ids, map(self.classes.__getitem__, ids), self.slope)]
-        pairing = [{"i": i, "j": ids[b], "slope": text[row[b]]}
-                   for a, (i, row) in enumerate(zip(ids, S)) for b in range(a, len(ids))]
-        return {"classes": classes, "pairing": pairing, "characters": sorted(self.characters)}
-
     def to_json(self) -> str:
-        """The model file's text, made on the first call and kept."""
+        """The model file's text, made on the first call and kept: the text
+        of `json.dumps(doc, sort_keys=True, separators=(",", ":"))`, where
+        doc holds the classes, the pairing cells a <= b in row-major order
+        and the sorted characters.  The classes and characters go through
+        `json.dumps`; each pairing row is joined from pieces made once each,
+        the quoted ids and the quoted text of each distinct value."""
         if self._json is None:
-            object.__setattr__(self, "_json", json.dumps(
-                self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+            ids, L, S = self.ids, self.L, self.S
+            text = {v: format_rational(Fraction(v, L)) for v in {*self.slope, *chain(*S)}}
+            classes = [{"id": i, "dim": c.dim, "slope": text[sl], "deg": c.deg, "dual": c.dual,
+                        "flags": [f for f in _FLAGS if getattr(c, f)]}
+                       for i, c, sl in zip(ids, map(self.classes.__getitem__, ids), self.slope)]
+            head = json.dumps({"characters": sorted(self.characters), "classes": classes},
+                              sort_keys=True, separators=(",", ":"))
+            quoted = {v: json.dumps(t) for v, t in text.items()}
+            qid = list(map(json.dumps, ids))
+            rows = [",".join([f'{{"i":{qi},"j":{qj},"slope":{quoted[v]}}}'
+                              for qj, v in zip(qid[a:], row[a:])])
+                    for a, (qi, row) in enumerate(zip(qid, S))]
+            object.__setattr__(self, "_json", f'{head[:-1]},"pairing":[{",".join(rows)}]}}\n')
         return self._json
 
     def digest(self) -> str:

@@ -66,18 +66,20 @@ def test_gen_model_deterministic(tmp_path, capsys):
 
 def test_gen_model_serializes_once(tmp_path, capsys, monkeypatch):
     # The written file and the printed digest read the one text that one
-    # to_json_dict call made, so the digest is the sha256 of the file.
-    documents, to_json_dict = [], ModelInstance.to_json_dict
+    # to_json call made, so the digest is the sha256 of the file.  A build
+    # is a call that finds no kept text.
+    builds, to_json = [], ModelInstance.to_json
 
-    def counting_to_json_dict(self):
-        documents.append(self)
-        return to_json_dict(self)
+    def counting_to_json(self):
+        if self._json is None:
+            builds.append(self)
+        return to_json(self)
 
-    monkeypatch.setattr(ModelInstance, "to_json_dict", counting_to_json_dict)
+    monkeypatch.setattr(ModelInstance, "to_json", counting_to_json)
     path = tmp_path / "m.json"
     code, out, _ = _run(capsys, "gen-model", "--classes-per-level", "3", "-o", str(path))
     assert code == 0
-    assert len(documents) == 1
+    assert len(builds) == 1
     assert out.split()[1] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -214,6 +216,18 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, com
         argv = [command, "--out", str(path)] + (["--models", "1", "--pairs", "1"]
                                                 if command == "check" else [])
         assert _run(capsys, *argv) == (2, "", f"error: {raised.value}\n")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_gen_model_unwritable_out_fails_before_generating(tmp_path, capsys, monkeypatch):
+    import wdexp.cli
+
+    calls = []
+    monkeypatch.setattr(wdexp.cli, "gen_model_with_stats", lambda *args: calls.append(args))
+    path = tmp_path / "missing" / "m.json"
+    code, out, err = _run(capsys, "gen-model", "--classes-per-level", "20", "-o", str(path))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
 
 

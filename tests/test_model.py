@@ -1,7 +1,9 @@
 import copy
 import hashlib
 import json
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, product
 
@@ -342,7 +344,7 @@ def test_loading_ignores_entry_order_and_orientation():
 
     m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=20))
     assert len(m.ids) == 83
-    doc = m.to_json_dict()
+    doc = json.loads(m.to_json())
     slope = {c["id"]: c["slope"] for c in doc["classes"]}
     # every entry the unit row or the max rule forces is dropped
     kept = [e for e in doc["pairing"] if "u" not in (e["i"], e["j"])
@@ -538,7 +540,10 @@ def _reference_json(m):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def test_writer_matches_the_pairing_view(zoo_model):
+@pytest.fixture(scope="module")
+def model_corpus(zoo_model):
+    """287 models: the witness models, and the zoo model and five generated
+    ones, each with its perturbations and axiom breaks."""
     from wdexp.bounds import (
         dim2_witness_model,
         prime_dim_witness_model,
@@ -553,12 +558,16 @@ def test_writer_matches_the_pairing_view(zoo_model):
                            for cpl in (2, 3, 4, 5, 20)]
     for n, m in enumerate(bases):
         models += [m] + perturbations(m, random.Random(n)) + _axiom_breaks(m, random.Random(n))
-    for m in models:
+    return models
+
+
+def test_writer_matches_the_pairing_view(model_corpus):
+    for m in model_corpus:
         assert m.to_json() == _reference_json(m)
-    assert len(models) == 287
-    assert any(min(chain(*m.S)) < 0 for m in models)  # negative entries
-    assert any(min(m.dim) < 1 for m in models)  # changed dims
-    assert len({m.L for m in models}) > 3  # off-grid entries and slopes
+    assert len(model_corpus) == 287
+    assert any(min(chain(*m.S)) < 0 for m in model_corpus)  # negative entries
+    assert any(min(m.dim) < 1 for m in model_corpus)  # changed dims
+    assert len({m.L for m in model_corpus}) > 3  # off-grid entries and slopes
 
 
 def test_writer_makes_one_fraction_per_value(monkeypatch):
@@ -573,8 +582,95 @@ def test_writer_makes_one_fraction_per_value(monkeypatch):
         return Fraction(*args)
 
     monkeypatch.setattr(model_module, "Fraction", counting_fraction)
-    m.to_json_dict()
+    m.to_json()
     assert len(made) == len({*m.slope, *chain(*m.S)}) == 5
+
+
+def test_writer_escapes_ids_as_json_dumps_does(tmp_path):
+    # é and U+2028 are written as \u escapes, as ensure_ascii writes them
+    odd = ("caf\u00e9", "a\u2028b", 'q"', "back\\slash", "bell\x07")
+    for ids in [(i,) for i in odd] + [odd]:
+        classes = [IrreducibleClass("u", 1, Fraction(0), 1, "u", True, True)]
+        classes += [IrreducibleClass(i, 2, Fraction(1, 2), 1, i) for i in ids]
+        entries = {(i, j): Fraction(1, 2) for i in ids for j in ids if i <= j}
+        m = ModelInstance(classes, entries, ["u"])
+        assert m.to_json() == _reference_json(m)
+        assert m.to_json().isascii()
+        dump_model(m, tmp_path / "m.json")
+        assert load_model(tmp_path / "m.json").digest() == m.digest()
+
+
+def _reference_completion(classes, entries):
+    """(L, S) as the constructor's per-cell loop completed the table: the
+    given entries, then each omitted cell a <= b in row-major order from
+    the unit row or the max rule.  Returns the message naming the first
+    cell that neither forces instead."""
+    by_id = {c.id: c for c in classes}
+    ids = sorted(by_id)
+    index = {i: a for a, i in enumerate(ids)}
+    L = math.lcm(*(c.slope.denominator for c in classes), *(v.denominator for v in entries.values()))
+    slope = [by_id[i].slope.numerator * (L // by_id[i].slope.denominator) for i in ids]
+    n = len(ids)
+    S = [[None] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        a, b = index[i], index[j]
+        S[a][b] = S[b][a] = v.numerator * (L // v.denominator)
+    u = index.get("u")
+    for a, row in enumerate(S):
+        for b in range(a, n):
+            if row[b] is not None:
+                continue
+            if u in (a, b):
+                row[b] = S[b][a] = slope[b if a == u else a]
+            elif slope[a] != slope[b]:
+                row[b] = S[b][a] = max(slope[a], slope[b])
+            else:
+                return (f"pairing entry {{{ids[a]},{ids[b]}}} omitted "
+                        "but not forced by the unit row or the max rule")
+    return L, tuple(map(tuple, S))
+
+
+def _completion_oddities(m):
+    """`m` with u at a nonzero slope, with its classes above slope 0 at
+    negative slopes, and with u renamed so that no class is u."""
+    c = m.classes
+    entries = pairing(m)
+    half = [replace(x, slope=Fraction(1, 2)) if x.id == "u" else x for x in c.values()]
+    negative = [replace(x, slope=-x.slope - 1) if x.slope else x for x in c.values()]
+    name = {"u": "u0"}.get
+    nounit = [replace(x, id=name(x.id, x.id), dual=name(x.dual, x.dual)) for x in c.values()]
+    renamed = {tuple(sorted((name(i, i), name(j, j)))): v for (i, j), v in entries.items()}
+    chars = [name(ch, ch) for ch in m.characters]
+    return [(half, entries, m.characters), (negative, entries, m.characters),
+            (nounit, renamed, chars)]
+
+
+def test_row_completion_matches_the_per_cell_loop(zoo_model, model_corpus):
+    from wdexp.generator import GenParams, gen_model
+
+    cases = [(list(m.classes.values()), pairing(m), m.characters) for m in model_corpus]
+    for m in [zoo_model] + [gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl))
+                            for cpl in (2, 5)]:
+        cases += _completion_oddities(m)
+    rng = random.Random(25)
+    raised = 0
+    for classes, entries, characters in cases:
+        slope = {c.id: (c.slope.numerator, c.slope.denominator) for c in classes}
+        forced = [k for k in entries if "u" in k or slope[k[0]] != slope[k[1]]]
+        free = sorted(entries.keys() - set(forced))
+        half = {k for k in forced if rng.random() < 0.5}
+        for dropped in (set(forced), half, half | {*rng.sample(free, min(len(free), 3))}):
+            sparse = {k: v for k, v in entries.items() if k not in dropped}
+            expected = _reference_completion(classes, sparse)
+            if isinstance(expected, str):
+                with pytest.raises(ModelStructureError) as error:
+                    ModelInstance(classes, sparse, characters)
+                assert str(error.value) == expected
+                raised += 1
+                continue
+            built = ModelInstance(classes, sparse, characters)
+            assert (built.L, built.S) == expected
+    assert len(cases) == 296 and raised == 295  # one case has no unforced entry
 
 
 # -- M6: the O(n^2) check against the triple loop it stands in for ---------
