@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import ge, gt, le, mod, mul
+from operator import ge, gt, le, mod, mul, ne, or_
 from types import MappingProxyType
 
 from .rationals import format_rational, parse_rational
@@ -299,10 +299,12 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     tables (`ModelInstance.S`, `slope`, ...), and a violation reports
     Fraction(S, L).
 
-    The type invariants first test the whole class tables, and M1, M3,
-    M4, M5 and M8 each row as a whole; only a table or row that fails runs
-    the loop over its classes or cells.  M8 finds the failing cells of such
-    a row with one scan of the kernel's row (`kernel_row`).  M6 has one path.
+    M1-M5 state each rule once, as a C-level row test (of the unit row for
+    M2); a failing row reports the cells that fail it taken cell by cell.
+    The type invariants test whole tables but report class by class, so a
+    failing table runs the loop over its classes; M7 and the flag check
+    are one test per class; M8's cells are on the kernel's row, not on S,
+    so a failing row scans `kernel_row` once.  M6 has one path.
     Let U be the subdominant ultrametric of min(D, D^T), D(i,j) =
     s(i, dual j), which Prim's algorithm builds in O(n^2).  Any two-step
     path i-k-j has a largest weight of at least U(i,j), so an off-diagonal
@@ -368,9 +370,8 @@ def validate_model(m: ModelInstance) -> ValidationReport:
         if dim[a] == 1 and S[a][dual[a]] != 0:
             rep.add("char_self_pairing", (ids[a], ids[dual[a]]), q(S[a][dual[a]]), 0)
 
-    # M1, M3, M4 and M5 first test a whole row with C-level scans; the test
-    # passes exactly when the row's cells pass, and a row that fails it runs
-    # the per-cell loop, so violations come in the order of the full loops.
+    # M1-M5: a row that fails its test reports the cells that fail it, by
+    # one `compress` scan over the same operands, in column order.
     lows = [min(row) for row in S]  # the least entry of each row
     least = min(lows, default=0)
 
@@ -381,21 +382,18 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     for a in range(n):
         if dim[a] not in steps:
             steps[dim[a]] = tuple(L // math.gcd(L, dim[a] * d) for d in dim)
-        tail = S[a][a:]
-        if (least >= 0 or min(tail) >= 0) and not any(map(mod, tail, steps[dim[a]][a:])):
+        tail, step = S[a][a:], steps[dim[a]][a:]
+        if (least >= 0 or min(tail) >= 0) and not any(map(mod, tail, step)):
             continue
-        for b in range(a, n):
-            if S[a][b] < 0:
-                rep.add("M1", (ids[a], ids[b]), q(S[a][b]), 0)
-            elif dim[a] * dim[b] * S[a][b] % L:
-                rep.add("M1", (ids[a], ids[b]), q(dim[a] * dim[b] * S[a][b]), 0)
+        for b in compress(range(a, n), (s < 0 or s % t for s, t in zip(tail, step))):
+            s = S[a][b]
+            rep.add("M1", (ids[a], ids[b]), q(s if s < 0 else dim[a] * dim[b] * s), 0)
 
     # M2 unit row.
     if UNRAMIFIED_ID in m.classes:
         unit_row = S[m.index[UNRAMIFIED_ID]]
-        for a in range(n):
-            if unit_row[a] != slope[a]:
-                rep.add("M2", (UNRAMIFIED_ID, ids[a]), q(unit_row[a]), q(slope[a]))
+        for a in compress(range(n), map(ne, unit_row, slope)):
+            rep.add("M2", (UNRAMIFIED_ID, ids[a]), q(unit_row[a]), q(slope[a]))
 
     # M3 max rule: lo <= S[a][b] <= hi, where hi is the larger slope and lo
     # is hi if the slopes differ and the table's least entry if they are
@@ -406,33 +404,30 @@ def validate_model(m: ModelInstance) -> ValidationReport:
             his = tuple(map(max, repeat(slope[a]), slope))
             bands[slope[a]] = his, tuple(least if sb == slope[a] else h for sb, h in zip(slope, his))
         his, los = bands[slope[a]]
-        tail = S[a][a:]
-        if all(map(le, los[a:], tail)) and all(map(le, tail, his[a:])):
+        tail, lo, hi = S[a][a:], los[a:], his[a:]
+        if all(map(le, lo, tail)) and all(map(le, tail, hi)):
             continue
-        for b in range(a, n):
-            hi = max(slope[a], slope[b])
-            if S[a][b] > hi or (slope[a] != slope[b] and S[a][b] != hi):
-                rep.add("M3", (ids[a], ids[b]), q(S[a][b]), q(hi))
+        for b in compress(range(a, n), map(or_, map(gt, lo, tail), map(gt, tail, hi))):
+            rep.add("M3", (ids[a], ids[b]), q(S[a][b]), q(his[b]))
 
     # M4 dual symmetry, on D(i,j) = s(i, dual j): S[a][b] = D[dual a][b].
     # S is symmetric, so column b of D is row dual b of S.
     Dt = [S[d] for d in dual]
     D = list(zip(*Dt))
     for a in range(n):
-        if S[a][a:] == D[dual[a]][a:]:
+        tail, image = S[a][a:], D[dual[a]][a:]
+        if tail == image:
             continue
-        for b in range(a, n):
-            if S[a][b] != S[dual[a]][dual[b]]:
-                rep.add("M4", (ids[a], ids[b]), q(S[a][b]), q(S[dual[a]][dual[b]]))
+        for b in compress(range(a, n), map(ne, tail, image)):
+            rep.add("M4", (ids[a], ids[b]), q(S[a][b]), q(D[dual[a]][b]))
 
     # M5 diagonal minimality.
     for a in range(n):
         diag = S[a][dual[a]]
         if diag <= lows[a]:
             continue
-        for k in range(n):
-            if diag > S[a][k]:
-                rep.add("M5", (ids[a], ids[k]), q(diag), q(S[a][k]))
+        for k in compress(range(n), map(gt, repeat(diag), S[a])):
+            rep.add("M5", (ids[a], ids[k]), q(diag), q(S[a][k]))
 
     # M6 ultrametric on D: witnesses (i, j, k) in order.  A row scan finds
     # the b with D(a,b) > U(a,b), and of those only a pair with

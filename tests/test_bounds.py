@@ -89,11 +89,18 @@ def test_bound_A_zero_rep_rejected(unit_model):
     (check_bound_B, ("indec_or_irr",)),
     (check_bound_C, ("general",)),
     (check_bound_C, ("irreducible",)),
+    (check_bound_B, ("bogus",)),
+    (check_bound_C, ("bogus",)),
 ])
 def test_bounds_reject_unknown_mode(zoo_model, check, variant):
+    """A mode other than sigma and eta raises, and so does a variant that
+    the check does not have, with a valid mode."""
     x = parse_rep("Sp_1(a)", zoo_model)
-    with pytest.raises(ValueError, match="mode must be one of"):
-        check(PairExponents(x, x, zoo_model), "bogus", *variant)
+    mode, message = "bogus", "mode must be one of"
+    if variant == ("bogus",):
+        mode, message = "eta", "unknown variant 'bogus'"
+    with pytest.raises(ValueError, match=message):
+        check(PairExponents(x, x, zoo_model), mode, *variant)
 
 
 def test_bound_B_sum_equality_on_equal_inputs(zoo_model):

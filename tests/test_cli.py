@@ -198,6 +198,21 @@ def test_sharpness(tmp_path, capsys):
     assert "A: lhs=3/4 rhs=3/4 equality" in out
 
 
+def test_sharpness_exits_1_on_a_row_that_fails(tmp_path, capsys, monkeypatch):
+    """A row that does not hold, or one whose precondition failed, makes
+    `sharpness` exit 1; --out still holds every row."""
+    import wdexp.cli
+
+    violated = bounds.CheckResult("A", Fraction(1, 3), Fraction(1, 2), False, False, {"case": "v"})
+    unmet = bounds.CheckResult("AS", Fraction(1), Fraction(1, 2), True, False, {"case": "p"}, True)
+    for rows, lines in (([violated, unmet], "A: lhs=1/3 rhs=1/2 VIOLATED\nAS: lhs=1 rhs=1/2 holds\n"),
+                        ([unmet], "AS: lhs=1 rhs=1/2 holds\n")):
+        monkeypatch.setattr(wdexp.cli, "sharpness_suite", lambda: rows)
+        out_path = tmp_path / "sharp.json"
+        assert _run(capsys, "sharpness", "--out", str(out_path)) == (1, lines, "")
+        assert out_path.read_text(encoding="utf-8") == bounds.results_to_json(rows)
+
+
 @pytest.mark.parametrize("command", ("check", "sharpness"))
 def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
     """An --out that cannot be written exits 2 with the error that writing

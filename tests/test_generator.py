@@ -31,6 +31,14 @@ def test_splitmix_reference_stream():
     ]
 
 
+def test_splitmix_below_needs_a_positive_bound():
+    rng = SplitMix64(0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="positive bound"):
+            rng.below(n)
+    assert rng.next64() == 0xE220A8397B1DCDAF  # a rejected call draws nothing
+
+
 def test_gen_params_validation():
     with pytest.raises(ValueError):
         GenParams(slope_levels=())
@@ -124,6 +132,12 @@ def test_pairing_floor_against_character_minimum(generated_model):
 
 def test_gen_rep_zero_terms(generated_model):
     assert gen_rep(generated_model, 0, 5, 1).is_zero
+
+
+@pytest.mark.parametrize("max_terms, max_r", [(-1, 5), (1, 0), (2, -1)])
+def test_gen_rep_rejects_bad_bounds(generated_model, max_terms, max_r):
+    with pytest.raises(ValueError, match="max_terms >= 0 and max_r >= 1"):
+        gen_rep(generated_model, max_terms, max_r, 1)
 
 
 def test_gen_rep_deterministic_and_bounded(generated_model):

@@ -105,6 +105,9 @@ def test_tensor_partition_examples():
     assert tensor_partition(2, 2).parts == (3, 1)
     assert tensor_partition(2, 3).parts == (4, 2)
     assert tensor_partition(3, 3).parts == (5, 3, 1)
+    for r, s in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="block sizes must be >= 1"):
+            tensor_partition(r, s)
 
 
 def test_tensor_partition_laws():
@@ -153,6 +156,8 @@ def test_oracle_examples(unit_model):
         assert unramified_oracle_artin(one, yy) == exponents_of(yy, unit_model).ar
     xx = parse_rep("2*Sp_2(u)", unit_model)
     assert unramified_oracle_artin(xx, y) == 8
+    # the zero representation tensors to zero: Artin exponent 0
+    assert unramified_oracle_artin(WDRep.zero(), y) == unramified_oracle_artin(y, WDRep.zero()) == 0
 
 
 def test_oracle_rejects_ramified(zoo_model):

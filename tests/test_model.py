@@ -782,10 +782,13 @@ def test_large_generated_model_validates():
 
 
 def _reference_cells(m):
-    """M1, M3, M4 and M5 as plain loops over every cell, in the validator's
-    order, on the rationals that `pair` and the classes give."""
+    """M1-M5 as plain loops over every cell, in the validator's order, on
+    the rationals that `pair` and the classes give."""
     ids, c = sorted(m.classes), m.classes
-    out = {"M1": [], "M3": [], "M4": [], "M5": []}
+    out = {"M1": [], "M2": [], "M3": [], "M4": [], "M5": []}
+    if "u" in c:
+        out["M2"] = [Violation("M2", ("u", i), pair(m, "u", i), c[i].slope)
+                     for i in ids if pair(m, "u", i) != c[i].slope]
     for a, i in enumerate(ids):
         for j in ids[a:]:
             s, dims = pair(m, i, j), c[i].dim * c[j].dim
@@ -808,12 +811,12 @@ def _reference_cells(m):
 
 
 def _per_cell_report(m, report):
-    """`report` with M1 and M3-M6 replaced by the plain loops' violations."""
+    """`report` with M1-M6 replaced by the plain loops' violations."""
     ref = _reference_cells(m)
-    kept = [v for v in report.violations if v.axiom not in ("M1", "M3", "M4", "M5", "M6")]
-    before = [v for v in kept if v.axiom not in ("M2",) + _AFTER_M6]
-    return (before + ref["M1"] + [v for v in kept if v.axiom == "M2"] + ref["M3"] + ref["M4"]
-            + ref["M5"] + _reference_m6(m) + [v for v in kept if v.axiom in _AFTER_M6])
+    kept = [v for v in report.violations if v.axiom not in ("M1", "M2", "M3", "M4", "M5", "M6")]
+    before = [v for v in kept if v.axiom not in _AFTER_M6]
+    return (before + ref["M1"] + ref["M2"] + ref["M3"] + ref["M4"] + ref["M5"]
+            + _reference_m6(m) + [v for v in kept if v.axiom in _AFTER_M6])
 
 
 def _axiom_breaks(m, rng):
@@ -856,7 +859,7 @@ def test_row_tests_match_per_cell_loops():
                 seen |= {v.axiom for v in report.violations}
                 seen |= {"M6 diagonal" for v in report.violations
                          if v.axiom == "M6" and v.witness[0] == v.witness[1]}
-    assert {"M1", "M3", "M4", "M5", "M6", "M6 diagonal"} <= seen
+    assert {"M1", "M2", "M3", "M4", "M5", "M6", "M6 diagonal"} <= seen
 
 
 # -- the integer view: same reports as the rational comparisons ------------
