@@ -301,17 +301,16 @@ def validate_model(m: ModelInstance) -> ValidationReport:
 
     M1-M5 state each rule once, as a C-level row test (of the unit row for
     M2); a failing row reports the cells that fail it taken cell by cell.
-    The type invariants test whole tables but report class by class, so a
-    failing table runs the loop over its classes; M7 and the flag check
-    are one test per class; M8's cells are on the kernel's row, not on S,
-    so a failing row scans `kernel_row` once.  M6 has one path.
-    Let U be the subdominant ultrametric of min(D, D^T), D(i,j) =
-    s(i, dual j), which Prim's algorithm builds in O(n^2).  Any two-step
-    path i-k-j has a largest weight of at least U(i,j), so an off-diagonal
-    pair with D(i,j) <= U(i,j) has no witness k.  Row i of D is row i of S permuted, so every
-    max(D(i,k), D(k,j)) is at least the least entry of that row, and the
-    diagonal D(i,i) can have a witness only where M5 fails.  The loop over
-    k runs only on those pairs, and only where
+    The type invariants, M7 and the flag check are one test per class, on
+    the int tables; M8's cells are on the kernel's row, not on S, so a
+    failing row scans `kernel_row` once.  M6 has one path.  Let U be the
+    subdominant ultrametric of min(D, D^T), D(i,j) = s(i, dual j), which
+    Prim's algorithm builds in O(n^2).  Any two-step path i-k-j has a
+    largest weight of at least U(i,j), so an off-diagonal pair with
+    D(i,j) <= U(i,j) has no witness k.  Row i of D is row i of S permuted,
+    so every max(D(i,k), D(k,j)) is at least the least entry of that row,
+    and the diagonal D(i,i) can have a witness only where M5 fails.  The
+    loop over k runs only on those pairs, and only where
     D(i,j) > min_k max(D(i,k), D(k,j)), that is, where a witness exists.
     On a valid model that is O(n^2); the worst case, many pairs with
     witnesses, is still O(n^3).
@@ -326,30 +325,25 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     def q(x):
         return Fraction(x, L)
 
-    # Type invariants on classes, first tested on the whole int tables.
-    # char_deg holds whenever the others do: deg >= 1 divides dim = 1.
-    types_hold = (min(dim, default=1) >= 1 and min(deg, default=1) >= 1
-                  and min(slope, default=0) >= 0
-                  and not any(map(mod, map(mul, dim, slope), repeat(L)))
-                  and not any(map(mod, dim, deg))
-                  and all(t == tuple(map(t.__getitem__, dual)) for t in (dim, slope, deg)))
-    if not types_hold:
-        for i, c in zip(ids, classes):
-            if c.dim < 1:
-                rep.add("dim_positive", (i,), c.dim, 1)
-            if c.deg < 1:
-                rep.add("deg_positive", (i,), c.deg, 1)
-            if c.slope < 0:
-                rep.add("slope_nonneg", (i,), c.slope, 0)
-            if c.dim >= 1 and (c.dim * c.slope).denominator != 1:
-                rep.add("slope_integral", (i,), c.dim * c.slope, 0)
-            if c.deg >= 1 and c.dim % c.deg != 0:
-                rep.add("deg_divides_dim", (i,), c.dim % c.deg, 0)
-            if c.dim == 1 and c.deg != 1:
-                rep.add("char_deg", (i,), c.deg, 1)
-            d = m.classes[c.dual]
-            if (d.dim, d.slope, d.deg) != (c.dim, c.slope, c.deg):
-                rep.add("dual_preserves_data", (i, c.dual), Fraction(d.dim), Fraction(c.dim))
+    # Type invariants, one scan of the int tables, class by class.
+    for a, i in enumerate(ids):
+        d, g, sl = dim[a], deg[a], slope[a]
+        if d < 1:
+            rep.add("dim_positive", (i,), d, 1)
+        if g < 1:
+            rep.add("deg_positive", (i,), g, 1)
+        if sl < 0:
+            rep.add("slope_nonneg", (i,), q(sl), 0)
+        if d >= 1 and d * sl % L:
+            rep.add("slope_integral", (i,), q(d * sl), 0)
+        if g >= 1 and d % g:
+            rep.add("deg_divides_dim", (i,), d % g, 0)
+        if d == 1 and g != 1:
+            rep.add("char_deg", (i,), g, 1)
+        b = dual[a]
+        if (dim[b], slope[b], deg[b]) != (d, sl, g):
+            rep.add("dual_preserves_data", (i, ids[b]), dim[b], d)
+    types_hold = rep.ok
 
     # The distinguished unramified orbit.
     if UNRAMIFIED_ID not in m.classes:

@@ -6,6 +6,7 @@ Rationals cross module and file boundaries as reduced "p/q" strings
 """
 
 from fractions import Fraction
+from string import whitespace
 
 
 def _spelled(text, kind: str) -> str:
@@ -26,11 +27,13 @@ def parse_int(text) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction. Raises ValueError on junk,
-    a zero denominator, an underscore and a non-ASCII character included."""
+    """Parse "p/q" or "p", with outer ASCII whitespace, into a Fraction.
+    Raises ValueError on junk, a zero denominator, an underscore, a
+    non-ASCII character and a control character that is not whitespace
+    (U+001F, which `str.strip` would drop) included."""
     if isinstance(text, int):
         return Fraction(text)
-    s = _spelled(text, "rational").strip()
+    s = _spelled(text, "rational").strip(whitespace)
     if "/" in s:
         num, _, den = s.partition("/")
         if int(den) == 0:

@@ -32,7 +32,8 @@ def test_rational_round_trip():
         q = parse_rational(text)
         assert parse_rational(format_rational(q)) == q
     assert format_rational(Fraction(10, 4)) == "5/2"
-    for junk in ("x/y", "1/0", "3/00", "x", "", "0_1", "1_0", "2_0/2_0", "\u0661", "\uff11"):
+    for junk in ("x/y", "1/0", "3/00", "x", "", "0_1", "1_0", "2_0/2_0", "\u0661", "\uff11",
+                 "\x1f1", "1/2\x1c"):
         with pytest.raises(ValueError):
             parse_rational(junk)
     # integers from outside follow the same spelling rule
