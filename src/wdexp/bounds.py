@@ -25,7 +25,7 @@ satisfied it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -250,14 +250,19 @@ def _require_selectors(theorems):
             raise ValueError(f"unknown theorem selector {t!r}")
 
 
-@dataclass
 class SweepSummary:
-    samples: dict[str, int] = field(default_factory=dict)
-    violations: dict[str, int] = field(default_factory=dict)
-    equalities: dict[str, int] = field(default_factory=dict)
-    precondition_failures: dict[str, int] = field(default_factory=dict)
-    models: int = 0
-    repair_rounds: int = 0
+    """Per-theorem counts of a sweep, and its model and repair-round totals."""
+
+    __slots__ = ("samples", "violations", "equalities", "precondition_failures", "models",
+                 "repair_rounds")
+
+    def __init__(self):
+        self.samples: dict[str, int] = {}
+        self.violations: dict[str, int] = {}
+        self.equalities: dict[str, int] = {}
+        self.precondition_failures: dict[str, int] = {}
+        self.models = 0
+        self.repair_rounds = 0
 
     def record(self, r: CheckResult):
         t = r.theorem

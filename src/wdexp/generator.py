@@ -54,7 +54,7 @@ seed reproduce identical models on any platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from string import whitespace
 
@@ -100,6 +100,10 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class GenParams:
+    """Generator parameters, validated on construction.  The package's one
+    dataclass: `dataclasses.replace(params, seed=...)` is how a sweep, and
+    any caller, derives the parameters of its next model."""
+
     slope_levels: tuple[Fraction, ...]
     classes_per_level: int = 2
     dim_pool: tuple[int, ...] = (1, 2, 3, 4)
@@ -137,26 +141,32 @@ class GenParams:
         )
 
 
-@dataclass
 class GenStats:
-    attempts: int = 1  # one attempt per model; the benchmark's trace reads it
-    repair_rounds: int = 0  # 1 when the one raise raised anything, else 0
-    raised_entries: int = 0
+    __slots__ = ("attempts", "repair_rounds", "raised_entries")
+
+    def __init__(self, attempts=1, repair_rounds=0, raised_entries=0):
+        self.attempts = attempts  # one attempt per model; the benchmark's trace reads it
+        self.repair_rounds = repair_rounds  # 1 when the one raise raised anything, else 0
+        self.raised_entries = raised_entries
 
 
 # -- tree machinery ----------------------------------------------------------
 
 
-@dataclass
 class _Leaf:
-    id: str
-    self_value: int
+    __slots__ = ("id", "self_value")
+
+    def __init__(self, id: str, self_value: int):
+        self.id = id
+        self.self_value = self_value
 
 
-@dataclass
 class _Node:
-    height: int
-    children: list
+    __slots__ = ("height", "children")
+
+    def __init__(self, height: int, children: list):
+        self.height = height
+        self.children = children
 
 
 def _build_tree(rng, units, hi, depth) -> _Node:
@@ -346,7 +356,7 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
     chars = sorted(c for c in dims if dims[c] == 1)
     bare = ModelInstance(classes, entries, chars)
     # `classes` is in sorted id order, as the flags are.
-    flagged = [replace(c, minimal_sigma=s, minimal_eta=e)
+    flagged = [c._replace(minimal_sigma=s, minimal_eta=e)
                for c, s, e in zip(classes, *class_minimality(bare))]
     return ModelInstance(flagged, entries, chars)
 

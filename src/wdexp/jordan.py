@@ -13,24 +13,42 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import UNRAMIFIED_ID
 from .rep import WDRep
 
 
-@dataclass(frozen=True)
 class Partition:
-    """Weakly decreasing positive parts."""
+    """Weakly decreasing positive parts.  Immutable, and equal to another
+    Partition exactly when the parts are."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+    def __init__(self, parts: tuple[int, ...]):
+        if any(p < 1 for p in parts):
+            raise ValueError(f"parts must be positive: {parts}")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError(f"parts must be weakly decreasing: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Partition is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Partition is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is Partition else NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __repr__(self):
+        return f"Partition(parts={self.parts!r})"
+
+    def __reduce__(self):
+        return Partition, (self.parts,)
 
     @property
     def size(self) -> int:

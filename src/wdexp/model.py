@@ -21,11 +21,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import ge, gt, le, mod, mul, ne, or_
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .rationals import format_rational, parse_rational
 
@@ -41,8 +41,7 @@ class ModelStructureError(ValueError):
     """Ill-formed model: ids do not resolve, dual is not an involution, etc."""
 
 
-@dataclass(frozen=True)
-class IrreducibleClass:
+class IrreducibleClass(NamedTuple):
     """One unramified-twist orbit of irreducibles.
 
     dim       -- dimension m >= 1
@@ -223,8 +222,7 @@ class ModelInstance:
 # -- validation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     witness: tuple[str, ...]
     lhs: Fraction
@@ -235,9 +233,11 @@ class Violation:
         return f"{self.axiom}[{ids}]: lhs={format_rational(self.lhs)} rhs={format_rational(self.rhs)}"
 
 
-@dataclass
 class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+    __slots__ = ("violations",)
+
+    def __init__(self, violations=None):
+        self.violations: list[Violation] = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -163,16 +162,16 @@ def perturbations(m, rng):
                Fraction(0))[k % 5]
         out.append(ModelInstance(classes, {**entries, key: new}, m.characters))
     changes = (
-        lambda c: replace(c, dim=0),
-        lambda c: replace(c, dim=-c.dim),
-        lambda c: replace(c, dim=c.dim + 1),
-        lambda c: replace(c, slope=c.slope + Fraction(1, 7)),
-        lambda c: replace(c, slope=2 * c.slope),
-        lambda c: replace(c, deg=0),
-        lambda c: replace(c, deg=c.dim + 1),
-        lambda c: replace(c, minimal_sigma=not c.minimal_sigma),
-        lambda c: replace(c, minimal_eta=not c.minimal_eta),
-        lambda c: replace(c, minimal_sigma=not c.minimal_sigma, minimal_eta=not c.minimal_eta),
+        lambda c: c._replace(dim=0),
+        lambda c: c._replace(dim=-c.dim),
+        lambda c: c._replace(dim=c.dim + 1),
+        lambda c: c._replace(slope=c.slope + Fraction(1, 7)),
+        lambda c: c._replace(slope=2 * c.slope),
+        lambda c: c._replace(deg=0),
+        lambda c: c._replace(deg=c.dim + 1),
+        lambda c: c._replace(minimal_sigma=not c.minimal_sigma),
+        lambda c: c._replace(minimal_eta=not c.minimal_eta),
+        lambda c: c._replace(minimal_sigma=not c.minimal_sigma, minimal_eta=not c.minimal_eta),
     )
     for k in range(12):
         a = rng.randrange(len(classes))

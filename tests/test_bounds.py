@@ -1,8 +1,10 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -29,8 +31,10 @@ from wdexp.bounds import (
 from wdexp.exponents import (ExponentReport, class_minimality, exponents_of, indec_tensor_kernel,
                              is_minimal_rep, rep_exponents, rep_minimality, tensor_exponents)
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
+from wdexp.jordan import Partition
 from wdexp.maxplus import mp_degree_weight, mp_vee, s_map
-from wdexp.model import IrreducibleClass, ModelInstance, ModelStructureError, validate_model
+from wdexp.model import (IrreducibleClass, ModelInstance, ModelStructureError, Violation,
+                         validate_model)
 from wdexp.rationals import format_rational
 from wdexp.rep import WDRep, format_rep, parse_rep, rep_dual, resolve_terms
 
@@ -367,8 +371,8 @@ def test_swan_bridge_rejects_a_class_of_dim_below_1_or_negative_slope(zoo_model)
     classes = [zoo_model.classes[i] for i in zoo_model.ids]
     a = zoo_model.at("a")
     x = parse_rep("Sp_1(a)", zoo_model)
-    for bad in (replace(classes[a], dim=0), replace(classes[a], dim=-2),
-                replace(classes[a], slope=-classes[a].slope)):
+    for bad in (classes[a]._replace(dim=0), classes[a]._replace(dim=-2),
+                classes[a]._replace(slope=-classes[a].slope)):
         m = ModelInstance(classes[:a] + [bad] + classes[a + 1:], pairing(zoo_model),
                           zoo_model.characters)
         with pytest.raises(ValueError):
@@ -402,6 +406,46 @@ def test_records_are_immutable_tuples_with_named_fields():
     with pytest.raises(ValueError):
         rep.exponent("zeta")
     assert ExponentReport(0, 0, 0).eta is None is ExponentReport(0, 0, 0).varsigma
+    v = Violation("M6", ("a", "c", "b"), Fraction(1), Fraction(1, 2))
+    assert Violation._fields == ("axiom", "witness", "lhs", "rhs")
+    assert (v.axiom, v.witness, v.lhs, v.rhs) == ("M6", ("a", "c", "b"), 1, Fraction(1, 2))
+    assert v == Violation(axiom="M6", witness=("a", "c", "b"), lhs=Fraction(1), rhs=Fraction(1, 2))
+    assert v != Violation("M6", ("c", "a", "b"), Fraction(1), Fraction(1, 2))
+    assert str(v) == "M6[a,c,b]: lhs=1 rhs=1/2"
+    with pytest.raises(AttributeError):
+        v.lhs = Fraction(0)
+    assert v.lhs == 1
+    c = IrreducibleClass("w", 2, Fraction(1, 2), 2, "w")
+    assert IrreducibleClass._fields == ("id", "dim", "slope", "deg", "dual", "minimal_sigma",
+                                        "minimal_eta")
+    assert (c.id, c.dim, c.slope, c.deg, c.dual, c.minimal_sigma, c.minimal_eta) == (
+        "w", 2, Fraction(1, 2), 2, "w", False, False)
+    flagged = c._replace(minimal_sigma=True, minimal_eta=True)
+    assert flagged == IrreducibleClass(id="w", dim=2, slope=Fraction(1, 2), deg=2, dual="w",
+                                       minimal_sigma=True, minimal_eta=True)
+    assert flagged != c == IrreducibleClass("w", 2, Fraction(1, 2), 2, "w", False, False)
+    with pytest.raises(AttributeError):
+        c.dim = 3
+    assert c.dim == 2
+
+
+@pytest.mark.parametrize("cls, field, a, b", [
+    (WDRep, "terms", ((1, 2, "a"), (2, 1, "u")), ((1, 2, "a"),)),
+    (Partition, "parts", (3, 1, 1), (3, 2)),
+])
+def test_value_types_compare_by_value_and_are_immutable(cls, field, a, b):
+    x, y, z = cls(a), cls(tuple(list(a))), cls(b)
+    assert x is not y and getattr(x, field) == a
+    assert x == y and hash(x) == hash(y) and not x != y
+    assert x != z and not x == z and len({x, y, z}) == 2
+    assert x != a and a != x and x != (a,)
+    assert repr(x) == f"{cls.__name__}({field}={a!r})"
+    assert copy.copy(x) == copy.deepcopy(x) == pickle.loads(pickle.dumps(x)) == x
+    for attempt in (lambda: setattr(x, field, b), lambda: delattr(x, field),
+                    lambda: setattr(x, "other", b)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert getattr(x, field) == a and x == y
 
 
 def test_checks_for_pair_labels(zoo_model):

@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, product
 
@@ -636,10 +635,10 @@ def _completion_oddities(m):
     negative slopes, and with u renamed so that no class is u."""
     c = m.classes
     entries = pairing(m)
-    half = [replace(x, slope=Fraction(1, 2)) if x.id == "u" else x for x in c.values()]
-    negative = [replace(x, slope=-x.slope - 1) if x.slope else x for x in c.values()]
+    half = [x._replace(slope=Fraction(1, 2)) if x.id == "u" else x for x in c.values()]
+    negative = [x._replace(slope=-x.slope - 1) if x.slope else x for x in c.values()]
     name = {"u": "u0"}.get
-    nounit = [replace(x, id=name(x.id, x.id), dual=name(x.dual, x.dual)) for x in c.values()]
+    nounit = [x._replace(id=name(x.id, x.id), dual=name(x.dual, x.dual)) for x in c.values()]
     renamed = {tuple(sorted((name(i, i), name(j, j)))): v for (i, j), v in entries.items()}
     chars = [name(ch, ch) for ch in m.characters]
     return [(half, entries, m.characters), (negative, entries, m.characters),
