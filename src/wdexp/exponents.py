@@ -13,7 +13,7 @@ kernel, sums it bilinearly over the term pairs of two such tuples in
 integers on the model's tables (`ModelInstance.S`, `dim`, `deg`, `dual`).
 `indec_tensor_kernel` is its one-term case and `tensor_exponents` its
 WDRep form.  `kernel_row` is the kernel of Sp_1(i) with every class at
-once, times L, for the validator's M8 and for class minimality.  Twisting
+once, times L; it serves class minimality only.  Twisting
 by a character chi puts Sp_1(chi) on the left; Sp_r of the dual orbit of
 chi twists into the unramified orbit, with ar = r-1.  `exponents_of` is
 the twist by Sp_1(u), whose unit row s(u,i) = slope_i gives

@@ -13,8 +13,6 @@ path.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .model import UNRAMIFIED_ID
 from .rep import WDRep
 
@@ -172,7 +170,6 @@ def nilpotent_rank(a: Partition, b: Partition) -> int:
     return sum(exact_rank(_tensor_sum_matrix(p, q).values()) for p in a.parts for q in b.parts)
 
 
-@lru_cache(maxsize=None)
 def tensor_partition(r: int, s: int) -> Partition:
     """Jordan type of J_r (x) 1 + 1 (x) J_s, from the rank sequence of its
     powers.  Has min(r,s) parts summing to r*s."""

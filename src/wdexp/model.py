@@ -23,7 +23,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import ge, gt, le, mod, mul, ne, or_
+from operator import ge, gt, le, lt, mod, ne, or_
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -178,6 +178,10 @@ class ModelInstance:
     def __delattr__(self, name):
         raise AttributeError(f"ModelInstance is immutable: cannot delete {name!r}")
 
+    def __reduce__(self):  # copy and pickle rebuild the model from its file text
+        doc = json.loads(self.to_json())
+        return model_from_json_dict, ({**doc, "characters": list(self.characters)},)
+
     # -- lookups ---------------------------------------------------------
 
     def at(self, i: str) -> int:
@@ -299,11 +303,10 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     tables (`ModelInstance.S`, `slope`, ...), and a violation reports
     Fraction(S, L).
 
-    M1-M5 state each rule once, as a C-level row test (of the unit row for
-    M2); a failing row reports the cells that fail it taken cell by cell.
-    The type invariants, M7 and the flag check are one test per class, on
-    the int tables; M8's cells are on the kernel's row, not on S, so a
-    failing row scans `kernel_row` once.  M6 has one path.  Let U be the
+    M1-M5 and M8 state each rule once, as a C-level row test (of the unit
+    row for M2); a failing row reports the cells that fail it taken cell by
+    cell.  The type invariants, M7 and the flag check are one test per
+    class, on the int tables.  M6 has one path.  Let U be the
     subdominant ultrametric of min(D, D^T), D(i,j) = s(i, dual j), which
     Prim's algorithm builds in O(n^2).  Any two-step path i-k-j has a
     largest weight of at least U(i,j), so an off-diagonal pair with
@@ -315,7 +318,7 @@ def validate_model(m: ModelInstance) -> ValidationReport:
     On a valid model that is O(n^2); the worst case, many pairs with
     witnesses, is still O(n^3).
     """
-    from .exponents import class_minimality, kernel_row  # deferred: exponents imports model
+    from .exponents import class_minimality  # deferred: exponents imports model
 
     rep = ValidationReport()
     ids, S, L, slope, dim, deg, dual = m.ids, m.S, m.L, m.slope, m.dim, m.deg, m.dual
@@ -343,7 +346,6 @@ def validate_model(m: ModelInstance) -> ValidationReport:
         b = dual[a]
         if (dim[b], slope[b], deg[b]) != (d, sl, g):
             rep.add("dual_preserves_data", (i, ids[b]), dim[b], d)
-    types_hold = rep.ok
 
     # The distinguished unramified orbit.
     if UNRAMIFIED_ID not in m.classes:
@@ -448,17 +450,14 @@ def validate_model(m: ModelInstance) -> ValidationReport:
         if c.minimal_sigma and 2 * S[a][dual[a]] < slope[a]:
             rep.add("M7", (ids[a],), q(S[a][dual[a]]), c.slope / 2)
 
-    # M8 irreducible-level lower bound for eta-minimal classes:
-    # ar/dim >= max(eta_i, eta_j)/2, with eta = slope + 1 (0 for u) times L,
-    # compared as 2*(L*ar) >= dim*max(...) on the kernel's row of class i.
-    # The kernel needs integral Swan exponents and both sides divide by
-    # dimensions; when M1 or dim_positive already failed, that violation is
-    # on record and the M8 comparison is skipped.  The rows of one eta share
-    # their maxima, one scan of each row finds its failing cells, and only
-    # those are tested for a Swan exponent that is not an integer.  When the
-    # type invariants hold (so every dim >= 1), a row is first tested on S:
-    # off the dual cell, b passes exactly when 2*S[a][b] >= top[b] - 2L, and
-    # the dual cell, which loses L*deg, is tested as its kernel cell.
+    # M8 irreducible-level lower bound for eta-minimal classes i:
+    # ar/dim >= max(eta_i, eta_j)/2, eta = slope + 1 (0 for u), stated once
+    # as a floor on each cell of row i of S, with top = L*max(...).  For
+    # k = dim_i*dim_j >= 1, L*ar = k*(S + L), less L*deg_i on the dual cell:
+    # the floor is ceil(top/2) - L, shared by the rows of one eta, and on the
+    # dual cell the least S with 2*(k*(S + L) - L*deg_i) >= k*top.  Cells
+    # where dim_j < 1 or dim*S/L is not an integer are not reported:
+    # dim_positive or M1 is on record there.
     eta = [0 if i == UNRAMIFIED_ID else sl + L for i, sl in zip(ids, slope)]
     tops = {}
     for a, i in enumerate(ids):
@@ -466,16 +465,19 @@ def validate_model(m: ModelInstance) -> ValidationReport:
             continue
         if eta[a] not in tops:
             top = tuple(map(max, repeat(eta[a]), eta))
-            tops[eta[a]] = top, tuple([(t + 1) // 2 - L for t in top])
-        top, floor = tops[eta[a]]
-        d, k = dual[a], dim[a] * dim[dual[a]]
-        if (types_hold and all(map(ge, S[a], floor))
-                and k * top[d] <= 2 * (k * (S[a][d] + L) - L * deg[a])):
+            tops[eta[a]] = top, [(t + 1) // 2 - L for t in top]
+        top, floors = tops[eta[a]]
+        row, d, k = S[a], dual[a], dim[a] * dim[dual[a]]
+        if k >= 1:
+            floors = floors.copy()
+            floors[d] = (k * top[d] + 2 * L * deg[a] + 2 * k - 1) // (2 * k) - L
+        if all(map(ge, row, floors)):
             continue
-        lar, lsw, dims = kernel_row(a, m)
-        for b in compress(range(n), map(gt, map(mul, dims, top), map(mul, lar, repeat(2)))):
-            if dim[b] >= 1 and not lsw[b] % L:
-                rep.add("M8", (i, ids[b]), Fraction(lar[b], L * dims[b]), Fraction(top[b], 2 * L))
+        for b in compress(range(n), map(lt, row, floors)):
+            kb = dim[a] * dim[b]
+            if dim[b] >= 1 and not kb * row[b] % L:
+                lar = kb * (row[b] + L) - (L * deg[a] if b == d else 0)
+                rep.add("M8", (i, ids[b]), Fraction(lar, L * kb), Fraction(top[b], 2 * L))
 
     # Flags re-verified against the character set, both directions.  Without
     # u there is no rule to compare them with, and unit_class is on record.

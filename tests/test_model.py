@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import chain, product
@@ -470,6 +471,22 @@ def test_model_instance_is_immutable(zoo_model):
         with pytest.raises(TypeError):
             table[0] = table[0]
     assert validate_model(zoo_model).ok
+
+
+def test_model_instance_copies_and_pickles(zoo_model):
+    # copy, deepcopy and pickle rebuild a model from its file text: the
+    # copy has every table of the original and is as immutable.
+    from wdexp.generator import GenParams, gen_model
+
+    large = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=20))
+    assert len(large.ids) == 83
+    for m in (zoo_model, large):
+        for c in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(c) is ModelInstance and c is not m
+            assert (c.digest(), c.L, c.S, c.ids, dict(c.classes), c.characters) == (
+                m.digest(), m.L, m.S, m.ids, dict(m.classes), m.characters)
+            with pytest.raises(AttributeError, match="immutable"):
+                c.S = m.S
 
 
 # Model files and report rows carry these digests, so a change to how a
@@ -971,6 +988,35 @@ def test_kernel_row_matches_the_kernel_on_every_cell():
                 assert m8 == _reference_m8(model)
                 seen |= {"M8"} if m8 else set()
     assert seen == {"raises", "dual", "other", "M8"}
+
+
+def test_m8_dual_cells_of_negative_deg_and_duals_of_dim_0():
+    # `perturbations` sets deg to 0 or dim + 1 only.  Here one eta-minimal
+    # class at a time gets deg -1 or -dim, which puts the floor of its dual
+    # cell below the shared one, with that cell's entry swept across both
+    # floors in steps of 1/(dim*dim_dual); or its dual gets dim 0, a cell
+    # M8 skips.
+    from wdexp.generator import GenParams, gen_model
+
+    dual_reports = 0
+    for cpl, seed in ((2, 0), (3, 1)):
+        m = gen_model(GenParams.from_strings("0,1/2,1,2", classes_per_level=cpl, seed=seed))
+        classes, entries = [m.classes[i] for i in m.ids], pairing(m)
+        for c in classes:
+            if not c.minimal_eta:
+                continue
+            a, d, key = m.at(c.id), m.at(c.dual), tuple(sorted((c.id, c.dual)))
+            k = c.dim * classes[d].dim
+            variants = [(d, classes[d]._replace(dim=0), {})]
+            variants += [(a, c._replace(deg=deg), {key: Fraction(t, k)})
+                         for deg in sorted({-1, -c.dim}) for t in range(-k - 1, k + 1)]
+            for b, changed, entry in variants:
+                model = ModelInstance(classes[:b] + [changed] + classes[b + 1:],
+                                      {**entries, **entry}, m.characters)
+                m8 = [v for v in validate_model(model).violations if v.axiom == "M8"]
+                assert m8 == _reference_m8(model)
+                dual_reports += sum(v.witness == (c.id, c.dual) for v in m8)
+    assert dual_reports
 
 
 # -- the subdominant ultrametric against the minimax closure ---------------
