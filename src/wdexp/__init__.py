@@ -15,6 +15,8 @@ from .bounds import (
     check_bound_C,
     run_sweep,
     sharpness_suite,
+    summarize_pairs,
+    sweep_summary,
 )
 from .exponents import (
     ExponentReport,

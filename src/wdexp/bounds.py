@@ -1,8 +1,8 @@
 """Bound checks on concrete inputs, sharpness witnesses, and the sweep.
 
-Each check decides one labeled inequality in ints, cross-multiplying its
-sides, and returns a CheckResult carrying both sides as rationals, the one
-place a check builds a `Fraction`.  Labels:
+Each label is stated once, as int sides (ln, ld, rn, rd, upper,
+precondition_failed): lhs = ln/ld against rhs = rn/rd, with ld, rd > 0, and
+the bound reads lhs <= rhs when `upper`, else lhs >= rhs.  Labels:
 
     A, AS           lower bound eta/varsigma(x ox y) >= max(.,.)/2,
                     valid under a minimality hypothesis on x
@@ -11,6 +11,13 @@ place a check builds a `Fraction`.  Labels:
     C, CS           upper bound on ar/sw(x ox y)
     C_irr, CS_irr   eta/varsigma(x ox y) <= max(eta/varsigma) for
                     irreducible inputs
+
+A check decides its label's sides by cross-multiplying them and returns a
+CheckResult that carries each side as a reduced int pair; its `lhs` and
+`rhs` are `Fraction`s built when read, and the report writer formats the
+ints, so no `Fraction` is made on the way from a pair to its report.
+`summarize_pairs` counts the same sides into a `SweepSummary` without
+building rows, reports or `Fraction`s.
 
 Every check reads its pair through one `PairExponents` record, so a pair
 is evaluated once however many labels read it.  `SWEEP_FAMILIES` is the
@@ -27,31 +34,47 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import NamedTuple
 
 from .exponents import expand_kernel, rep_exponents, rep_minimality, swan_profile
 from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_rep
 from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
 from .model import MODES, UNRAMIFIED_ID, IrreducibleClass, ModelInstance, validate_model
-from .rationals import format_rational
+from .rationals import format_ratio
 from .rep import WDRep, format_rep, resolve_terms
 
 
 class CheckResult(NamedTuple):
+    """One labeled check: lhs = ln/ld against rhs = rn/rd, each a reduced
+    int pair with a positive denominator.  `lhs` and `rhs` are their exact
+    values, each a `Fraction` built when read."""
+
     theorem: str
-    lhs: Fraction
-    rhs: Fraction
+    ln: int
+    ld: int
+    rn: int
+    rd: int
     holds: bool
     equality: bool
     inputs: dict
     precondition_failed: bool = False
 
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.ln, self.ld)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rn, self.rd)
+
     def to_json_dict(self) -> dict:
         return {
             "theorem": self.theorem,
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
+            "lhs": format_ratio(self.ln, self.ld),
+            "rhs": format_ratio(self.rn, self.rd),
             "holds": self.holds,
             "equality": self.equality,
             "precondition_failed": self.precondition_failed,
@@ -59,10 +82,12 @@ class CheckResult(NamedTuple):
         }
 
 
-def _decide(theorem, ln, ld, rn, rd, upper, inputs, precondition_failed=False):
-    """lhs = ln/ld against rhs = rn/rd, ld, rd > 0: lhs <= rhs if `upper`, else >=."""
+def _decide(theorem, sides, inputs):
+    """The CheckResult of a label's int sides."""
+    ln, ld, rn, rd, upper, precondition_failed = sides
     a, b = ln * rd, rn * ld
-    return CheckResult(theorem, Fraction(ln, ld), Fraction(rn, rd), a <= b if upper else a >= b,
+    g, h = gcd(ln, ld), gcd(rn, rd)
+    return CheckResult(theorem, ln // g, ld // g, rn // h, rd // h, a <= b if upper else a >= b,
                        a == b, inputs, precondition_failed)
 
 
@@ -75,28 +100,60 @@ def _larger(u, v, mode):
 class PairExponents:
     """What the bound checks read of a nonzero pair (x, y) in model m: a
     `RepExponents` record per side, x ox y, x ox dual(y), x's minimality
-    and the report's inputs.  The checks divide by dim, so need M1's dim >= 1."""
+    and the report's inputs, built when first read.  The checks divide by
+    dim, so need M1's dim >= 1.  `shared`, when given, is (the record of x,
+    the record of y, x's minimality), kept by a caller that reads each
+    representation of m in many pairs."""
 
-    def __init__(self, x: WDRep, y: WDRep, m: ModelInstance):
+    def __init__(self, x: WDRep, y: WDRep, m: ModelInstance, shared=None):
         if x.is_zero or y.is_zero:
             raise ValueError("the bound checks need nonzero representations")
         if min(m.dim) < 1:
             raise ValueError("the bound checks need classes of positive dimension")
-        self.rx, self.ry = rx, ry = rep_exponents(x, m), rep_exponents(y, m)
+        self.x, self.y, self.m = x, y, m
+        self.rx, self.ry = rx, ry = shared[:2] if shared else (rep_exponents(x, m),
+                                                               rep_exponents(y, m))
         self.ex, self.ey, self.x_xdual, self.y_ydual = rx.own, ry.own, rx.x_xdual, ry.x_xdual
         self.x_y = expand_kernel(rx.terms, ry.terms, m)
         self.x_ydual = expand_kernel(rx.terms, ry.dual, m)
-        self.x_minimal = rep_minimality(rx.terms, m, rx.own)
-        self.inputs = {"model": m.digest(), "x": format_rep(x), "y": format_rep(y)}
+        self.x_minimal = shared[2] if shared else rep_minimality(rx.terms, m, rx.own)
+
+    @cached_property
+    def inputs(self) -> dict:
+        return {"model": self.m.digest(), "x": format_rep(self.x), "y": format_rep(self.y)}
+
+
+def _sides(label: str, p: PairExponents):
+    """The int sides of `label` on p, the one statement of each bound.  A
+    label's S reads Swan exponents (mode sigma), and its suffix marks the
+    strong form (B_indec, BS_irr, C_irr, CS_irr)."""
+    mode, strong = "sigma" if "S" in label else "eta", "_" in label
+    if label[0] == "A":
+        rn, rd = _larger(p.ex, p.ey, mode)
+        return (p.x_y.exponent(mode), p.x_y.dim, rn, 2 * rd, False,
+                not p.x_minimal[MODES.index(mode)])
+    if label[0] == "B":
+        dx, dy, t = p.x_xdual, p.y_ydual, p.x_ydual
+        rn, rd = (_larger(dx, dy, mode) if strong else
+                  (dx.exponent(mode) * dy.dim + dy.exponent(mode) * dx.dim, 2 * dx.dim * dy.dim))
+        return t.exponent(mode), t.dim, rn, rd, False, False
+    if strong:
+        return (p.x_y.exponent(mode), p.x_y.dim, *_larger(p.ex, p.ey, mode), True, False)
+    a, b = p.ex.exponent(mode), p.ey.exponent(mode)
+    return p.x_y.exponent(mode), 1, p.ey.dim * a + p.ex.dim * b - min(a, b), 1, True, False
+
+
+def _label(mode: str, eta: str, sigma: str) -> str:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return eta if mode == "eta" else sigma
 
 
 def check_bound_A(p: PairExponents, mode: str = "eta") -> CheckResult:
     """Lower bound: norm(x ox y) >= max(norm(x), norm(y)) / 2 when x cannot
     be lowered by any in-model character twist."""
-    label = "A" if mode == "eta" else "AS"
-    rn, rd = _larger(p.ex, p.ey, mode)
-    return _decide(label, p.x_y.exponent(mode), p.x_y.dim, rn, 2 * rd, False,
-                   dict(p.inputs, mode=mode), not p.x_minimal[MODES.index(mode)])
+    label = _label(mode, "A", "AS")
+    return _decide(label, _sides(label, p), dict(p.inputs, mode=mode))
 
 
 def check_bound_B(p: PairExponents, mode: str = "eta", variant: str = "sum") -> CheckResult:
@@ -114,14 +171,10 @@ def check_bound_B(p: PairExponents, mode: str = "eta", variant: str = "sum") -> 
                 raise ValueError("the strong B-variant needs single-term representations")
             if mode == "sigma" and not z.is_irreducible:
                 raise ValueError("the strong BS-variant needs irreducible representations")
-        label = "B_indec" if mode == "eta" else "BS_irr"
+        label = _label(mode, "B_indec", "BS_irr")
     else:
-        label = "B" if mode == "eta" else "BS"
-    dx, dy, t = p.x_xdual, p.y_ydual, p.x_ydual
-    rn, rd = (_larger(dx, dy, mode) if variant == "indec_or_irr" else
-              (dx.exponent(mode) * dy.dim + dy.exponent(mode) * dx.dim, 2 * dx.dim * dy.dim))
-    return _decide(label, t.exponent(mode), t.dim, rn, rd, False,
-                   dict(p.inputs, mode=mode, variant=variant))
+        label = _label(mode, "B", "BS")
+    return _decide(label, _sides(label, p), dict(p.inputs, mode=mode, variant=variant))
 
 
 def check_bound_C(p: PairExponents, mode: str = "eta", variant: str = "general") -> CheckResult:
@@ -135,17 +188,12 @@ def check_bound_C(p: PairExponents, mode: str = "eta", variant: str = "general")
     if variant not in ("general", "irreducible"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "general":
-        label = "C" if mode == "eta" else "CS"
-        a, b = p.ex.exponent(mode), p.ey.exponent(mode)
-        ln, ld = p.x_y.exponent(mode), 1
-        rn, rd = p.ey.dim * a + p.ex.dim * b - min(a, b), 1
+        label = _label(mode, "C", "CS")
     else:
         if not (p.rx.is_irreducible and p.ry.is_irreducible):
             raise ValueError("the irreducible C-variant needs irreducible representations")
-        label = "C_irr" if mode == "eta" else "CS_irr"
-        ln, ld = p.x_y.exponent(mode), p.x_y.dim
-        rn, rd = _larger(p.ex, p.ey, mode)
-    return _decide(label, ln, ld, rn, rd, True, dict(p.inputs, mode=mode, variant=variant))
+        label = _label(mode, "C_irr", "CS_irr")
+    return _decide(label, _sides(label, p), dict(p.inputs, mode=mode, variant=variant))
 
 
 # -- sharpness witnesses -----------------------------------------------------
@@ -216,8 +264,9 @@ def sharpness_suite() -> list[CheckResult]:
     d1, v1, d2, v2 = 2, Fraction(3), 1, Fraction(5)
     w1, w2 = optimal_witness(d1, v1, d2, v2)
     v_prod = mp_vee_weight(w1.coeffs.items(), w2.coeffs.items())
-    out.append(_decide("CS", *v_prod.as_integer_ratio(),
-                       *pair_upper_bound(d1, v1, d2, v2).as_integer_ratio(), True,
+    sides = (*v_prod.as_integer_ratio(), *pair_upper_bound(d1, v1, d2, v2).as_integer_ratio(),
+             True, False)
+    out.append(_decide("CS", sides,
                        {"witness": "max-plus pair", "d1": d1, "v1": "3", "d2": d2, "v2": "5"}))
     return out
 
@@ -251,10 +300,14 @@ def _require_selectors(theorems):
 
 
 class SweepSummary:
-    """Per-theorem counts of a sweep, and its model and repair-round totals."""
+    """Per-theorem counts of a sweep, and its model and repair-round totals.
+    `least_slack`, filled by `summarize_pairs` only, maps a label to the
+    least slack of its samples (rhs - lhs for C, CS and their variants,
+    lhs - rhs for the rest: negative exactly on a violation) as a reduced
+    int pair (num, den), with the first (model, x, y) that attains it."""
 
     __slots__ = ("samples", "violations", "equalities", "precondition_failures", "models",
-                 "repair_rounds")
+                 "repair_rounds", "least_slack")
 
     def __init__(self):
         self.samples: dict[str, int] = {}
@@ -263,11 +316,16 @@ class SweepSummary:
         self.precondition_failures: dict[str, int] = {}
         self.models = 0
         self.repair_rounds = 0
+        self.least_slack: dict[str, tuple] = {}
+
+    def _add_label(self, t: str):
+        for d in (self.samples, self.violations, self.equalities, self.precondition_failures):
+            d[t] = 0
 
     def record(self, r: CheckResult):
         t = r.theorem
-        for d in (self.samples, self.violations, self.equalities, self.precondition_failures):
-            d.setdefault(t, 0)
+        if t not in self.samples:
+            self._add_label(t)
         if r.precondition_failed:
             self.precondition_failures[t] += 1
             return
@@ -276,6 +334,25 @@ class SweepSummary:
             self.violations[t] += 1
         if r.equality:
             self.equalities[t] += 1
+
+    def record_sides(self, t: str, sides, pair):
+        """`record` of the row that `sides` decide, and its slack."""
+        ln, ld, rn, rd, upper, precondition_failed = sides
+        if t not in self.samples:
+            self._add_label(t)
+        if precondition_failed:
+            self.precondition_failures[t] += 1
+            return
+        self.samples[t] += 1
+        num, den = (rn * ld - ln * rd if upper else ln * rd - rn * ld), ld * rd
+        if num < 0:
+            self.violations[t] += 1
+        elif num == 0:
+            self.equalities[t] += 1
+        least = self.least_slack.get(t)
+        if least is None or num * least[1] < least[0] * den:
+            g = gcd(num, den)
+            self.least_slack[t] = (num // g, den // g, pair)
 
     def total_violations(self) -> int:
         return sum(self.violations.values())
@@ -308,6 +385,18 @@ def check_sweep_args(theorems, models: int, pairs_per_model: int, max_terms: int
     _require_selectors(theorems)
 
 
+def _sweep_draws(models, pairs_per_model, gen, seed, max_terms, max_r, summary):
+    """Each model of a sweep, counted into `summary` as it is generated,
+    with the generator of its drawn pairs."""
+    for mi in range(models):
+        model, stats = gen_model_with_stats(replace(gen, seed=seed + mi))
+        summary.models += 1
+        summary.repair_rounds += stats.repair_rounds
+        yield model, ((gen_rep(model, max_terms, max_r, pair_seed(seed, mi, pi, 0)),
+                       gen_rep(model, max_terms, max_r, pair_seed(seed, mi, pi, 1)))
+                      for pi in range(pairs_per_model))
+
+
 def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
               seed: int, max_terms: int = 3, max_r: int = 4, sample_hook=None):
     """Generate `models` instances with seeds seed..seed+models-1, draw
@@ -318,20 +407,27 @@ def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
     check_sweep_args(theorems, models, pairs_per_model, max_terms, max_r)
     results: list[CheckResult] = []
     summary = SweepSummary()
-    for mi in range(models):
-        params = replace(gen, seed=seed + mi)
-        model, stats = gen_model_with_stats(params)
-        summary.models += 1
-        summary.repair_rounds += stats.repair_rounds
-        for pi in range(pairs_per_model):
-            x = gen_rep(model, max_terms, max_r, pair_seed(seed, mi, pi, 0))
-            y = gen_rep(model, max_terms, max_r, pair_seed(seed, mi, pi, 1))
+    for model, pairs in _sweep_draws(models, pairs_per_model, gen, seed, max_terms, max_r,
+                                     summary):
+        for x, y in pairs:
             if sample_hook is not None:
                 sample_hook(model, x, y)
             for rr in checks_for_pair(theorems, x, y, model):
                 results.append(rr)
                 summary.record(rr)
     return results, summary
+
+
+def sweep_summary(theorems, models: int, pairs_per_model: int, gen: GenParams,
+                  seed: int, max_terms: int = 3, max_r: int = 4) -> SweepSummary:
+    """The summary of `run_sweep` with the same arguments, counted by
+    `summarize_pairs`: no rows are built."""
+    check_sweep_args(theorems, models, pairs_per_model, max_terms, max_r)
+    summary = SweepSummary()
+    for model, pairs in _sweep_draws(models, pairs_per_model, gen, seed, max_terms, max_r,
+                                     summary):
+        summarize_pairs(theorems, pairs, model, summary)
+    return summary
 
 
 def checks_for_pair(theorems, x: WDRep, y: WDRep, m: ModelInstance):
@@ -342,6 +438,29 @@ def checks_for_pair(theorems, x: WDRep, y: WDRep, m: ModelInstance):
     return [check(p) for family, labels in SWEEP_FAMILIES.items() if family in theorems
             for _label, check, needs in labels
             if needs is None or (getattr(p.rx, needs) and getattr(p.ry, needs))]
+
+
+def summarize_pairs(theorems, pairs, m: ModelInstance, summary: SweepSummary | None = None
+                    ) -> SweepSummary:
+    """Count into `summary` (a new one if None) what `record` would count of
+    `checks_for_pair(theorems, x, y, m)` for each (x, y) of `pairs`, and the
+    least slack, from each label's sides: no inputs, CheckResult or
+    Fraction is built.  Each representation's record, and as x its
+    minimality, is made once and shared across its pairs."""
+    _require_selectors(theorems)
+    summary = SweepSummary() if summary is None else summary
+    labels = [(label, needs) for family, entries in SWEEP_FAMILIES.items()
+              if family in theorems for label, _check, needs in entries]
+    records, minimal = {}, {}
+    for x, y in pairs:
+        rx = records.get(x) or records.setdefault(x, rep_exponents(x, m))
+        ry = records.get(y) or records.setdefault(y, rep_exponents(y, m))
+        mx = minimal.get(x) or minimal.setdefault(x, rep_minimality(rx.terms, m, rx.own))
+        p, where = PairExponents(x, y, m, (rx, ry, mx)), (m, x, y)
+        for label, needs in labels:
+            if needs is None or (getattr(rx, needs) and getattr(ry, needs)):
+                summary.record_sides(label, _sides(label, p), where)
+    return summary
 
 
 def swan_bridge_gap(x: WDRep, y: WDRep, m: ModelInstance) -> Fraction:
@@ -385,26 +504,35 @@ def _json_value(v, strings: _Strings, pad: str) -> str:
     return json.dumps(v, indent=1, sort_keys=True).replace("\n", pad)
 
 
-def _json_inputs(d, strings: _Strings) -> str:
+def _json_inputs(d, strings: _Strings, orders: dict) -> str:
     """The text of a row's `inputs`: a dict with string keys is written
-    here, anything else by `_json_value`."""
-    if type(d) is not dict or not d or not all(type(k) is str for k in d):
+    here, its keys in the sorted order that `orders` keeps per key tuple,
+    and anything else by `_json_value`."""
+    if type(d) is not dict:
         return _json_value(d, strings, _ROW_PAD)
-    return "{\n   " + ",\n   ".join([strings[k] + ": " + _json_value(v, strings, _INPUTS_PAD)
-                                     for k, v in sorted(d.items())]) + "\n  }"
+    keys = tuple(d)
+    order = orders.get(keys)
+    if order is None:
+        if not d or not all(type(k) is str for k in d):
+            return _json_value(d, strings, _ROW_PAD)
+        order = orders[keys] = sorted(keys)
+    return "{\n   " + ",\n   ".join([strings[k] + ": " + (strings[v] if type(v := d[k]) is str
+                                                         else _json_value(v, strings, _INPUTS_PAD))
+                                     for k in order]) + "\n  }"
 
 
 def results_to_json(results) -> str:
     """The text of `json.dumps([r.to_json_dict() for r in results], indent=1,
     sort_keys=True) + "\\n"`, written row by row without the pure-Python
     encoder that `indent` selects."""
-    strings = _Strings()
+    strings, orders = _Strings(), {}
+    # lhs and rhs as `format_ratio` writes them, inlined: this runs once a row.
     rows = [_ROW % (_json_value(r.equality, strings, _ROW_PAD),
                     _json_value(r.holds, strings, _ROW_PAD),
-                    _json_inputs(r.inputs, strings),
-                    format_rational(r.lhs),
+                    _json_inputs(r.inputs, strings, orders),
+                    str(r.ln) if r.ld == 1 else f"{r.ln}/{r.ld}",
                     _json_value(r.precondition_failed, strings, _ROW_PAD),
-                    format_rational(r.rhs),
+                    str(r.rn) if r.rd == 1 else f"{r.rn}/{r.rd}",
                     _json_value(r.theorem, strings, _ROW_PAD))
             for r in results]
     return "[\n " + ",\n ".join(rows) + "\n]\n" if rows else "[]\n"

@@ -83,10 +83,11 @@ class ModelInstance:
     make the file's text from S once and keep it, and `digest()` hash that
     one text.
 
-    Construction raises ModelStructureError, in this order, unless every
-    pairing entry names known ids, no pair is given in both orders, every
-    omitted entry is forced, class ids are distinct, duals resolve, dual is
-    an involution and every character resolves.
+    Construction raises ModelStructureError, in this order, unless no
+    character is listed twice, every pairing entry names known ids, no pair
+    is given in both orders, every omitted entry is forced, class ids are
+    distinct, duals resolve, dual is an involution and every character
+    resolves.
     """
 
     __slots__ = ("classes", "characters", "ids", "index", "dim", "deg", "dual",
@@ -94,6 +95,9 @@ class ModelInstance:
 
     def __init__(self, classes, entries, characters):
         # The order of the checks fixes which defect a message names.
+        characters = tuple(characters)
+        if len(set(characters)) != len(characters):
+            raise ModelStructureError("'characters' lists a class id twice")
         classes = list(classes)
         by_id = {c.id: c for c in classes}
         ids = tuple(sorted(by_id))
@@ -151,7 +155,6 @@ class ModelInstance:
         for c in by_id.values():
             if by_id[c.dual].dual != c.id:
                 raise ModelStructureError(f"dual map is not an involution at {c.id!r}")
-        characters = tuple(characters)
         for ch in characters:
             if ch not in index:
                 raise ModelStructureError(f"character list names unknown id {ch!r}")
@@ -533,10 +536,10 @@ def model_from_json_dict(doc: dict) -> ModelInstance:
     which rejects an omission that nothing forces.  A document
     that is not an object, a `classes`, `pairing`, `characters` or `flags`
     value that is not a list, a required key that is missing or has the
-    wrong type, a flag other than "minimal_sigma" and "minimal_eta", two
-    pairing entries for the same unordered pair and a repeated character
-    id all raise ModelStructureError, as do the structural defects the
-    ModelInstance constructor rejects.
+    wrong type, a flag other than "minimal_sigma" and "minimal_eta" and two
+    pairing entries for the same unordered pair all raise
+    ModelStructureError, as do the structural defects the ModelInstance
+    constructor rejects, a repeated character id among them.
     """
     if not isinstance(doc, dict):
         raise ModelStructureError(f"a model document must be an object, got {type(doc).__name__}")
@@ -575,8 +578,6 @@ def model_from_json_dict(doc: dict) -> ModelInstance:
     characters = _require_list(doc, "characters", [])
     if not all(isinstance(ch, str) for ch in characters):
         raise ModelStructureError("'characters' must list class ids")
-    if len(set(characters)) != len(characters):
-        raise ModelStructureError("'characters' lists a class id twice")
     return ModelInstance(classes, entries, characters)
 
 

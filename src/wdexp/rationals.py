@@ -46,6 +46,10 @@ def format_rational(q) -> str:
     """Canonical reduced string: "3/4", "-1/2", "2", "0"."""
     if type(q) is not Fraction:
         q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return format_ratio(q.numerator, q.denominator)
+
+
+def format_ratio(n: int, d: int) -> str:
+    """`format_rational` of n/d for a reduced pair with d > 0, without
+    building a Fraction."""
+    return str(n) if d == 1 else f"{n}/{d}"

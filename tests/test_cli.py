@@ -126,7 +126,7 @@ def test_check_violation_exits_1(tmp_path, capsys, monkeypatch):
         r = check_bound_C(p, mode, variant)
         if (mode, variant) != ("eta", "general"):
             return r
-        return bounds.CheckResult(r.theorem, r.rhs + 1, r.rhs, False, False, r.inputs)
+        return bounds.CheckResult(r.theorem, r.rn + r.rd, r.rd, r.rn, r.rd, False, False, r.inputs)
 
     monkeypatch.setattr(bounds, "check_bound_C", violated)
     out_path = tmp_path / "report.json"
@@ -150,6 +150,48 @@ def test_check_csv_summary(tmp_path, capsys):
     assert code == 0
     text = out_path.read_text()
     assert text.startswith("theorem,samples,violations,equalities")
+
+
+def test_check_counts_without_rows_and_prints_what_the_report_run_prints(tmp_path, capsys,
+                                                                         monkeypatch):
+    """`check` without --out and `check --format csv` count through
+    `sweep_summary` and build no row; their stdout, CSV and exit code are
+    those of the run that writes the JSON report, a violation included."""
+    import wdexp.cli
+
+    report, csv = tmp_path / "r.json", tmp_path / "s.csv"
+
+    def never(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    def runs(*argv):
+        with_rows = _run(capsys, "check", *argv, "--out", str(report))
+        with monkeypatch.context() as patched:
+            for name in ("check_bound_A", "check_bound_B", "check_bound_C", "checks_for_pair"):
+                patched.setattr(bounds, name, never)
+            patched.setattr(wdexp.cli, "run_sweep", never)
+            counted = _run(capsys, "check", *argv)
+            as_csv = _run(capsys, "check", *argv, "--out", str(csv), "--format", "csv")
+        assert with_rows == counted == as_csv
+        return with_rows
+
+    argv = ("--models", "3", "--pairs", "10", "--seed", "4")
+    assert runs(*argv)[0] == 0
+    gen = generator.GenParams.from_strings("0,1/2,1,2", seed=4)
+    summary = bounds.run_sweep(("A", "AS", "B", "BS", "C", "CS"), 3, 10, gen, 4)[1]
+    assert csv.read_text(encoding="utf-8") == summary.csv()
+    # C's general eta row fails on every pair, in both paths.
+    sides = bounds._sides
+
+    def violated(label, p):
+        ln, ld, rn, rd, upper, failed = sides(label, p)
+        return (rn + rd, rd, rn, rd, upper, failed) if label == "C" else (ln, ld, rn, rd, upper,
+                                                                          failed)
+
+    monkeypatch.setattr(bounds, "_sides", violated)
+    code, out, _ = runs("--theorems", "C,B", *argv)
+    assert code == 1 and "C: samples=30 violations=30 equalities=0" in out
+    assert "C,30,30,0" in csv.read_text(encoding="utf-8").splitlines()
 
 
 def test_oracle(capsys):
@@ -203,8 +245,8 @@ def test_sharpness_exits_1_on_a_row_that_fails(tmp_path, capsys, monkeypatch):
     `sharpness` exit 1; --out still holds every row."""
     import wdexp.cli
 
-    violated = bounds.CheckResult("A", Fraction(1, 3), Fraction(1, 2), False, False, {"case": "v"})
-    unmet = bounds.CheckResult("AS", Fraction(1), Fraction(1, 2), True, False, {"case": "p"}, True)
+    violated = bounds.CheckResult("A", 1, 3, 1, 2, False, False, {"case": "v"})
+    unmet = bounds.CheckResult("AS", 1, 1, 1, 2, True, False, {"case": "p"}, True)
     for rows, lines in (([violated, unmet], "A: lhs=1/3 rhs=1/2 VIOLATED\nAS: lhs=1 rhs=1/2 holds\n"),
                         ([unmet], "AS: lhs=1 rhs=1/2 holds\n")):
         monkeypatch.setattr(wdexp.cli, "sharpness_suite", lambda: rows)

@@ -489,6 +489,57 @@ def test_model_instance_copies_and_pickles(zoo_model):
                 c.S = m.S
 
 
+def test_constructor_refuses_a_repeated_character(zoo_model):
+    # A model that lists a character twice is refused when it is made, as
+    # the loader refuses it, and not first when it is copied; the message
+    # comes ahead of any other defect's.
+    classes = [zoo_model.classes[i] for i in zoo_model.ids]
+    for chars in (["u", "t", "t"], [*zoo_model.characters, "u"]):
+        with pytest.raises(ModelStructureError, match="^'characters' lists a class id twice$"):
+            ModelInstance(classes, pairing(zoo_model), chars)
+    with pytest.raises(ModelStructureError, match="twice"):
+        ModelInstance(classes, {("nowhere", "u"): Fraction(0)}, ["nowhere", "nowhere"])
+    doc = copy.deepcopy(ZOO_DOC)
+    doc["characters"].append("g")
+    with pytest.raises(ModelStructureError, match="^'characters' lists a class id twice$"):
+        model_from_json_dict(doc)
+
+
+def _flat_model(duals, flagged):
+    """u and the given classes, each of dim 1, slope 0 and deg 1, with the
+    given duals; every class a character, every pairing entry 0 (L = 1);
+    the ids in `flagged` carry both minimality flags."""
+    classes = [IrreducibleClass(i, 1, Fraction(0), 1, d, i in flagged, i in flagged)
+               for i, d in duals.items()]
+    ids = sorted(duals)
+    return ModelInstance(classes, {(a, b): Fraction(0) for k, a in enumerate(ids)
+                                   for b in ids[k:]}, ids)
+
+
+def test_m8_dual_cell_floor_rounds_up():
+    # u and a dual pair of tame characters t, td, both flagged minimal: k =
+    # 1, top = 1 and deg = 1 put the dual cell's floor at ceil(3/2) - 1 = 1,
+    # where one less rounds 3/2 down to the shared floor 0 and passes S = 0.
+    m = _flat_model({"u": "u", "t": "td", "td": "t"}, {"u", "t", "td"})
+    assert m.L == 1
+    assert "".join(f"{v}\n" for v in validate_model(m).violations) == (
+        "M8[t,td]: lhs=0 rhs=1/2\n"
+        "M8[td,t]: lhs=0 rhs=1/2\n"
+        "flag_eta[t]: lhs=1 rhs=0\n"
+        "flag_eta[td]: lhs=1 rhs=0\n")
+
+
+def test_unit_class_must_be_self_dual():
+    # u and a tame character t, each the other's dual: u has dim 1 and
+    # slope 0, so only its dual breaks unit_class.
+    m = _flat_model({"u": "t", "t": "u"}, {"u", "t"})
+    assert "".join(f"{v}\n" for v in validate_model(m).violations) == (
+        "unit_class[u]: lhs=1 rhs=1\n"
+        "M8[t,u]: lhs=0 rhs=1/2\n"
+        "M8[u,t]: lhs=0 rhs=1/2\n"
+        "flag_eta[u]: lhs=1 rhs=0\n")
+
+
 # Model files and report rows carry these digests, so a change to how a
 # model is built must leave them where they are.
 PINNED_DIGESTS = {
