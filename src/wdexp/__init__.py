@@ -15,8 +15,6 @@ from .bounds import (
     check_bound_C,
     run_sweep,
     sharpness_suite,
-    summarize_pairs,
-    sweep_summary,
 )
 from .exponents import (
     ExponentReport,

@@ -16,8 +16,6 @@ A check decides its label's sides by cross-multiplying them and returns a
 CheckResult that carries each side as a reduced int pair; its `lhs` and
 `rhs` are `Fraction`s built when read, and the report writer formats the
 ints, so no `Fraction` is made on the way from a pair to its report.
-`summarize_pairs` counts the same sides into a `SweepSummary` without
-building rows, reports or `Fraction`s.
 
 Every check reads its pair through one `PairExponents` record, so a pair
 is evaluated once however many labels read it.  `SWEEP_FAMILIES` is the
@@ -34,7 +32,6 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from fractions import Fraction
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import NamedTuple
@@ -100,39 +97,31 @@ def _larger(u, v, mode):
 class PairExponents:
     """What the bound checks read of a nonzero pair (x, y) in model m: a
     `RepExponents` record per side, x ox y, x ox dual(y), x's minimality
-    and the report's inputs, built when first read.  The checks divide by
-    dim, so need M1's dim >= 1.  `shared`, when given, is (the record of x,
-    the record of y, x's minimality), kept by a caller that reads each
-    representation of m in many pairs."""
+    and the report's inputs.  The checks divide by dim, so need M1's dim >= 1."""
 
-    def __init__(self, x: WDRep, y: WDRep, m: ModelInstance, shared=None):
+    def __init__(self, x: WDRep, y: WDRep, m: ModelInstance):
         if x.is_zero or y.is_zero:
             raise ValueError("the bound checks need nonzero representations")
         if min(m.dim) < 1:
             raise ValueError("the bound checks need classes of positive dimension")
-        self.x, self.y, self.m = x, y, m
-        self.rx, self.ry = rx, ry = shared[:2] if shared else (rep_exponents(x, m),
-                                                               rep_exponents(y, m))
+        self.rx, self.ry = rx, ry = rep_exponents(x, m), rep_exponents(y, m)
         self.ex, self.ey, self.x_xdual, self.y_ydual = rx.own, ry.own, rx.x_xdual, ry.x_xdual
         self.x_y = expand_kernel(rx.terms, ry.terms, m)
         self.x_ydual = expand_kernel(rx.terms, ry.dual, m)
-        self.x_minimal = shared[2] if shared else rep_minimality(rx.terms, m, rx.own)
-
-    @cached_property
-    def inputs(self) -> dict:
-        return {"model": self.m.digest(), "x": format_rep(self.x), "y": format_rep(self.y)}
+        self.x_minimal = rep_minimality(rx.terms, m, rx.own)
+        self.inputs = {"model": m.digest(), "x": format_rep(x), "y": format_rep(y)}
 
 
-def _sides(label: str, p: PairExponents):
-    """The int sides of `label` on p, the one statement of each bound.  A
-    label's S reads Swan exponents (mode sigma), and its suffix marks the
-    strong form (B_indec, BS_irr, C_irr, CS_irr)."""
-    mode, strong = "sigma" if "S" in label else "eta", "_" in label
-    if label[0] == "A":
+def _sides(p: PairExponents, bound: str, mode: str, strong: bool):
+    """The int sides of a label on p, the one statement of each: `bound` is
+    "A", "B" or "C", `mode` reads Artin (eta) or Swan (sigma) exponents,
+    and `strong` picks the max form of B and C (B_indec, BS_irr, C_irr,
+    CS_irr)."""
+    if bound == "A":
         rn, rd = _larger(p.ex, p.ey, mode)
         return (p.x_y.exponent(mode), p.x_y.dim, rn, 2 * rd, False,
                 not p.x_minimal[MODES.index(mode)])
-    if label[0] == "B":
+    if bound == "B":
         dx, dy, t = p.x_xdual, p.y_ydual, p.x_ydual
         rn, rd = (_larger(dx, dy, mode) if strong else
                   (dx.exponent(mode) * dy.dim + dy.exponent(mode) * dx.dim, 2 * dx.dim * dy.dim))
@@ -143,17 +132,11 @@ def _sides(label: str, p: PairExponents):
     return p.x_y.exponent(mode), 1, p.ey.dim * a + p.ex.dim * b - min(a, b), 1, True, False
 
 
-def _label(mode: str, eta: str, sigma: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return eta if mode == "eta" else sigma
-
-
 def check_bound_A(p: PairExponents, mode: str = "eta") -> CheckResult:
     """Lower bound: norm(x ox y) >= max(norm(x), norm(y)) / 2 when x cannot
     be lowered by any in-model character twist."""
-    label = _label(mode, "A", "AS")
-    return _decide(label, _sides(label, p), dict(p.inputs, mode=mode))
+    label = "A" if mode == "eta" else "AS"
+    return _decide(label, _sides(p, "A", mode, False), dict(p.inputs, mode=mode))
 
 
 def check_bound_B(p: PairExponents, mode: str = "eta", variant: str = "sum") -> CheckResult:
@@ -165,16 +148,17 @@ def check_bound_B(p: PairExponents, mode: str = "eta", variant: str = "sum") -> 
     """
     if variant not in ("sum", "indec_or_irr"):
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "indec_or_irr":
+    strong = variant == "indec_or_irr"
+    if strong:
         for z in (p.rx, p.ry):
             if not z.is_indecomposable:
                 raise ValueError("the strong B-variant needs single-term representations")
             if mode == "sigma" and not z.is_irreducible:
                 raise ValueError("the strong BS-variant needs irreducible representations")
-        label = _label(mode, "B_indec", "BS_irr")
+        label = "B_indec" if mode == "eta" else "BS_irr"
     else:
-        label = _label(mode, "B", "BS")
-    return _decide(label, _sides(label, p), dict(p.inputs, mode=mode, variant=variant))
+        label = "B" if mode == "eta" else "BS"
+    return _decide(label, _sides(p, "B", mode, strong), dict(p.inputs, mode=mode, variant=variant))
 
 
 def check_bound_C(p: PairExponents, mode: str = "eta", variant: str = "general") -> CheckResult:
@@ -187,13 +171,14 @@ def check_bound_C(p: PairExponents, mode: str = "eta", variant: str = "general")
     """
     if variant not in ("general", "irreducible"):
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "general":
-        label = _label(mode, "C", "CS")
-    else:
+    strong = variant == "irreducible"
+    if strong:
         if not (p.rx.is_irreducible and p.ry.is_irreducible):
             raise ValueError("the irreducible C-variant needs irreducible representations")
-        label = _label(mode, "C_irr", "CS_irr")
-    return _decide(label, _sides(label, p), dict(p.inputs, mode=mode, variant=variant))
+        label = "C_irr" if mode == "eta" else "CS_irr"
+    else:
+        label = "C" if mode == "eta" else "CS"
+    return _decide(label, _sides(p, "C", mode, strong), dict(p.inputs, mode=mode, variant=variant))
 
 
 # -- sharpness witnesses -----------------------------------------------------
@@ -300,14 +285,10 @@ def _require_selectors(theorems):
 
 
 class SweepSummary:
-    """Per-theorem counts of a sweep, and its model and repair-round totals.
-    `least_slack`, filled by `summarize_pairs` only, maps a label to the
-    least slack of its samples (rhs - lhs for C, CS and their variants,
-    lhs - rhs for the rest: negative exactly on a violation) as a reduced
-    int pair (num, den), with the first (model, x, y) that attains it."""
+    """Per-theorem counts of a sweep, and its model and repair-round totals."""
 
     __slots__ = ("samples", "violations", "equalities", "precondition_failures", "models",
-                 "repair_rounds", "least_slack")
+                 "repair_rounds")
 
     def __init__(self):
         self.samples: dict[str, int] = {}
@@ -316,16 +297,11 @@ class SweepSummary:
         self.precondition_failures: dict[str, int] = {}
         self.models = 0
         self.repair_rounds = 0
-        self.least_slack: dict[str, tuple] = {}
-
-    def _add_label(self, t: str):
-        for d in (self.samples, self.violations, self.equalities, self.precondition_failures):
-            d[t] = 0
 
     def record(self, r: CheckResult):
         t = r.theorem
-        if t not in self.samples:
-            self._add_label(t)
+        for d in (self.samples, self.violations, self.equalities, self.precondition_failures):
+            d.setdefault(t, 0)
         if r.precondition_failed:
             self.precondition_failures[t] += 1
             return
@@ -334,25 +310,6 @@ class SweepSummary:
             self.violations[t] += 1
         if r.equality:
             self.equalities[t] += 1
-
-    def record_sides(self, t: str, sides, pair):
-        """`record` of the row that `sides` decide, and its slack."""
-        ln, ld, rn, rd, upper, precondition_failed = sides
-        if t not in self.samples:
-            self._add_label(t)
-        if precondition_failed:
-            self.precondition_failures[t] += 1
-            return
-        self.samples[t] += 1
-        num, den = (rn * ld - ln * rd if upper else ln * rd - rn * ld), ld * rd
-        if num < 0:
-            self.violations[t] += 1
-        elif num == 0:
-            self.equalities[t] += 1
-        least = self.least_slack.get(t)
-        if least is None or num * least[1] < least[0] * den:
-            g = gcd(num, den)
-            self.least_slack[t] = (num // g, den // g, pair)
 
     def total_violations(self) -> int:
         return sum(self.violations.values())
@@ -385,18 +342,6 @@ def check_sweep_args(theorems, models: int, pairs_per_model: int, max_terms: int
     _require_selectors(theorems)
 
 
-def _sweep_draws(models, pairs_per_model, gen, seed, max_terms, max_r, summary):
-    """Each model of a sweep, counted into `summary` as it is generated,
-    with the generator of its drawn pairs."""
-    for mi in range(models):
-        model, stats = gen_model_with_stats(replace(gen, seed=seed + mi))
-        summary.models += 1
-        summary.repair_rounds += stats.repair_rounds
-        yield model, ((gen_rep(model, max_terms, max_r, pair_seed(seed, mi, pi, 0)),
-                       gen_rep(model, max_terms, max_r, pair_seed(seed, mi, pi, 1)))
-                      for pi in range(pairs_per_model))
-
-
 def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
               seed: int, max_terms: int = 3, max_r: int = 4, sample_hook=None):
     """Generate `models` instances with seeds seed..seed+models-1, draw
@@ -407,27 +352,20 @@ def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
     check_sweep_args(theorems, models, pairs_per_model, max_terms, max_r)
     results: list[CheckResult] = []
     summary = SweepSummary()
-    for model, pairs in _sweep_draws(models, pairs_per_model, gen, seed, max_terms, max_r,
-                                     summary):
-        for x, y in pairs:
+    for mi in range(models):
+        params = replace(gen, seed=seed + mi)
+        model, stats = gen_model_with_stats(params)
+        summary.models += 1
+        summary.repair_rounds += stats.repair_rounds
+        for pi in range(pairs_per_model):
+            x = gen_rep(model, max_terms, max_r, pair_seed(seed, mi, pi, 0))
+            y = gen_rep(model, max_terms, max_r, pair_seed(seed, mi, pi, 1))
             if sample_hook is not None:
                 sample_hook(model, x, y)
             for rr in checks_for_pair(theorems, x, y, model):
                 results.append(rr)
                 summary.record(rr)
     return results, summary
-
-
-def sweep_summary(theorems, models: int, pairs_per_model: int, gen: GenParams,
-                  seed: int, max_terms: int = 3, max_r: int = 4) -> SweepSummary:
-    """The summary of `run_sweep` with the same arguments, counted by
-    `summarize_pairs`: no rows are built."""
-    check_sweep_args(theorems, models, pairs_per_model, max_terms, max_r)
-    summary = SweepSummary()
-    for model, pairs in _sweep_draws(models, pairs_per_model, gen, seed, max_terms, max_r,
-                                     summary):
-        summarize_pairs(theorems, pairs, model, summary)
-    return summary
 
 
 def checks_for_pair(theorems, x: WDRep, y: WDRep, m: ModelInstance):
@@ -438,29 +376,6 @@ def checks_for_pair(theorems, x: WDRep, y: WDRep, m: ModelInstance):
     return [check(p) for family, labels in SWEEP_FAMILIES.items() if family in theorems
             for _label, check, needs in labels
             if needs is None or (getattr(p.rx, needs) and getattr(p.ry, needs))]
-
-
-def summarize_pairs(theorems, pairs, m: ModelInstance, summary: SweepSummary | None = None
-                    ) -> SweepSummary:
-    """Count into `summary` (a new one if None) what `record` would count of
-    `checks_for_pair(theorems, x, y, m)` for each (x, y) of `pairs`, and the
-    least slack, from each label's sides: no inputs, CheckResult or
-    Fraction is built.  Each representation's record, and as x its
-    minimality, is made once and shared across its pairs."""
-    _require_selectors(theorems)
-    summary = SweepSummary() if summary is None else summary
-    labels = [(label, needs) for family, entries in SWEEP_FAMILIES.items()
-              if family in theorems for label, _check, needs in entries]
-    records, minimal = {}, {}
-    for x, y in pairs:
-        rx = records.get(x) or records.setdefault(x, rep_exponents(x, m))
-        ry = records.get(y) or records.setdefault(y, rep_exponents(y, m))
-        mx = minimal.get(x) or minimal.setdefault(x, rep_minimality(rx.terms, m, rx.own))
-        p, where = PairExponents(x, y, m, (rx, ry, mx)), (m, x, y)
-        for label, needs in labels:
-            if needs is None or (getattr(rx, needs) and getattr(ry, needs)):
-                summary.record_sides(label, _sides(label, p), where)
-    return summary
 
 
 def swan_bridge_gap(x: WDRep, y: WDRep, m: ModelInstance) -> Fraction:
@@ -526,13 +441,12 @@ def results_to_json(results) -> str:
     sort_keys=True) + "\\n"`, written row by row without the pure-Python
     encoder that `indent` selects."""
     strings, orders = _Strings(), {}
-    # lhs and rhs as `format_ratio` writes them, inlined: this runs once a row.
     rows = [_ROW % (_json_value(r.equality, strings, _ROW_PAD),
                     _json_value(r.holds, strings, _ROW_PAD),
                     _json_inputs(r.inputs, strings, orders),
-                    str(r.ln) if r.ld == 1 else f"{r.ln}/{r.ld}",
+                    format_ratio(r.ln, r.ld),
                     _json_value(r.precondition_failed, strings, _ROW_PAD),
-                    str(r.rn) if r.rd == 1 else f"{r.rn}/{r.rd}",
+                    format_ratio(r.rn, r.rd),
                     _json_value(r.theorem, strings, _ROW_PAD))
             for r in results]
     return "[\n " + ",\n ".join(rows) + "\n]\n" if rows else "[]\n"

@@ -14,13 +14,13 @@ from itertools import combinations_with_replacement
 from string import whitespace
 
 from .bounds import (check_sweep_args, results_to_json, run_sweep, sharpness_suite,
-                     sweep_summary, witness_model)
+                     witness_model)
 from .exponents import exponents_of, is_minimal_rep, tensor_exponents
 from .generator import GeneratorError, GenParams, gen_model_with_stats
 from .jordan import Partition, nilpotent_rank, tensor_partition, unramified_oracle_artin
 from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
 from .model import ModelStructureError, UNRAMIFIED_ID, dump_model, load_model, validate_model
-from .rationals import format_ratio, format_rational, parse_int, parse_rational
+from .rationals import format_rational, parse_int, parse_rational
 from .rep import WDRep, format_rep, parse_rep
 
 DEFAULT_LEVELS = "0,1/2,1,2"
@@ -101,15 +101,11 @@ def _cmd_check(args) -> int:
     check_sweep_args(theorems, args.models, args.pairs, args.max_terms, args.max_r)
     if args.out:
         _check_writable(args.out)
-    sweep = (theorems, args.models, args.pairs, gen, args.seed, args.max_terms, args.max_r)
-    rows = bool(args.out) and args.format == "json"  # else the counts are all it writes
-    if rows:
-        results, summary = run_sweep(*sweep)
-    else:
-        summary = sweep_summary(*sweep)
+    results, summary = run_sweep(theorems, args.models, args.pairs, gen, args.seed,
+                                 args.max_terms, args.max_r)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(results_to_json(results) if rows else summary.csv())
+            fh.write(results_to_json(results) if args.format == "json" else summary.csv())
     for t in sorted(summary.samples):
         print(
             f"{t}: samples={summary.samples[t]} violations={summary.violations[t]} "
@@ -176,8 +172,7 @@ def _cmd_sharpness(args) -> int:
         status = "equality" if r.equality else ("holds" if r.holds else "VIOLATED")
         if not r.holds or r.precondition_failed:
             bad += 1
-        lhs, rhs = format_ratio(r.ln, r.ld), format_ratio(r.rn, r.rd)
-        print(f"{r.theorem}: lhs={lhs} rhs={rhs} {status}")
+        print(f"{r.theorem}: lhs={format_rational(r.lhs)} rhs={format_rational(r.rhs)} {status}")
     return 1 if bad else 0
 
 

@@ -15,7 +15,6 @@ from wdexp.bounds import (
     SWEEP_FAMILIES,
     CheckResult,
     PairExponents,
-    SweepSummary,
     check_bound_A,
     check_bound_B,
     check_bound_C,
@@ -25,9 +24,7 @@ from wdexp.bounds import (
     results_to_json,
     run_sweep,
     sharpness_suite,
-    summarize_pairs,
     swan_bridge_gap,
-    sweep_summary,
     tame_character_witness_model,
     witness_model,
 )
@@ -812,87 +809,6 @@ def test_census_counterexample_fails_AS_with_its_precondition_met(census_counter
     assert all(r.holds for r in rows.values())
 
 
-# The counting path: the counts `record` makes of the rows, from the sides
-# alone.
-
-
-def _row_slack(r) -> Fraction:
-    """A row's exact slack: rhs - lhs for the upper bounds C, CS and their
-    variants, lhs - rhs for the lower bounds."""
-    return r.rhs - r.lhs if r.theorem[0] == "C" else r.lhs - r.rhs
-
-
-def _assert_counts_match_rows(summary, rows):
-    """`summary` counts as a SweepSummary that records `rows` does, and its
-    least slack of each label is the least exact slack of the label's
-    samples, first attained at the row's (model digest, x, y)."""
-    want = SweepSummary()
-    for _, r in rows:
-        want.record(r)
-    for field in ("samples", "violations", "equalities", "precondition_failures"):
-        assert getattr(summary, field) == getattr(want, field), field
-    assert summary.csv() == want.csv()
-    least = {}
-    for where, r in rows:
-        if not r.precondition_failed and (r.theorem not in least
-                                          or _row_slack(r) < least[r.theorem][0]):
-            least[r.theorem] = (_row_slack(r), where)
-    assert sorted(summary.least_slack) == sorted(least)
-    for label, (num, den, (m, x, y)) in summary.least_slack.items():
-        assert (Fraction(num, den), (m.digest(), x, y)) == least[label], label
-        assert (num, den) == Fraction(num, den).as_integer_ratio()
-    return want
-
-
-def test_sweep_summary_counts_the_rows_of_run_sweep():
-    gen = GenParams.from_strings("0,1/2,1,2")
-    for theorems in (ALL_FAMILIES, ("CS", "B")):
-        samples = []
-        results, rows_summary = run_sweep(theorems, 10, 50, gen, seed=0,
-                                          sample_hook=lambda m, x, y: samples.append((m, x, y)))
-        summary = sweep_summary(theorems, 10, 50, gen, seed=0)
-        rows = [((m.digest(), x, y), r) for m, x, y in samples
-                for r in checks_for_pair(theorems, x, y, m)]
-        assert [r for _, r in rows] == results
-        want = _assert_counts_match_rows(summary, rows)
-        assert (summary.models, summary.repair_rounds) == (rows_summary.models,
-                                                           rows_summary.repair_rounds)
-        assert want.csv() == rows_summary.csv()
-        assert sum(summary.equalities.values()) > 0 and not summary.total_violations()
-        assert all(num > 0 or (num == 0 and summary.equalities[label])
-                   for label, (num, _, _) in summary.least_slack.items())
-
-
-def test_summarize_pairs_counts_an_all_pairs_scope(generated_model):
-    # Every ordered pair of the default model's Sp_1 and Sp_2 of one class:
-    # each representation is x in 22 pairs and y in 22, one record for all.
-    m = generated_model
-    reps = _small_reps(m, 1, 2)
-    pairs = [(x, y) for x in reps for y in reps]
-    assert (len(m.ids), len(pairs)) == (11, 484)
-    summary = summarize_pairs(ALL_FAMILIES, pairs, m)
-    rows = [((m.digest(), x, y), r) for x, y in pairs
-            for r in checks_for_pair(ALL_FAMILIES, x, y, m)]
-    _assert_counts_match_rows(summary, rows)
-    assert sum(summary.precondition_failures.values()) > 0
-    # counts accumulate into a given summary, pair by pair
-    again = summarize_pairs(ALL_FAMILIES, pairs[:100], m)
-    assert summarize_pairs(ALL_FAMILIES, pairs[100:], m, again) is again
-    assert again.csv() == summary.csv()
-
-
-def test_summarize_pairs_counts_a_violation_and_its_slack(census_counterexample):
-    # AS fails on the census counterexample with its precondition met, by
-    # 1/2 - 1/3: the least slack is the violation's, negative.
-    m = census_counterexample
-    x, y = parse_rep("Sp_1(c1) + Sp_1(u)", m), parse_rep("Sp_1(c1)", m)
-    summary = summarize_pairs(ALL_FAMILIES, [(x, y), (y, y)], m)
-    assert summary.violations["AS"] == 1 == summary.total_violations()
-    assert summary.least_slack["AS"] == (-1, 6, (m, x, y))
-    _assert_counts_match_rows(summary, [((m.digest(), a, b), r) for a, b in [(x, y), (y, y)]
-                                        for r in checks_for_pair(ALL_FAMILIES, a, b, m)])
-
-
 def test_rows_and_reports_build_no_fraction(monkeypatch):
     # A row carries its sides as reduced int pairs; lhs and rhs are built
     # from them when read, and only then.
@@ -912,9 +828,8 @@ def test_rows_and_reports_build_no_fraction(monkeypatch):
     monkeypatch.setattr(bounds, "Fraction", Counted)
     rows = [r for m, x, y in samples for r in checks_for_pair(ALL_FAMILIES, x, y, m)]
     text = results_to_json(rows)
-    summary = summarize_pairs(ALL_FAMILIES, [(x, y) for m, x, y in samples[:20]], samples[0][0])
     assert not made
-    assert summary.samples and text == _dumps_report(rows)
+    assert text == _dumps_report(rows)
     assert all((r.ln, r.ld) == r.lhs.as_integer_ratio() and (r.rn, r.rd) == r.rhs.as_integer_ratio()
                for r in rows)
     assert made[2] == 2 * len(rows)

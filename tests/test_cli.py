@@ -152,48 +152,6 @@ def test_check_csv_summary(tmp_path, capsys):
     assert text.startswith("theorem,samples,violations,equalities")
 
 
-def test_check_counts_without_rows_and_prints_what_the_report_run_prints(tmp_path, capsys,
-                                                                         monkeypatch):
-    """`check` without --out and `check --format csv` count through
-    `sweep_summary` and build no row; their stdout, CSV and exit code are
-    those of the run that writes the JSON report, a violation included."""
-    import wdexp.cli
-
-    report, csv = tmp_path / "r.json", tmp_path / "s.csv"
-
-    def never(*args, **kwargs):
-        raise AssertionError("a row was built")
-
-    def runs(*argv):
-        with_rows = _run(capsys, "check", *argv, "--out", str(report))
-        with monkeypatch.context() as patched:
-            for name in ("check_bound_A", "check_bound_B", "check_bound_C", "checks_for_pair"):
-                patched.setattr(bounds, name, never)
-            patched.setattr(wdexp.cli, "run_sweep", never)
-            counted = _run(capsys, "check", *argv)
-            as_csv = _run(capsys, "check", *argv, "--out", str(csv), "--format", "csv")
-        assert with_rows == counted == as_csv
-        return with_rows
-
-    argv = ("--models", "3", "--pairs", "10", "--seed", "4")
-    assert runs(*argv)[0] == 0
-    gen = generator.GenParams.from_strings("0,1/2,1,2", seed=4)
-    summary = bounds.run_sweep(("A", "AS", "B", "BS", "C", "CS"), 3, 10, gen, 4)[1]
-    assert csv.read_text(encoding="utf-8") == summary.csv()
-    # C's general eta row fails on every pair, in both paths.
-    sides = bounds._sides
-
-    def violated(label, p):
-        ln, ld, rn, rd, upper, failed = sides(label, p)
-        return (rn + rd, rd, rn, rd, upper, failed) if label == "C" else (ln, ld, rn, rd, upper,
-                                                                          failed)
-
-    monkeypatch.setattr(bounds, "_sides", violated)
-    code, out, _ = runs("--theorems", "C,B", *argv)
-    assert code == 1 and "C: samples=30 violations=30 equalities=0" in out
-    assert "C,30,30,0" in csv.read_text(encoding="utf-8").splitlines()
-
-
 def test_oracle(capsys):
     code, out, _ = _run(capsys, "oracle", "--max-r", "4", "--max-terms", "2")
     assert code == 0
