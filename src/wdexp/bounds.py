@@ -1,6 +1,6 @@
 """Bound checks on concrete inputs, sharpness witnesses, and the sweep.
 
-Each label is stated once, as int sides (ln, ld, rn, rd, upper,
+Each bound is stated once, as int sides (ln, ld, rn, rd, upper,
 precondition_failed): lhs = ln/ld against rhs = rn/rd, with ld, rd > 0, and
 the bound reads lhs <= rhs when `upper`, else lhs >= rhs.  Labels:
 
@@ -18,8 +18,8 @@ CheckResult that carries each side as a reduced int pair; its `lhs` and
 ints, so no `Fraction` is made on the way from a pair to its report.
 
 Every check reads its pair through one `PairExponents` record, so a pair
-is evaluated once however many labels read it.  `SWEEP_FAMILIES` is the
-one table of sweep selectors, their labels and where each label applies.
+is evaluated once however many labels read it.  `LABELS` is the one table
+of the labels, which the checks and the sweep read.
 
 Minimality preconditions are checked and failures are surfaced as distinct
 results (precondition_failed=True), never skipped silently: the A-bound is
@@ -39,7 +39,7 @@ from typing import NamedTuple
 from .exponents import expand_kernel, rep_exponents, rep_minimality, swan_profile
 from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_rep
 from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
-from .model import MODES, UNRAMIFIED_ID, IrreducibleClass, ModelInstance, validate_model
+from .model import MODES, UNRAMIFIED_ID, IrreducibleClass, ModelInstance, mode_index, validate_model
 from .rationals import format_ratio
 from .rep import WDRep, format_rep, resolve_terms
 
@@ -88,9 +88,9 @@ def _decide(theorem, sides, inputs):
                        a == b, inputs, precondition_failed)
 
 
-def _larger(u, v, mode):
-    """The larger normalized exponent of two reports, as (exponent, dim)."""
-    a, b = u.exponent(mode), v.exponent(mode)
+def _larger(u, v, e):
+    """The larger of two reports' normalized field-e exponents, as (exponent, dim)."""
+    a, b = u[e], v[e]
     return (a, u.dim) if a * v.dim >= b * u.dim else (b, v.dim)
 
 
@@ -112,31 +112,63 @@ class PairExponents:
         self.inputs = {"model": m.digest(), "x": format_rep(x), "y": format_rep(y)}
 
 
-def _sides(p: PairExponents, bound: str, mode: str, strong: bool):
-    """The int sides of a label on p, the one statement of each: `bound` is
-    "A", "B" or "C", `mode` reads Artin (eta) or Swan (sigma) exponents,
-    and `strong` picks the max form of B and C (B_indec, BS_irr, C_irr,
-    CS_irr)."""
+# Label -> (bound, mode, variant, shape), in emission order.  A's variant is None, and a
+# label with a `shape`, the RepExponents field x and y both need, is its bound's max form.
+LABELS = {
+    "A": ("A", "eta", None, None),
+    "AS": ("A", "sigma", None, None),
+    "B": ("B", "eta", "sum", None),
+    "B_indec": ("B", "eta", "indec_or_irr", "is_indecomposable"),
+    "BS": ("B", "sigma", "sum", None),
+    "BS_irr": ("B", "sigma", "indec_or_irr", "is_irreducible"),
+    "C": ("C", "eta", "general", None),
+    "C_irr": ("C", "eta", "irreducible", "is_irreducible"),
+    "CS": ("C", "sigma", "general", None),
+    "CS_irr": ("C", "sigma", "irreducible", "is_irreducible"),
+}
+# (bound, variant) -> its (label, shape) pairs, in the order of MODES.
+_BY_VARIANT = {(b, v): tuple((label, s[3]) for mode in MODES for label, s in LABELS.items()
+                             if s[:3] == (b, mode, v)) for b, _, v, _ in LABELS.values()}
+
+
+def _sides(p: PairExponents, bound: str, k: int, strong: bool):
+    """The int sides of a label on p, the one statement of each: `bound` is "A",
+    "B" or "C", MODES[k] is its mode, and `strong` picks the max form of B and C."""
+    e = 2 - k  # the ExponentReport field that mode reads: sw (2) for sigma, ar (1) for eta
     if bound == "A":
-        rn, rd = _larger(p.ex, p.ey, mode)
-        return (p.x_y.exponent(mode), p.x_y.dim, rn, 2 * rd, False,
-                not p.x_minimal[MODES.index(mode)])
+        rn, rd = _larger(p.ex, p.ey, e)
+        return p.x_y[e], p.x_y.dim, rn, 2 * rd, False, not p.x_minimal[k]
     if bound == "B":
         dx, dy, t = p.x_xdual, p.y_ydual, p.x_ydual
-        rn, rd = (_larger(dx, dy, mode) if strong else
-                  (dx.exponent(mode) * dy.dim + dy.exponent(mode) * dx.dim, 2 * dx.dim * dy.dim))
-        return t.exponent(mode), t.dim, rn, rd, False, False
+        rn, rd = _larger(dx, dy, e) if strong else (dx[e] * dy.dim + dy[e] * dx.dim,
+                                                    2 * dx.dim * dy.dim)
+        return t[e], t.dim, rn, rd, False, False
     if strong:
-        return (p.x_y.exponent(mode), p.x_y.dim, *_larger(p.ex, p.ey, mode), True, False)
-    a, b = p.ex.exponent(mode), p.ey.exponent(mode)
-    return p.x_y.exponent(mode), 1, p.ey.dim * a + p.ex.dim * b - min(a, b), 1, True, False
+        return (p.x_y[e], p.x_y.dim, *_larger(p.ex, p.ey, e), True, False)
+    a, b = p.ex[e], p.ey[e]
+    return p.x_y[e], 1, p.ey.dim * a + p.ex.dim * b - min(a, b), 1, True, False
+
+
+def _check(p: PairExponents, bound: str, mode: str, variant) -> CheckResult:
+    """The row on p of the `LABELS` entry that bound, mode and variant name; refuses
+    an unknown variant, then an unknown mode, then a pair without its shape."""
+    try:
+        labels = _BY_VARIANT[bound, variant]
+    except (KeyError, TypeError):  # TypeError: an unhashable variant
+        raise ValueError(f"unknown variant {variant!r}") from None
+    k = mode_index(mode)
+    label, shape = labels[k]
+    if shape is not None and not (getattr(p.rx, shape) and getattr(p.ry, shape)):
+        raise ValueError(f"the {label} check needs {shape[3:]} representations")
+    inputs = (dict(p.inputs, mode=mode) if variant is None else
+              dict(p.inputs, mode=mode, variant=variant))
+    return _decide(label, _sides(p, bound, k, shape is not None), inputs)
 
 
 def check_bound_A(p: PairExponents, mode: str = "eta") -> CheckResult:
     """Lower bound: norm(x ox y) >= max(norm(x), norm(y)) / 2 when x cannot
     be lowered by any in-model character twist."""
-    label = "A" if mode == "eta" else "AS"
-    return _decide(label, _sides(p, "A", mode, False), dict(p.inputs, mode=mode))
+    return _check(p, "A", mode, None)
 
 
 def check_bound_B(p: PairExponents, mode: str = "eta", variant: str = "sum") -> CheckResult:
@@ -146,19 +178,7 @@ def check_bound_B(p: PairExponents, mode: str = "eta", variant: str = "sum") -> 
     variant "indec_or_irr": rhs is their max; requires single-term inputs
     (any Sp-length for mode eta, length 1 for mode sigma).
     """
-    if variant not in ("sum", "indec_or_irr"):
-        raise ValueError(f"unknown variant {variant!r}")
-    strong = variant == "indec_or_irr"
-    if strong:
-        for z in (p.rx, p.ry):
-            if not z.is_indecomposable:
-                raise ValueError("the strong B-variant needs single-term representations")
-            if mode == "sigma" and not z.is_irreducible:
-                raise ValueError("the strong BS-variant needs irreducible representations")
-        label = "B_indec" if mode == "eta" else "BS_irr"
-    else:
-        label = "B" if mode == "eta" else "BS"
-    return _decide(label, _sides(p, "B", mode, strong), dict(p.inputs, mode=mode, variant=variant))
+    return _check(p, "B", mode, variant)
 
 
 def check_bound_C(p: PairExponents, mode: str = "eta", variant: str = "general") -> CheckResult:
@@ -169,16 +189,7 @@ def check_bound_C(p: PairExponents, mode: str = "eta", variant: str = "general")
     exponent of the tensor is at most the max of the factors'; requires
     irreducible (length-1 single-term) inputs.
     """
-    if variant not in ("general", "irreducible"):
-        raise ValueError(f"unknown variant {variant!r}")
-    strong = variant == "irreducible"
-    if strong:
-        if not (p.rx.is_irreducible and p.ry.is_irreducible):
-            raise ValueError("the irreducible C-variant needs irreducible representations")
-        label = "C_irr" if mode == "eta" else "CS_irr"
-    else:
-        label = "C" if mode == "eta" else "CS"
-    return _decide(label, _sides(p, "C", mode, strong), dict(p.inputs, mode=mode, variant=variant))
+    return _check(p, "C", mode, variant)
 
 
 # -- sharpness witnesses -----------------------------------------------------
@@ -259,23 +270,9 @@ def sharpness_suite() -> list[CheckResult]:
 # -- sweeps -------------------------------------------------------------------
 
 
-# Sweep selector -> its labels in emission order, each with the check that
-# produces it and the shape both x and y need, a field of their records
-# (None: every pair).
-# The checks are called by their module names, so a wrapped checker is the
-# one a sweep runs.
-SWEEP_FAMILIES = {
-    "A": (("A", lambda p: check_bound_A(p, "eta"), None),),
-    "AS": (("AS", lambda p: check_bound_A(p, "sigma"), None),),
-    "B": (("B", lambda p: check_bound_B(p, "eta", "sum"), None),
-          ("B_indec", lambda p: check_bound_B(p, "eta", "indec_or_irr"), "is_indecomposable")),
-    "BS": (("BS", lambda p: check_bound_B(p, "sigma", "sum"), None),
-           ("BS_irr", lambda p: check_bound_B(p, "sigma", "indec_or_irr"), "is_irreducible")),
-    "C": (("C", lambda p: check_bound_C(p, "eta", "general"), None),
-          ("C_irr", lambda p: check_bound_C(p, "eta", "irreducible"), "is_irreducible")),
-    "CS": (("CS", lambda p: check_bound_C(p, "sigma", "general"), None),
-           ("CS_irr", lambda p: check_bound_C(p, "sigma", "irreducible"), "is_irreducible")),
-}
+# Sweep selector -> its labels, in emission order: itself and the labels it prefixes with "_".
+SWEEP_FAMILIES = {f: tuple(label for label in LABELS if label.partition("_")[0] == f)
+                  for f in LABELS if "_" not in f}
 
 
 def _require_selectors(theorems):
@@ -369,13 +366,15 @@ def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
 
 
 def checks_for_pair(theorems, x: WDRep, y: WDRep, m: ModelInstance):
-    """All applicable labeled checks for one representation pair, in the
-    order of `SWEEP_FAMILIES`, all reading one `PairExponents` record."""
+    """All applicable labeled checks for one pair, in the order of `LABELS`, on one
+    `PairExponents` record, called by module name so that a wrapped check runs."""
     _require_selectors(theorems)
     p = PairExponents(x, y, m)
-    return [check(p) for family, labels in SWEEP_FAMILIES.items() if family in theorems
-            for _label, check, needs in labels
-            if needs is None or (getattr(p.rx, needs) and getattr(p.ry, needs))]
+    return [check_bound_A(p, mode) if variant is None else
+            (check_bound_B if bound == "B" else check_bound_C)(p, mode, variant)
+            for family, labels in SWEEP_FAMILIES.items() if family in theorems
+            for label in labels for bound, mode, variant, shape in [LABELS[label]]
+            if shape is None or (getattr(p.rx, shape) and getattr(p.ry, shape))]
 
 
 def swan_bridge_gap(x: WDRep, y: WDRep, m: ModelInstance) -> Fraction:

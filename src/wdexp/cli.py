@@ -160,6 +160,7 @@ def _cmd_bound(args) -> int:
           f"witness_v={format_rational(v_prod)} equality={'true' if v_prod == bound else 'false'}")
     return 0 if v_prod <= bound else 1
 
+
 def _cmd_sharpness(args) -> int:
     if args.out:
         _check_writable(args.out)

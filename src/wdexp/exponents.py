@@ -32,7 +32,7 @@ from itertools import repeat
 from operator import add, eq, mul
 from typing import NamedTuple
 
-from .model import MODES, UNRAMIFIED_ID, ModelInstance
+from .model import UNRAMIFIED_ID, ModelInstance, mode_index
 from .rep import WDRep, dual_terms, resolve_terms
 
 
@@ -51,12 +51,6 @@ class ExponentReport(NamedTuple):
     @property
     def varsigma(self) -> Fraction | None:
         return None if self.dim == 0 else Fraction(self.sw, self.dim)
-
-    def exponent(self, mode: str) -> int:
-        """ar for mode "eta", sw for mode "sigma"; rejects any other mode."""
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        return self.ar if mode == "eta" else self.sw
 
 
 def expand_kernel(xs, ys, m: ModelInstance) -> ExponentReport:
@@ -150,10 +144,9 @@ def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:
     "eta") or its Swan exponent (mode "sigma")."""
     if x.is_zero:
         raise ValueError("minimality is undefined for the zero representation")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    k = mode_index(mode)
     unit, terms = ((1, 1, m.at(UNRAMIFIED_ID)),), resolve_terms(x, m)
-    return rep_minimality(terms, m, expand_kernel(unit, terms, m))[MODES.index(mode)]
+    return rep_minimality(terms, m, expand_kernel(unit, terms, m))[k]
 
 
 def class_minimality(m: ModelInstance) -> tuple[tuple[bool, ...], tuple[bool, ...]]:

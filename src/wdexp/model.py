@@ -33,6 +33,14 @@ UNRAMIFIED_ID = "u"
 
 MODES = ("sigma", "eta")
 
+
+def mode_index(mode) -> int:
+    """The index of `mode` in MODES; any other mode is refused."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return MODES.index(mode)
+
+
 # The class flags of a model file, in the order they are written.
 _FLAGS = ("minimal_sigma", "minimal_eta")
 
@@ -264,10 +272,8 @@ def is_minimal_class(i: str, mode: str, m: ModelInstance) -> bool:
     when m has no unramified orbit."""
     from .exponents import class_minimality  # deferred: exponents imports model
 
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    a = m.at(i)
-    return class_minimality(m)[MODES.index(mode)][a]
+    k, a = mode_index(mode), m.at(i)
+    return class_minimality(m)[k][a]
 
 
 def _subdominant_ultrametric(W) -> list[list[int]]:

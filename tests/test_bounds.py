@@ -12,6 +12,7 @@ import pytest
 
 from conftest import pair, pairing, perturbations, validation_bases
 from wdexp.bounds import (
+    LABELS,
     SWEEP_FAMILIES,
     CheckResult,
     PairExponents,
@@ -105,6 +106,55 @@ def test_bounds_reject_unknown_mode(zoo_model, check, variant):
         mode, message = "eta", "unknown variant 'bogus'"
     with pytest.raises(ValueError, match=message):
         check(PairExponents(x, x, zoo_model), mode, *variant)
+
+
+@pytest.mark.parametrize("check, args, message", [
+    (check_bound_B, ("bogus", "bogus"), "unknown variant 'bogus'"),
+    (check_bound_C, ("bogus", "bogus"), "unknown variant 'bogus'"),
+    (check_bound_A, ([],), "mode must be one of"),
+    (check_bound_B, ([], "sum"), "mode must be one of"),
+    (check_bound_C, ({}, "irreducible"), "mode must be one of"),
+    (check_bound_B, ("eta", []), r"unknown variant \[\]"),
+    (check_bound_C, ("sigma", {}), r"unknown variant \{\}"),
+    (check_bound_B, ([], []), r"unknown variant \[\]"),
+])
+def test_bounds_refuse_a_bad_variant_before_a_bad_mode(zoo_model, check, args, message):
+    """An unknown variant is refused before an unknown mode, and an
+    unhashable mode or variant is refused with a ValueError too."""
+    x = parse_rep("Sp_1(a)", zoo_model)
+    with pytest.raises(ValueError, match=message):
+        check(PairExponents(x, x, zoo_model), *args)
+
+
+def test_shape_guard_and_sweep_filter_agree(zoo_model):
+    """A max-form label's check refuses a pair exactly when the sweep emits
+    no row of that label for it."""
+    reps = [parse_rep(e, zoo_model) for e in (
+        "Sp_1(a)", "Sp_1(b)", "Sp_2(a)", "Sp_3(b)", "Sp_1(a) + Sp_1(b)", "2*Sp_1(a)",
+        "Sp_2(a) + Sp_1(c3)")]
+    checks = {"B": check_bound_B, "C": check_bound_C}
+    max_forms = [label for label, (_, _, _, shape) in LABELS.items() if shape is not None]
+    assert max_forms == ["B_indec", "BS_irr", "C_irr", "CS_irr"]
+    seen = Counter()
+    for x in reps:
+        for y in reps:
+            p = PairExponents(x, y, zoo_model)
+            emitted = {r.theorem for r in checks_for_pair(ALL_FAMILIES, x, y, zoo_model)}
+            for label in max_forms:
+                bound, mode, variant, _ = LABELS[label]
+                try:
+                    r = checks[bound](p, mode, variant)
+                except ValueError:
+                    assert label not in emitted, (label, format_rep(x), format_rep(y))
+                    seen[label, x.is_indecomposable, y.is_indecomposable] += 1
+                else:
+                    assert label in emitted and r.theorem == label
+                    seen[label, "checked"] += 1
+    for label in max_forms:
+        # each label is checked somewhere and refuses a multi-term x; all but
+        # B_indec also refuse some pair of single terms of Sp-length 2 or more
+        assert seen[label, "checked"] and seen[label, False, True], label
+        assert bool(seen[label, True, True]) == (label != "B_indec"), label
 
 
 def test_bound_B_sum_equality_on_equal_inputs(zoo_model):
@@ -402,9 +452,6 @@ def test_records_are_immutable_tuples_with_named_fields():
         rep.ar = 0
     assert rep.ar == 7
     assert (rep.eta, rep.varsigma) == (Fraction(7, 4), Fraction(3, 4))
-    assert (rep.exponent("eta"), rep.exponent("sigma")) == (7, 3)
-    with pytest.raises(ValueError):
-        rep.exponent("zeta")
     assert ExponentReport(0, 0, 0).eta is None is ExponentReport(0, 0, 0).varsigma
     v = Violation("M6", ("a", "c", "b"), Fraction(1), Fraction(1, 2))
     assert Violation._fields == ("axiom", "witness", "lhs", "rhs")
@@ -455,7 +502,8 @@ def test_checks_for_pair_labels(zoo_model):
     # labels come out in the table's fixed order, whatever the selector order
     for theorems in (ALL_FAMILIES, ALL_FAMILIES[::-1]):
         assert [r.theorem for r in checks_for_pair(theorems, x, y, zoo_model)] == every
-    assert [label for labels in SWEEP_FAMILIES.values() for label, _, _ in labels] == every
+    assert [label for labels in SWEEP_FAMILIES.values() for label in labels] == every
+    assert list(LABELS) == every and list(SWEEP_FAMILIES) == list(ALL_FAMILIES)
     x2 = parse_rep("Sp_2(a) + Sp_1(b)", zoo_model)
     assert [r.theorem for r in checks_for_pair(("C", "B"), x2, y, zoo_model)] == ["B", "C"]
 
@@ -644,10 +692,14 @@ def test_sp_level_triple_ultrametric_generated():
 SIGMA_LABELS = ("AS", "BS", "BS_irr", "CS", "CS_irr")
 
 
+def _exponent(e, mode) -> int:
+    return e.ar if mode == "eta" else e.sw
+
+
 def _normalized(e, mode) -> Fraction:
     if e.dim == 0:
         raise ValueError("normalized exponent undefined for the zero representation")
-    return Fraction(e.exponent(mode), e.dim)
+    return Fraction(_exponent(e, mode), e.dim)
 
 
 def reference_check(label, x, y, m):
@@ -666,8 +718,8 @@ def reference_check(label, x, y, m):
         lhs = _normalized(tensor_exponents(x, rep_dual(y, m), m), mode)
         rhs = (dx + dy) / 2 if label in ("B", "BS") else max(dx, dy)
     elif label in ("C", "CS"):
-        a, b = ex.exponent(mode), ey.exponent(mode)
-        lhs, rhs = Fraction(xy.exponent(mode)), Fraction(ey.dim * a + ex.dim * b - min(a, b))
+        a, b = _exponent(ex, mode), _exponent(ey, mode)
+        lhs, rhs = Fraction(_exponent(xy, mode)), Fraction(ey.dim * a + ex.dim * b - min(a, b))
     else:
         lhs = _normalized(xy, mode)
         rhs = max(_normalized(ex, mode), _normalized(ey, mode))
@@ -676,9 +728,8 @@ def reference_check(label, x, y, m):
 
 
 def _reference_rows(x, y, m):
-    return [reference_check(label, x, y, m) for labels in SWEEP_FAMILIES.values()
-            for label, _, needs in labels
-            if needs is None or (getattr(x, needs) and getattr(y, needs))]
+    return [reference_check(label, x, y, m) for label, (_, _, _, shape) in LABELS.items()
+            if shape is None or (getattr(x, shape) and getattr(y, shape))]
 
 
 def _small_reps(m, terms, max_r):
@@ -732,7 +783,7 @@ def test_integer_decisions_match_the_fraction_reference(census_counterexample):
         for label, _, _, ok, equal, _ in want:
             (holds if ok else fails)[label] += 1
             equalities[label] += equal
-    every = [label for labels in SWEEP_FAMILIES.values() for label, _, _ in labels]
+    every = list(LABELS)
     assert sorted(fails) == sorted(holds) == sorted(every)
     assert all(equalities[label] and equalities[label] < holds[label] for label in every)
     assert refused["dim"] and refused["sw"]

@@ -118,7 +118,7 @@ def test_check_writes_report(tmp_path, capsys):
 
 
 def test_check_violation_exits_1(tmp_path, capsys, monkeypatch):
-    # SWEEP_FAMILIES calls the checks by their module names, so a patched
+    # checks_for_pair calls the checks by their module names, so a patched
     # check_bound_C is the one the sweep runs: its general eta row fails.
     check_bound_C = bounds.check_bound_C
 
