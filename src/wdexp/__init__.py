@@ -37,6 +37,7 @@ from .maxplus import (
     mp_vee_weight,
     optimal_witness,
     pair_upper_bound,
+    pair_witness,
     s_map,
 )
 from .model import (

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .exponents import expand_kernel, rep_exponents, rep_minimality, swan_profile
 from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_rep
-from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
+from .maxplus import mp_vee_weight, pair_witness
 from .model import MODES, UNRAMIFIED_ID, IrreducibleClass, ModelInstance, mode_index, validate_model
 from .rationals import format_ratio
 from .rep import WDRep, format_rep, resolve_terms
@@ -258,10 +258,8 @@ def sharpness_suite() -> list[CheckResult]:
     out.append(check_bound_C(PairExponents(xt, yu, mt), "eta", "general"))
 
     d1, v1, d2, v2 = 2, Fraction(3), 1, Fraction(5)
-    w1, w2 = optimal_witness(d1, v1, d2, v2)
-    v_prod = mp_vee_weight(w1.coeffs.items(), w2.coeffs.items())
-    sides = (*v_prod.as_integer_ratio(), *pair_upper_bound(d1, v1, d2, v2).as_integer_ratio(),
-             True, False)
+    bound, _, _, v_prod = pair_witness(d1, v1, d2, v2)
+    sides = (*v_prod.as_integer_ratio(), *bound.as_integer_ratio(), True, False)
     out.append(_decide("CS", sides,
                        {"witness": "max-plus pair", "d1": d1, "v1": "3", "d2": d2, "v2": "5"}))
     return out

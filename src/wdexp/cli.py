@@ -18,7 +18,7 @@ from .bounds import (check_sweep_args, results_to_json, run_sweep, sharpness_sui
 from .exponents import exponents_of, is_minimal_rep, tensor_exponents
 from .generator import GeneratorError, GenParams, gen_model_with_stats
 from .jordan import Partition, nilpotent_rank, tensor_partition, unramified_oracle_artin
-from .maxplus import mp_vee_weight, optimal_witness, pair_upper_bound
+from .maxplus import pair_witness
 from .model import ModelStructureError, UNRAMIFIED_ID, dump_model, load_model, validate_model
 from .rationals import format_rational, parse_int, parse_rational
 from .rep import WDRep, format_rep, parse_rep
@@ -153,9 +153,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_bound(args) -> int:
     d1, d2 = args.d1, args.d2
     v1, v2 = parse_rational(args.v1), parse_rational(args.v2)
-    bound = pair_upper_bound(d1, v1, d2, v2)
-    w1, w2 = optimal_witness(d1, v1, d2, v2)
-    v_prod = mp_vee_weight(w1.coeffs.items(), w2.coeffs.items())
+    bound, w1, w2, v_prod = pair_witness(d1, v1, d2, v2)
     print(f"bound={format_rational(bound)} witness=({w1}; {w2}) "
           f"witness_v={format_rational(v_prod)} equality={'true' if v_prod == bound else 'false'}")
     return 0 if v_prod <= bound else 1

@@ -102,9 +102,14 @@ def tensor_exponents(x: WDRep, y: WDRep, m: ModelInstance) -> ExponentReport:
     return expand_kernel(resolve_terms(x, m), resolve_terms(y, m), m)
 
 
+def _unit_twist(terms, m: ModelInstance) -> ExponentReport:
+    """The exponents of resolved terms: their twist by Sp_1(u)."""
+    return expand_kernel(((1, 1, m.at(UNRAMIFIED_ID)),), terms, m)
+
+
 def exponents_of(x: WDRep, m: ModelInstance) -> ExponentReport:
     """Exponents of a representation: its twist by the unramified orbit."""
-    return expand_kernel(((1, 1, m.at(UNRAMIFIED_ID)),), resolve_terms(x, m), m)
+    return _unit_twist(resolve_terms(x, m), m)
 
 
 def rep_minimality(terms, m: ModelInstance, own: ExponentReport) -> tuple[bool, bool]:
@@ -135,8 +140,8 @@ def rep_exponents(x: WDRep, m: ModelInstance) -> RepExponents:
     dual(x) raises where `tensor_exponents(x, rep_dual(x, m), m)` does."""
     terms = resolve_terms(x, m)
     dterms = dual_terms(terms, m)
-    return RepExponents(terms, dterms, expand_kernel(((1, 1, m.at(UNRAMIFIED_ID)),), terms, m),
-                        expand_kernel(terms, dterms, m), x.is_indecomposable, x.is_irreducible)
+    return RepExponents(terms, dterms, _unit_twist(terms, m), expand_kernel(terms, dterms, m),
+                        x.is_indecomposable, x.is_irreducible)
 
 
 def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:
@@ -144,9 +149,8 @@ def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:
     "eta") or its Swan exponent (mode "sigma")."""
     if x.is_zero:
         raise ValueError("minimality is undefined for the zero representation")
-    k = mode_index(mode)
-    unit, terms = ((1, 1, m.at(UNRAMIFIED_ID)),), resolve_terms(x, m)
-    return rep_minimality(terms, m, expand_kernel(unit, terms, m))[k]
+    k, terms = mode_index(mode), resolve_terms(x, m)
+    return rep_minimality(terms, m, _unit_twist(terms, m))[k]
 
 
 def class_minimality(m: ModelInstance) -> tuple[tuple[bool, ...], tuple[bool, ...]]:

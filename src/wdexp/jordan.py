@@ -13,13 +13,13 @@ path.
 
 from __future__ import annotations
 
-from .model import UNRAMIFIED_ID
+from .model import UNRAMIFIED_ID, FrozenValue
 from .rep import WDRep
 
 
-class Partition:
-    """Weakly decreasing positive parts.  Immutable, and equal to another
-    Partition exactly when the parts are."""
+class Partition(FrozenValue):
+    """Weakly decreasing positive parts.  A `FrozenValue`: immutable, and
+    equal to another Partition exactly when the parts are."""
 
     __slots__ = ("parts",)
 
@@ -29,28 +29,6 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Partition is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Partition is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        return self.parts == other.parts if other.__class__ is Partition else NotImplemented
-
-    def __hash__(self):
-        return hash((self.parts,))
-
-    def __repr__(self):
-        return f"Partition(parts={self.parts!r})"
-
-    def __reduce__(self):
-        return Partition, (self.parts,)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
 
     def __len__(self):
         return len(self.parts)

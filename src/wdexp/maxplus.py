@@ -125,3 +125,11 @@ def optimal_witness(d1: int, v1, d2: int, v2) -> tuple[MaxPlusElem, MaxPlusElem]
     v1, v2 = _pair_weights(d1, v1, d2, v2)
     return (MaxPlusElem([(Fraction(0), d1 - 1), (v1, 1)]),
             MaxPlusElem([(Fraction(0), d2 - 1), (v2, 1)]))
+
+
+def pair_witness(d1: int, v1, d2: int, v2) -> tuple[Fraction, MaxPlusElem, MaxPlusElem, Fraction]:
+    """(bound, w1, w2, weight): `pair_upper_bound`, the `optimal_witness`
+    pair and the weight v(w1 vee w2) of that pair, which equals the bound."""
+    bound = pair_upper_bound(d1, v1, d2, v2)
+    w1, w2 = optimal_witness(d1, v1, d2, v2)
+    return bound, w1, w2, mp_vee_weight(w1.coeffs.items(), w2.coeffs.items())

@@ -71,7 +71,43 @@ class IrreducibleClass(NamedTuple):
     minimal_eta: bool = False
 
 
-class ModelInstance:
+class Frozen:
+    """Slots that only `object.__setattr__` in a constructor can set; every
+    subclass lists its own `__slots__`, so no instance has a `__dict__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class FrozenValue(Frozen):
+    """A Frozen type of one slot, equal exactly to an instance of its own
+    class with an equal value, and hashed, printed (`Name(slot=value)`),
+    copied and pickled (through its constructor) by that value."""
+
+    __slots__ = ()
+
+    def _value(self):
+        return getattr(self, self.__slots__[0])
+
+    def __eq__(self, other):
+        return self._value() == other._value() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self._value(),))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.__slots__[0]}={self._value()!r})"
+
+    def __reduce__(self):
+        return type(self), (self._value(),)
+
+
+class ModelInstance(Frozen):
     """Immutable model: classes, pairing and characters, with the integer
     tables the validator, the kernel and minimality read, built once here.
 
@@ -87,9 +123,9 @@ class ModelInstance:
     denominators of every slope and pairing entry, so `slope[a]` = L*slope
     and `S[a][b]` = L*s(i,j) are exact ints for any input; S is the
     model's only copy of the pairing.  `classes` maps id to class and is
-    read-only.  No attribute can be rebound, which is what lets `to_json()`
-    make the file's text from S once and keep it, and `digest()` hash that
-    one text.
+    read-only.  No attribute can be rebound (the model is a `Frozen`),
+    which is what lets `to_json()` make the file's text from S once and
+    keep it, and `digest()` hash that one text.
 
     Construction raises ModelStructureError, in this order, unless no
     character is listed twice, every pairing entry names known ids, no pair
@@ -183,12 +219,6 @@ class ModelInstance:
         ):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ModelInstance is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ModelInstance is immutable: cannot delete {name!r}")
-
     def __reduce__(self):  # copy and pickle rebuild the model from its file text
         doc = json.loads(self.to_json())
         return model_from_json_dict, ({**doc, "characters": list(self.characters)},)
@@ -260,9 +290,6 @@ class ValidationReport:
 
     def add(self, axiom, witness, lhs, rhs):
         self.violations.append(Violation(axiom, tuple(witness), Fraction(lhs), Fraction(rhs)))
-
-    def labels(self) -> set[str]:
-        return {v.axiom for v in self.violations}
 
 
 def is_minimal_class(i: str, mode: str, m: ModelInstance) -> bool:

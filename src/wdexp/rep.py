@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from string import whitespace
 
-from .model import ModelInstance
+from .model import FrozenValue, ModelInstance
 
 
 class RepSyntaxError(ValueError):
@@ -28,33 +28,16 @@ class RepSyntaxError(ValueError):
         self.position = position
 
 
-class WDRep:
+class WDRep(FrozenValue):
     """terms: tuple of (multiplicity, Sp-length, class id) triples,
     normalized; `resolve_terms` gives the same triples with class indices.
-    Immutable, and equal to another WDRep exactly when the terms are."""
+    A `FrozenValue`: immutable, and equal to another WDRep exactly when
+    the terms are."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[tuple[int, int, str], ...] = ()):
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"WDRep is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"WDRep is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        return self.terms == other.terms if other.__class__ is WDRep else NotImplemented
-
-    def __hash__(self):
-        return hash((self.terms,))
-
-    def __repr__(self):
-        return f"WDRep(terms={self.terms!r})"
-
-    def __reduce__(self):
-        return WDRep, (self.terms,)
 
     @staticmethod
     def zero() -> "WDRep":

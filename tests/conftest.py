@@ -124,6 +124,11 @@ def is_eta_homogeneous(x, m) -> bool:
     return len(values) == 1
 
 
+def labels(report) -> set[str]:
+    """The axiom names of a validation report's violations."""
+    return {v.axiom for v in report.violations}
+
+
 def pair(m, i, j) -> Fraction:
     """s(i,j) of model m, read off its integer table."""
     return Fraction(m.S[m.at(i)][m.at(j)], m.L)

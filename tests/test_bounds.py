@@ -34,8 +34,8 @@ from wdexp.exponents import (ExponentReport, class_minimality, exponents_of, ind
 from wdexp.generator import GenParams, SplitMix64, gen_model, gen_rep
 from wdexp.jordan import Partition
 from wdexp.maxplus import mp_degree_weight, mp_vee, s_map
-from wdexp.model import (IrreducibleClass, ModelInstance, ModelStructureError, Violation,
-                         validate_model)
+from wdexp.model import (Frozen, FrozenValue, IrreducibleClass, ModelInstance,
+                         ModelStructureError, Violation, validate_model)
 from wdexp.rationals import format_rational
 from wdexp.rep import WDRep, format_rep, parse_rep, rep_dual, resolve_terms
 
@@ -493,6 +493,29 @@ def test_value_types_compare_by_value_and_are_immutable(cls, field, a, b):
         with pytest.raises(AttributeError):
             attempt()
     assert getattr(x, field) == a and x == y
+
+
+def test_frozen_types_state_one_rule(zoo_model):
+    """WDRep, Partition and ModelInstance take their guard from Frozen, and
+    the two value types their identity from FrozenValue: the messages name
+    the class, no instance has a __dict__, and a WDRep is never equal to a
+    Partition over the same tuple."""
+    rep, part = WDRep((3, 1)), Partition((3, 1))
+    for obj, field in ((rep, "terms"), (part, "parts"), (zoo_model, "S")):
+        name = type(obj).__name__
+        assert isinstance(obj, Frozen) and not hasattr(obj, "__dict__")
+        assert not {"__setattr__", "__delattr__"} & set(vars(type(obj)))
+        for verb, attr, attempt in (("set", field, lambda: setattr(obj, field, ())),
+                                    ("delete", field, lambda: delattr(obj, field)),
+                                    ("set", "other", lambda: setattr(obj, "other", ()))):
+            with pytest.raises(AttributeError) as err:
+                attempt()
+            assert err.value.args == (f"{name} is immutable: cannot {verb} {attr!r}",)
+    for cls in (WDRep, Partition):
+        assert issubclass(cls, FrozenValue)
+        assert not {"__eq__", "__hash__", "__repr__", "__reduce__"} & set(vars(cls))
+    assert rep != part and part != rep and not rep == part
+    assert hash(rep) == hash(part) == hash(((3, 1),)) and len({rep, part}) == 2
 
 
 def test_checks_for_pair_labels(zoo_model):

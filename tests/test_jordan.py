@@ -18,7 +18,7 @@ from wdexp.rep import WDRep, parse_rep
 
 def test_partition_invariants():
     p = Partition((4, 2, 2, 1))
-    assert p.size == 9
+    assert sum(p.parts) == 9
     assert len(p) == 4
     with pytest.raises(ValueError):
         Partition((2, 3))
@@ -115,7 +115,7 @@ def test_tensor_partition_laws():
         for s in range(1, 9):
             p = tensor_partition(r, s)
             assert len(p) == min(r, s)
-            assert p.size == r * s
+            assert sum(p.parts) == r * s
             assert p.parts == tensor_partition(s, r).parts
 
 
