@@ -19,7 +19,11 @@ ints, so no `Fraction` is made on the way from a pair to its report.
 
 Every check reads its pair through one `PairExponents` record, so a pair
 is evaluated once however many labels read it.  `LABELS` is the one table
-of the labels, which the checks and the sweep read.
+of the labels, which the checks and the sweep read: a sweep checks its
+selectors and derives its plan, the `LABELS` entries they name, once, and
+`_pair_rows` emits each pair's rows from that plan.  `results_to_json`
+writes a string-keyed `inputs` dict from a form kept per key tuple: the
+sorted keys as JSON text and a getter of the values in that order.
 
 Minimality preconditions are checked and failures are surfaced as distinct
 results (precondition_failed=True), never skipped silently: the A-bound is
@@ -34,9 +38,10 @@ from dataclasses import replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
-from .exponents import expand_kernel, rep_exponents, rep_minimality, swan_profile
+from .exponents import _new, expand_kernel, rep_exponents, rep_minimality, swan_profile
 from .generator import MASK64, GenParams, SplitMix64, gen_model_with_stats, gen_rep
 from .maxplus import mp_vee_weight, pair_witness
 from .model import MODES, UNRAMIFIED_ID, IrreducibleClass, ModelInstance, mode_index, validate_model
@@ -84,8 +89,8 @@ def _decide(theorem, sides, inputs):
     ln, ld, rn, rd, upper, precondition_failed = sides
     a, b = ln * rd, rn * ld
     g, h = gcd(ln, ld), gcd(rn, rd)
-    return CheckResult(theorem, ln // g, ld // g, rn // h, rd // h, a <= b if upper else a >= b,
-                       a == b, inputs, precondition_failed)
+    return _new(CheckResult, (theorem, ln // g, ld // g, rn // h, rd // h,
+                              a <= b if upper else a >= b, a == b, inputs, precondition_failed))
 
 
 def _larger(u, v, e):
@@ -279,6 +284,26 @@ def _require_selectors(theorems):
             raise ValueError(f"unknown theorem selector {t!r}")
 
 
+def _plan(theorems):
+    """The `LABELS` entries (bound, mode, variant, shape) of the labels that the
+    selectors name, in the order of `LABELS`; refuses an unknown selector."""
+    _require_selectors(theorems)
+    return [LABELS[label] for family, labels in SWEEP_FAMILIES.items() if family in theorems
+            for label in labels]
+
+
+def _pair_rows(plan, x: WDRep, y: WDRep, m: ModelInstance) -> list[CheckResult]:
+    """The rows of a pair, one per `plan` entry whose shape both sides have, on
+    one `PairExponents` record; the checks are called by module name, so
+    that a wrapped check runs."""
+    p = PairExponents(x, y, m)
+    rx, ry = p.rx, p.ry
+    return [check_bound_A(p, mode) if variant is None else
+            (check_bound_B if bound == "B" else check_bound_C)(p, mode, variant)
+            for bound, mode, variant, shape in plan
+            if shape is None or (getattr(rx, shape) and getattr(ry, shape))]
+
+
 class SweepSummary:
     """Per-theorem counts of a sweep, and its model and repair-round totals."""
 
@@ -295,8 +320,9 @@ class SweepSummary:
 
     def record(self, r: CheckResult):
         t = r.theorem
-        for d in (self.samples, self.violations, self.equalities, self.precondition_failures):
-            d.setdefault(t, 0)
+        if t not in self.samples:
+            self.samples[t] = self.violations[t] = self.equalities[t] = 0
+            self.precondition_failures[t] = 0
         if r.precondition_failed:
             self.precondition_failures[t] += 1
             return
@@ -345,8 +371,10 @@ def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
     (model index, pair index, label) regardless of scheduling.  When given,
     sample_hook(model, x, y) sees every drawn pair."""
     check_sweep_args(theorems, models, pairs_per_model, max_terms, max_r)
+    plan = _plan(theorems)
     results: list[CheckResult] = []
     summary = SweepSummary()
+    record = summary.record
     for mi in range(models):
         params = replace(gen, seed=seed + mi)
         model, stats = gen_model_with_stats(params)
@@ -357,22 +385,17 @@ def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
             y = gen_rep(model, max_terms, max_r, pair_seed(seed, mi, pi, 1))
             if sample_hook is not None:
                 sample_hook(model, x, y)
-            for rr in checks_for_pair(theorems, x, y, model):
-                results.append(rr)
-                summary.record(rr)
+            rows = _pair_rows(plan, x, y, model)
+            results += rows
+            for r in rows:
+                record(r)
     return results, summary
 
 
 def checks_for_pair(theorems, x: WDRep, y: WDRep, m: ModelInstance):
-    """All applicable labeled checks for one pair, in the order of `LABELS`, on one
-    `PairExponents` record, called by module name so that a wrapped check runs."""
-    _require_selectors(theorems)
-    p = PairExponents(x, y, m)
-    return [check_bound_A(p, mode) if variant is None else
-            (check_bound_B if bound == "B" else check_bound_C)(p, mode, variant)
-            for family, labels in SWEEP_FAMILIES.items() if family in theorems
-            for label in labels for bound, mode, variant, shape in [LABELS[label]]
-            if shape is None or (getattr(p.rx, shape) and getattr(p.ry, shape))]
+    """All applicable labeled checks for one pair, in the order of `LABELS`: the
+    rows of `_pair_rows` on the plan of the selectors."""
+    return _pair_rows(_plan(theorems), x, y, m)
 
 
 def swan_bridge_gap(x: WDRep, y: WDRep, m: ModelInstance) -> Fraction:
@@ -416,34 +439,51 @@ def _json_value(v, strings: _Strings, pad: str) -> str:
     return json.dumps(v, indent=1, sort_keys=True).replace("\n", pad)
 
 
-def _json_inputs(d, strings: _Strings, orders: dict) -> str:
-    """The text of a row's `inputs`: a dict with string keys is written
-    here, its keys in the sorted order that `orders` keeps per key tuple,
-    and anything else by `_json_value`."""
-    if type(d) is not dict:
-        return _json_value(d, strings, _ROW_PAD)
-    keys = tuple(d)
-    order = orders.get(keys)
-    if order is None:
-        if not d or not all(type(k) is str for k in d):
-            return _json_value(d, strings, _ROW_PAD)
-        order = orders[keys] = sorted(keys)
-    return "{\n   " + ",\n   ".join([strings[k] + ": " + (strings[v] if type(v := d[k]) is str
-                                                         else _json_value(v, strings, _INPUTS_PAD))
+def _inputs_form(d):
+    """The form of a dict whose keys are all strings, or None: its text with
+    a %s per value, the keys in sorted order as JSON text with `%` escaped,
+    a getter of its values in that order, and the types of all-string values."""
+    if not d or not all(type(k) is str for k in d):
+        return None
+    order = sorted(d)
+    text = "{\n   " + ",\n   ".join([encode_basestring_ascii(k).replace("%", "%%") + ": %s"
                                      for k in order]) + "\n  }"
+    getter = itemgetter(*order) if len(order) > 1 else lambda inputs, k=order[0]: (inputs[k],)
+    return text, getter, (str,) * len(order)
 
 
 def results_to_json(results) -> str:
     """The text of `json.dumps([r.to_json_dict() for r in results], indent=1,
     sort_keys=True) + "\\n"`, written row by row without the pure-Python
-    encoder that `indent` selects."""
-    strings, orders = _Strings(), {}
-    rows = [_ROW % (_json_value(r.equality, strings, _ROW_PAD),
-                    _json_value(r.holds, strings, _ROW_PAD),
-                    _json_inputs(r.inputs, strings, orders),
-                    format_ratio(r.ln, r.ld),
-                    _json_value(r.precondition_failed, strings, _ROW_PAD),
-                    format_ratio(r.rn, r.rd),
-                    _json_value(r.theorem, strings, _ROW_PAD))
-            for r in results]
+    encoder that `indent` selects.  Each row is unpacked once; a dict
+    `inputs` is written from the form that `forms` keeps per key tuple, and
+    anything else by `_json_value`."""
+    strings, forms = _Strings(), {}
+    rows = []
+    for theorem, ln, ld, rn, rd, holds, equality, inputs, failed in results:
+        form = None
+        if type(inputs) is dict:
+            keys = tuple(inputs)
+            form = forms.get(keys, False)
+            if form is False:
+                form = forms[keys] = _inputs_form(inputs)
+        if form is None:
+            text = _json_value(inputs, strings, _ROW_PAD)
+        else:
+            template, getter, types = form
+            values = getter(inputs)
+            text = template % (tuple(map(strings.__getitem__, values))
+                               if tuple(map(type, values)) == types else
+                               tuple([_json_value(v, strings, _INPUTS_PAD) for v in values]))
+        rows.append(_ROW % (
+            "true" if equality is True else "false" if equality is False else
+            _json_value(equality, strings, _ROW_PAD),
+            "true" if holds is True else "false" if holds is False else
+            _json_value(holds, strings, _ROW_PAD),
+            text,
+            ln if ld == 1 else f"{ln}/{ld}",
+            "false" if failed is False else "true" if failed is True else
+            _json_value(failed, strings, _ROW_PAD),
+            rn if rd == 1 else f"{rn}/{rd}",
+            strings[theorem] if type(theorem) is str else _json_value(theorem, strings, _ROW_PAD)))
     return "[\n " + ",\n ".join(rows) + "\n]\n" if rows else "[]\n"

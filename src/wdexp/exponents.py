@@ -35,6 +35,10 @@ from typing import NamedTuple
 from .model import UNRAMIFIED_ID, ModelInstance, mode_index
 from .rep import WDRep, dual_terms, resolve_terms
 
+# Builds a record from a tuple of its fields in one C call, without the
+# Python frame of a NamedTuple's generated __new__.
+_new = tuple.__new__
+
 
 class ExponentReport(NamedTuple):
     """dim/ar/sw are integers; eta = ar/dim and varsigma = sw/dim are None
@@ -73,7 +77,7 @@ def expand_kernel(xs, ys, m: ModelInstance) -> ExponentReport:
             if b == da:
                 lost += kl * deg[a] * (r if r < s else s)
     sw = lsw // L
-    return ExponentReport(n, sw + n - lost, sw)
+    return _new(ExponentReport, (n, sw + n - lost, sw))
 
 
 def indec_tensor_kernel(r: int, i: str, s: int, j: str, m: ModelInstance) -> tuple[int, int, int]:
@@ -137,11 +141,15 @@ class RepExponents(NamedTuple):
 
 def rep_exponents(x: WDRep, m: ModelInstance) -> RepExponents:
     """The record of x.  Its dual's terms are those of `rep_dual`, so x ox
-    dual(x) raises where `tensor_exponents(x, rep_dual(x, m), m)` does."""
+    dual(x) raises where `tensor_exponents(x, rep_dual(x, m), m)` does.
+    Its shape is read off x.terms once, by the rule of `WDRep.is_irreducible`."""
+    xt = x.terms
+    indecomposable = len(xt) == 1 and xt[0][0] == 1
     terms = resolve_terms(x, m)
     dterms = dual_terms(terms, m)
-    return RepExponents(terms, dterms, _unit_twist(terms, m), expand_kernel(terms, dterms, m),
-                        x.is_indecomposable, x.is_irreducible)
+    return _new(RepExponents, (terms, dterms, _unit_twist(terms, m),
+                               expand_kernel(terms, dterms, m),
+                               indecomposable, indecomposable and xt[0][1] == 1))
 
 
 def is_minimal_rep(x: WDRep, mode: str, m: ModelInstance) -> bool:

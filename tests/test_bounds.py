@@ -607,6 +607,29 @@ def test_report_writer_matches_json_dumps_on_odd_rows():
             write(mixed)
 
 
+def test_report_writer_forms_match_json_dumps():
+    # The writer keeps one form per key tuple of `inputs`: keys that hold a
+    # `%` must not be read as format directives, a key tuple first seen with
+    # string values must still write any other value as json.dumps does, and
+    # one key set in two insertion orders writes its keys sorted either way.
+    class Text(str):
+        pass
+
+    def row(inputs):
+        return CheckResult("C", 1, 2, 3, 1, True, False, inputs)
+
+    odd_values = (7, True, None, ["l", 1], Text("sub"), {"z": "%s"})
+    rows = [row({"model": "d", "x": "Sp_1(u)", "y": "Sp_2(u)"})]
+    rows += [row({"model": "d", "x": v, "y": "Sp_2(u)"}) for v in odd_values]
+    rows += [row({"y": "b", "model": "d", "x": "a"}), row({"x": "a", "y": "b", "model": "d"})]
+    rows += [row({"%s": "a", "100%": "b", "%%": "c"}), row({"%%": 1, "%s": "%d", "100%": "%s"})]
+    rows += [row({"only": "%s"}), row({"only": False}), row({"x": "%s %%s %"})]
+    for r in rows:
+        assert results_to_json([r]) == _dumps_report([r]), r.inputs
+    assert results_to_json(rows) == _dumps_report(rows)
+    assert results_to_json(rows[::-1]) == _dumps_report(rows[::-1])
+
+
 def test_sweep_evaluates_each_pair_once(monkeypatch):
     # Every label of a pair reads one evaluation: one digest, two printed
     # expressions and, per pair, one resolution of x and of y and the
@@ -854,8 +877,8 @@ def test_kernel_evaluations_are_pinned(census_counterexample):
 
 def test_record_duals_are_the_resolved_rep_dual(census_counterexample):
     # A record's dual terms are those of rep_dual, a normalized WDRep, in
-    # the same order, on every representation of the differential cases
-    # whose record can be built.
+    # the same order, and its shape flags are the WDRep's, on every
+    # representation of the differential cases whose record can be built.
     terms = Counter()
     for m, x, y in _differential_cases(census_counterexample):
         for z in (x, y):
@@ -864,6 +887,8 @@ def test_record_duals_are_the_resolved_rep_dual(census_counterexample):
             except ValueError:
                 continue
             assert record.dual == resolve_terms(rep_dual(z, m), m), format_rep(z)
+            assert (record.is_indecomposable, record.is_irreducible) == (
+                z.is_indecomposable, z.is_irreducible), format_rep(z)
             terms[min(len(z.terms), 2)] += 1
     assert terms[1] > 1000 and terms[2] > 2500, terms
 

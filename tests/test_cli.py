@@ -6,6 +6,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +116,29 @@ def test_check_writes_report(tmp_path, capsys):
     assert rows and all(row["holds"] for row in rows)
     assert all(row["inputs"]["model"] for row in rows)
     assert "C:" in out
+
+
+def test_readme_rerun_snippet_reruns_every_row(tmp_path, capsys):
+    # The README's recipe for rerunning a report row, run as written: the
+    # fenced block after "To rerun a row today", with `m` the regenerated
+    # model whose digest is the row's and `row` the row.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("To rerun a row today")) + len("```python\n")
+    snippet = compile(readme[start:readme.index("```", start)], "README.md", "exec")
+    report = tmp_path / "r.json"
+    assert _run(capsys, "check", "--models", "3", "--pairs", "10", "--out", str(report))[0] == 0
+    models = {}
+    for seed in range(3):
+        path = tmp_path / f"m{seed}.json"
+        assert _run(capsys, "gen-model", "--seed", str(seed), "-o", str(path))[0] == 0
+        m = load_model(path)
+        models[m.digest()] = m
+    rows = json.loads(report.read_text(encoding="utf-8"))
+    assert len(models) == 3 and {row["inputs"]["model"] for row in rows} == set(models)
+    for row in rows:
+        scope = {"m": models[row["inputs"]["model"]], "row": row}
+        exec(snippet, scope)
+        assert scope["again"].to_json_dict() == row
 
 
 def test_check_violation_exits_1(tmp_path, capsys, monkeypatch):
