@@ -4,11 +4,13 @@ Jordan blocks are realized as genuine matrices, tensor-sum operators
 J_p (x) 1 + 1 (x) J_q of block pairs are built explicitly, and ranks come
 from exact fraction-free Gaussian elimination.  The operator of two
 partitions is the direct sum of its block-pair operators, so its rank is
-the sum of the block-pair ranks.  Nothing here consults the pairing
-table or the exponent formulas, which is the point: for representations
-supported on the unramified orbit, the Artin exponent equals the rank of
-the nilpotent operator, so these ranks independently check the formula
-path.
+the sum of the block-pair ranks.  Equal summands have equal ranks: if p
+occurs k times in one partition and q occurs l times in the other, the
+pair (p, q) is eliminated once and its rank counted k*l times.  Nothing
+here consults the pairing table or the exponent formulas, which is the
+point: for representations supported on the unramified orbit, the Artin
+exponent equals the rank of the nilpotent operator, so these ranks
+independently check the formula path.
 """
 
 from __future__ import annotations
@@ -41,7 +43,11 @@ def exact_rank(rows) -> int:
     """Rank of a matrix given as a list of sparse rows {col: value}.
 
     Fraction-free: each reduction replaces row by piv_lead*row -
-    row_lead*piv, which preserves rank over the rationals exactly.
+    row_lead*piv, which preserves rank over the rationals exactly.  The
+    lead entry cancels exactly (b*a - a*b), so the new row is built over
+    the other columns only.  Every column of a row and of its pivot is at
+    least the lead, so each reduction raises the lead, and a row is
+    reduced at most once per column.
     """
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
@@ -55,8 +61,10 @@ def exact_rank(rows) -> int:
                 rank += 1
                 break
             a, b = row[lead], piv[lead]
+            cols = row.keys() | piv.keys()
+            cols.remove(lead)
             new = {}
-            for c in row.keys() | piv.keys():
+            for c in cols:
                 v = b * row.get(c, 0) - a * piv.get(c, 0)
                 if v:
                     new[c] = v
@@ -142,10 +150,19 @@ def _tensor_sum_matrix(p: int, q: int) -> dict:
 def nilpotent_rank(a: Partition, b: Partition) -> int:
     """Rank of J_a (x) 1 + 1 (x) J_b by exact elimination.  The operator is
     the direct sum of the block-pair operators J_p (x) 1 + 1 (x) J_q, so its
-    rank is the sum of the block-pair ranks."""
+    rank is the sum of the block-pair ranks.  Each distinct pair (p, q) is
+    eliminated once and weighted by k*l, where p occurs k times in a and q
+    occurs l times in b."""
     if not a.parts or not b.parts:
         raise ValueError("partitions must be nonempty")
-    return sum(exact_rank(_tensor_sum_matrix(p, q).values()) for p in a.parts for q in b.parts)
+    b_mult = _multiplicities(b.parts)
+    return sum(k * l * exact_rank(_tensor_sum_matrix(p, q).values())
+               for p, k in _multiplicities(a.parts) for q, l in b_mult)
+
+
+def _multiplicities(parts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(part, multiplicity) of each distinct part, in the order of parts."""
+    return [(p, parts.count(p)) for p in dict.fromkeys(parts)]
 
 
 def tensor_partition(r: int, s: int) -> Partition:

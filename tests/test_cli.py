@@ -177,9 +177,10 @@ def test_check_csv_summary(tmp_path, capsys):
 
 
 def test_oracle(capsys):
-    code, out, _ = _run(capsys, "oracle", "--max-r", "4", "--max-terms", "2")
-    assert code == 0
-    assert "0 mismatches" in out
+    assert _run(capsys, "oracle", "--max-r", "4", "--max-terms", "2") == (
+        0, "oracle: 105 tensor pairs checked, 0 mismatches; 16 block pairs, 0 failures\n", "")
+    assert _run(capsys, "oracle", "--max-r", "3", "--max-terms", "2") == (
+        0, "oracle: 45 tensor pairs checked, 0 mismatches; 9 block pairs, 0 failures\n", "")
 
 
 def test_oracle_mismatch_exits_1(capsys, monkeypatch):

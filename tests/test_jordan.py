@@ -47,6 +47,23 @@ def test_multi_block_rank_additive_structure():
     assert got == expected
 
 
+def test_repeated_parts_eliminated_once_and_weighted(monkeypatch):
+    # (3,3,1) x (2,2) has six block pairs but two distinct ones, (3,2) and
+    # (1,2): each is eliminated once and its rank counted 2*2 and 1*2 times
+    import wdexp.jordan
+
+    calls = []
+
+    def counting_rank(rows):
+        calls.append(1)
+        return exact_rank(rows)
+
+    monkeypatch.setattr(wdexp.jordan, "exact_rank", counting_rank)
+    got = nilpotent_rank(Partition((3, 3, 1)), Partition((2, 2)))
+    assert len(calls) == 2
+    assert got == sum(p * q - min(p, q) for p in (3, 3, 1) for q in (2, 2)) == 18
+
+
 def _packed_tensor_sum_matrix(a: Partition, b: Partition) -> dict:
     """Reference: the sparse map of J_a (x) 1 + 1 (x) J_b for the
     block-diagonal nilpotents of both partitions, as one matrix.  Basis
@@ -142,6 +159,12 @@ def test_exact_rank_rational_entries():
         {0: Fraction(2), 1: Fraction(4, 3)},  # 4x the first row
     ]
     assert exact_rank(rows) == 2
+
+
+def test_exact_rank_dependent_rows():
+    # the reduction of the second row by the first must cancel to nothing
+    assert exact_rank([{0: 1, 1: 1}, {0: 2, 1: 2}]) == 1
+    assert exact_rank([{0: 1, 1: 1}, {0: 2, 1: 3}]) == 2
 
 
 def test_oracle_examples(unit_model):
