@@ -241,14 +241,10 @@ def sharpness_suite() -> list[CheckResult]:
     """Equality-attaining checks: the dimension-2 witness for the A/AS/B
     bounds, prime-dimension witnesses for the improved self-dual slope,
     the tame character for the C-bound, and the max-plus pair witness."""
-    out = []
-
     m2 = dim2_witness_model()
     x = WDRep.from_terms([(1, 1, "w")])
     p = PairExponents(x, x, m2)
-    out.append(check_bound_A(p, "eta"))
-    out.append(check_bound_A(p, "sigma"))
-    out.append(check_bound_B(p, "eta", "sum"))
+    out = [check_bound_A(p, "eta"), check_bound_A(p, "sigma"), check_bound_B(p, "eta", "sum")]
 
     for ell in (3, 5):
         mw = prime_dim_witness_model(ell)

@@ -19,9 +19,9 @@ from .exponents import exponents_of, is_minimal_rep, tensor_exponents
 from .generator import GeneratorError, GenParams, gen_model_with_stats
 from .jordan import Partition, nilpotent_rank, tensor_partition, unramified_oracle_artin
 from .maxplus import pair_witness
-from .model import ModelStructureError, UNRAMIFIED_ID, dump_model, load_model, validate_model
+from .model import ModelStructureError, dump_model, load_model, validate_model
 from .rationals import format_rational, parse_int, parse_rational
-from .rep import WDRep, format_rep, parse_rep
+from .rep import format_rep, parse_rep, reps
 
 DEFAULT_LEVELS = "0,1/2,1,2"
 
@@ -120,14 +120,8 @@ def _cmd_oracle(args) -> int:
     if args.max_r < 1 or args.max_terms < 1:
         raise ValueError("--max-r and --max-terms must be >= 1")
     unit = witness_model()
-    reps = [
-        WDRep.from_terms([(1, r, UNRAMIFIED_ID) for r in combo])
-        for n in range(1, args.max_terms + 1)
-        for combo in combinations_with_replacement(range(1, args.max_r + 1), n)
-    ]
-    mismatches = 0
-    checked = 0
-    for x, y in combinations_with_replacement(reps, 2):
+    mismatches = checked = 0
+    for x, y in combinations_with_replacement(reps(unit, args.max_terms, args.max_r), 2):
         formula = tensor_exponents(x, y, unit).ar
         rank = unramified_oracle_artin(x, y)
         checked += 1

@@ -41,11 +41,10 @@ raise leaves N, and with it min_slope(c), where it was, and a second raise
 would raise nothing.
 
 Flags are computed last, by `exponents.class_minimality` on the bare model
-built from those entries,
-the rule the validator re-verifies them with, so the re-verification holds
-by construction.  The flagged model is built from the same entries.  One
-attempt makes a model, with no retry; a model `validate_model` rejects is a
-fault of the construction, raised as a GeneratorError.
+built from those entries, the rule the validator re-verifies them with, so
+the re-verification holds by construction.  The flagged model is built from
+the same entries.  One attempt makes a model, with no retry, and a model
+`validate_model` rejects is a fault of the construction: a GeneratorError.
 
 The PRNG is splitmix64 with fixed reduction rules: identical parameters and
 seed reproduce identical models on any platform.
@@ -142,12 +141,16 @@ class GenParams:
 
 
 class GenStats:
-    __slots__ = ("attempts", "repair_rounds", "raised_entries")
+    __slots__ = ("raised_entries",)
+    attempts = 1  # one attempt per model; the benchmark's trace reads it
 
-    def __init__(self, attempts=1, repair_rounds=0, raised_entries=0):
-        self.attempts = attempts  # one attempt per model; the benchmark's trace reads it
-        self.repair_rounds = repair_rounds  # 1 when the one raise raised anything, else 0
-        self.raised_entries = raised_entries
+    def __init__(self):
+        self.raised_entries = 0
+
+    @property
+    def repair_rounds(self) -> int:
+        """1 when the one raise raised anything, else 0."""
+        return int(self.raised_entries > 0)
 
 
 # -- tree machinery ----------------------------------------------------------
@@ -349,7 +352,6 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
                 if dist[(dual[a], b)] != d:
                     raise GeneratorError("dual involution is not a tree isometry")
                 entries[a, b] = value[d]
-    stats.repair_rounds = int(stats.raised_entries > 0)
 
     classes = [IrreducibleClass(cid, dims[cid], slopes[cid], deg[cid], dual[cid])
                for cid in sorted(dims)]

@@ -54,14 +54,8 @@ class MaxPlusElem:
         return bool(self.coeffs)
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for a in sorted(self.coeffs):
-            c = self.coeffs[a]
-            head = "" if c == 1 else f"{c}"
-            parts.append(f"{head}[{format_rational(a)}]")
-        return " + ".join(parts)
+        return " + ".join(f"{'' if c == 1 else c}[{format_rational(a)}]"
+                          for a, c in sorted(self.coeffs.items())) or "0"
 
 
 def mp_vee(x: MaxPlusElem, y: MaxPlusElem) -> MaxPlusElem:

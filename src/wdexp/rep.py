@@ -11,12 +11,13 @@ A term is a (multiplicity, Sp-length, class id) triple, the shape that
 Normalization merges equal indecomposables and sorts terms by (class id,
 Sp-length); the canonical printer inverts `parse_rep` on normalized values.
 The empty multiset is the zero representation.  A representation meets a
-model only here: `resolve_terms` and `dual_terms`, the one dual rule.
+model only here: `reps`, `resolve_terms` and `dual_terms`, the one dual rule.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import combinations_with_replacement
 from string import whitespace
 
 from .model import FrozenValue, ModelInstance
@@ -148,6 +149,18 @@ def format_rep(x: WDRep) -> str:
     if x.is_zero:
         return "0"
     return " + ".join(("" if k == 1 else f"{k}*") + f"Sp_{r}({cls})" for k, r, cls in x.terms)
+
+
+def reps(m: ModelInstance, terms: int, max_r: int) -> list[WDRep]:
+    """The one enumeration of small representations: the `from_terms` of each
+    multiset of 1..terms singles (1, r, i), i in `m.ids` and r in 1..max_r,
+    by size in `combinations_with_replacement` order, C(N + terms, terms) - 1
+    of them for N = len(m.ids) * max_r."""
+    if terms < 1 or max_r < 1:
+        raise ValueError(f"need terms >= 1 and max_r >= 1, got {terms} and {max_r}")
+    singles = [(1, r, i) for i in m.ids for r in range(1, max_r + 1)]
+    return [WDRep.from_terms(combo) for n in range(1, terms + 1)
+            for combo in combinations_with_replacement(singles, n)]
 
 
 def resolve_terms(x: WDRep, m: ModelInstance) -> tuple[tuple[int, int, int], ...]:

@@ -3,7 +3,6 @@ zero tolerance.  Each test prints one [criterion N] PASS/FAIL line."""
 
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -13,6 +12,7 @@ from wdexp.exponents import indec_tensor_kernel, tensor_exponents
 from wdexp.generator import GenParams, SplitMix64, gen_model
 from wdexp.jordan import Partition, nilpotent_rank, tensor_partition, unramified_oracle_artin
 from wdexp.maxplus import MaxPlusElem, mp_degree_weight, mp_vee, optimal_witness, pair_upper_bound
+from wdexp.rep import reps
 
 SWEEP_GEN = GenParams.from_strings("0,1/2,1,2", seed=0)
 SWEEP_MODELS = 200
@@ -44,17 +44,12 @@ def sweep():
 
 
 def test_criterion_1_unramified_oracle_equivalence(unit_model):
-    from wdexp.rep import WDRep
-
     t0 = time.monotonic()
-    reps = []
-    for n in (1, 2, 3):
-        for combo in combinations_with_replacement(range(1, 9), n):
-            reps.append(WDRep.from_terms([(1, r, "u") for r in combo]))
+    xs = reps(unit_model, 3, 8)
     mismatches = 0
     pairs = 0
-    for x in reps:
-        for y in reps:
+    for x in xs:
+        for y in xs:
             pairs += 1
             if tensor_exponents(x, y, unit_model).ar != unramified_oracle_artin(x, y):
                 mismatches += 1

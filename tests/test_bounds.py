@@ -6,7 +6,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -37,7 +36,7 @@ from wdexp.maxplus import mp_degree_weight, mp_vee, s_map
 from wdexp.model import (Frozen, FrozenValue, IrreducibleClass, ModelInstance,
                          ModelStructureError, Violation, validate_model)
 from wdexp.rationals import format_rational
-from wdexp.rep import WDRep, format_rep, parse_rep, rep_dual, resolve_terms
+from wdexp.rep import WDRep, format_rep, parse_rep, rep_dual, reps, resolve_terms
 
 ALL_FAMILIES = ("A", "AS", "B", "BS", "C", "CS")
 
@@ -129,15 +128,15 @@ def test_bounds_refuse_a_bad_variant_before_a_bad_mode(zoo_model, check, args, m
 def test_shape_guard_and_sweep_filter_agree(zoo_model):
     """A max-form label's check refuses a pair exactly when the sweep emits
     no row of that label for it."""
-    reps = [parse_rep(e, zoo_model) for e in (
+    xs = [parse_rep(e, zoo_model) for e in (
         "Sp_1(a)", "Sp_1(b)", "Sp_2(a)", "Sp_3(b)", "Sp_1(a) + Sp_1(b)", "2*Sp_1(a)",
         "Sp_2(a) + Sp_1(c3)")]
     checks = {"B": check_bound_B, "C": check_bound_C}
     max_forms = [label for label, (_, _, _, shape) in LABELS.items() if shape is not None]
     assert max_forms == ["B_indec", "BS_irr", "C_irr", "CS_irr"]
     seen = Counter()
-    for x in reps:
-        for y in reps:
+    for x in xs:
+        for y in xs:
             p = PairExponents(x, y, zoo_model)
             emitted = {r.theorem for r in checks_for_pair(ALL_FAMILIES, x, y, zoo_model)}
             for label in max_forms:
@@ -384,8 +383,8 @@ def test_swan_bridge_matches_the_max_plus_reference(zoo_model, census_counterexa
               sample_hook=lambda m, x, y: cases.append((m, x, y)))
     for m in (census_counterexample, dim2_witness_model(), prime_dim_witness_model(3),
               prime_dim_witness_model(5), tame_character_witness_model()):
-        reps = _small_reps(m, 2, 2)
-        cases += [(m, x, y) for x in reps for y in reps]
+        xs = reps(m, 2, 2)
+        cases += [(m, x, y) for x in xs for y in xs]
     assert len(cases) == 200 + 100 + 27 ** 2 + 4 * 14 ** 2
     kinds = Counter()
     for m, x, y in cases:
@@ -778,13 +777,6 @@ def _reference_rows(x, y, m):
             if shape is None or (getattr(x, shape) and getattr(y, shape))]
 
 
-def _small_reps(m, terms, max_r):
-    """Every representation of m with 1..terms terms of Sp-length <= max_r."""
-    singles = [(1, r, i) for i in m.ids for r in range(1, max_r + 1)]
-    return [WDRep.from_terms(combo) for n in range(1, terms + 1)
-            for combo in combinations_with_replacement(singles, n)]
-
-
 def _differential_cases(census_model):
     """(model, x, y) from a generated sweep, from the perturbations of the
     validation bases (drawn pairs and pairs of irreducibles), and every
@@ -795,12 +787,12 @@ def _differential_cases(census_model):
     for n, base in enumerate(validation_bases()):
         for k, m in enumerate([base] + perturbations(base, random.Random(n))):
             rng = SplitMix64(1000 * n + k)
-            irr = [WDRep.from_terms([(1, 1, i)]) for i in m.ids]
+            irr = reps(m, 1, 1)
             for _ in range(10):
                 cases.append((m, gen_rep(m, 2, 2, rng.next64()), gen_rep(m, 2, 2, rng.next64())))
                 cases.append((m, irr[rng.below(len(irr))], irr[rng.below(len(irr))]))
-    reps = _small_reps(census_model, 2, 2)
-    cases += [(census_model, x, y) for x in reps for y in reps]
+    xs = reps(census_model, 2, 2)
+    cases += [(census_model, x, y) for x in xs for y in xs]
     return cases
 
 

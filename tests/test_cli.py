@@ -288,8 +288,9 @@ def test_usage_error_exit_2(capsys):
     assert _run(capsys, "eval", "-m", "/nonexistent.json", "-e", "Sp_1(u)")[0] == 2
     assert _run(capsys, "bound", "--d1", "1", "--v1", "1/0", "--d2", "1", "--v2", "1")[0] == 2
     # a run that would check nothing is a usage error, not a clean run
-    assert _run(capsys, "oracle", "--max-r", "0")[:2] == (2, "")
-    assert _run(capsys, "oracle", "--max-terms", "0")[:2] == (2, "")
+    for flag in ("--max-r", "--max-terms"):
+        assert _run(capsys, "oracle", flag, "0") == (
+            2, "", "error: --max-r and --max-terms must be >= 1\n")
     for flag, value in (("--models", "0"), ("--pairs", "0"), ("--max-terms", "0"),
                         ("--max-r", "0"), ("--theorems", ",")):
         assert _run(capsys, "check", flag, value)[:2] == (2, "")

@@ -9,6 +9,7 @@ import wdexp.generator
 from conftest import pair
 from wdexp.generator import (
     GenParams,
+    GenStats,
     GeneratorError,
     SplitMix64,
     gen_model,
@@ -165,8 +166,11 @@ def test_gen_rep_covers_every_class(generated_model):
 
 def test_stats_reported(gen_params):
     _, stats = gen_model_with_stats(gen_params)
-    assert stats.attempts == 1
-    assert stats.repair_rounds >= 0
+    assert stats.attempts == GenStats.attempts == 1
+    assert stats.repair_rounds == int(stats.raised_entries > 0)
+    for name in ("attempts", "repair_rounds"):
+        with pytest.raises(AttributeError):
+            setattr(stats, name, 2)
 
 
 def test_distinct_slopes_forced_to_max(generated_model):

@@ -1,3 +1,6 @@
+from itertools import product
+from math import comb
+
 import pytest
 
 from wdexp.exponents import exponents_of
@@ -9,6 +12,7 @@ from wdexp.rep import (
     parse_rep,
     rep_dim,
     rep_dual,
+    reps,
 )
 
 
@@ -125,3 +129,26 @@ def test_zero_multiplicity_rejected():
         WDRep.from_terms([(0, 1, "u")])
     with pytest.raises(ValueError, match="Sp-length must be >= 1, got 0"):
         WDRep.from_terms([(1, 0, "u")])
+
+
+def test_reps_counts_order_and_normal_form(unit_model, zoo_model, census_counterexample):
+    # C(N + T, T) - 1 representations, N = classes * R: each multiset of the
+    # singles Sp_r(i) of size 1..T once, normalized, and the first N are
+    # the singles in id order, r inner.
+    for m, terms, max_r in product((unit_model, zoo_model, census_counterexample),
+                                   (1, 2, 3), (1, 2, 4)):
+        xs = reps(m, terms, max_r)
+        n = len(m.ids) * max_r
+        assert len(xs) == len(set(xs)) == comb(n + terms, terms) - 1, (m.ids, terms, max_r)
+        assert all(WDRep.from_terms(x.terms) == x for x in xs)
+        assert [x.terms for x in xs[:n]] == [((1, r, i),) for i in m.ids
+                                             for r in range(1, max_r + 1)]
+        assert max(sum(k for k, _, _ in x.terms) for x in xs) == terms
+    assert [format_rep(x) for x in reps(unit_model, 2, 2)] == [
+        "Sp_1(u)", "Sp_2(u)", "2*Sp_1(u)", "Sp_1(u) + Sp_2(u)", "2*Sp_2(u)"]
+
+
+def test_reps_refuses_empty_scopes(unit_model):
+    for terms, max_r in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="need terms >= 1 and max_r >= 1"):
+            reps(unit_model, terms, max_r)
