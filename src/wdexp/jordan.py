@@ -43,33 +43,44 @@ def exact_rank(rows) -> int:
     """Rank of a matrix given as a list of sparse rows {col: value}.
 
     Fraction-free: each reduction replaces row by piv_lead*row -
-    row_lead*piv, which preserves rank over the rationals exactly.  The
-    lead entry cancels exactly (b*a - a*b), so the new row is built over
-    the other columns only.  Every column of a row and of its pivot is at
-    least the lead, so each reduction raises the lead, and a row is
-    reduced at most once per column.
+    row_lead*piv, which preserves rank over the rationals exactly.  A
+    caller's row is never mutated.  It is copied once, before its first
+    reduction (or when it holds a zero entry, which is dropped), and that
+    copy is reduced in place: the lead entry cancels exactly (b*a - a*b),
+    so it is popped, and only the pivot's other columns are updated.  A row
+    that becomes a pivot unreduced is stored as given, so a pivot may be a
+    caller's row; pivots are never mutated.  The rank is the number of
+    pivots.  Every column of a row and of its pivot is at least the lead,
+    so each reduction raises the lead, and a row is reduced at most once
+    per column.
     """
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
+        own = not all(row.values())
+        if own:
+            row = {c: v for c, v in row.items() if v}
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
                 pivots[lead] = row
-                rank += 1
                 break
-            a, b = row[lead], piv[lead]
-            cols = row.keys() | piv.keys()
-            cols.remove(lead)
-            new = {}
-            for c in cols:
-                v = b * row.get(c, 0) - a * piv.get(c, 0)
-                if v:
-                    new[c] = v
-            row = new
-    return rank
+            if not own:
+                row = row.copy()
+                own = True
+            a = row.pop(lead)
+            b = piv[lead]
+            if b != 1:
+                for c in row:
+                    row[c] *= b
+            for c, v in piv.items():
+                if c != lead:
+                    w = row.get(c, 0) - a * v
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+    return len(pivots)
 
 
 def _sparse_mul(a: dict, b: dict) -> dict:
@@ -131,19 +142,17 @@ def _tensor_sum_matrix(p: int, q: int) -> dict:
     the block boundary.  Indices are packed by the antidiagonal i+j, which
     keeps elimination fill-in local.
     """
-    def idx(i, j):
-        return (i + j) * p + i
-
     mat = {}
     for i in range(p):
         for j in range(q):
+            k = (i + j) * p + i
             row = {}
             if i + 1 < p:
-                row[idx(i + 1, j)] = 1
+                row[k + p + 1] = 1
             if j + 1 < q:
-                row[idx(i, j + 1)] = 1
+                row[k + p] = 1
             if row:
-                mat[idx(i, j)] = row
+                mat[k] = row
     return mat
 
 

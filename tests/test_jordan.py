@@ -6,6 +6,7 @@ from wdexp.exponents import tensor_exponents
 from wdexp.generator import SplitMix64
 from wdexp.jordan import (
     Partition,
+    _tensor_sum_matrix,
     exact_rank,
     jordan_type_from_ranks,
     nilpotent_rank,
@@ -136,9 +137,25 @@ def test_tensor_partition_laws():
             assert p.parts == tensor_partition(s, r).parts
 
 
-def test_rank_sequence_convex_decreasing():
-    from wdexp.jordan import _tensor_sum_matrix
+def test_tensor_sum_matrix_from_its_definition():
+    # basis (i, j) sits at (i + j)*p + i and maps to (i+1, j) + (i, j+1),
+    # clipped at the block edge; keys, values and key order must match
+    for p in range(1, 9):
+        for q in range(1, 9):
+            at = {(i, j): (i + j) * p + i for i in range(p) for j in range(q)}
+            assert len(set(at.values())) == p * q
+            expected = {}
+            for (i, j), k in at.items():
+                row = {at[n]: 1 for n in ((i + 1, j), (i, j + 1)) if n in at}
+                if row:
+                    expected[k] = row
+            got = _tensor_sum_matrix(p, q)
+            assert got == expected, (p, q)
+            assert list(got) == list(expected), (p, q)
+            assert all(list(got[k]) == list(expected[k]) for k in got), (p, q)
 
+
+def test_rank_sequence_convex_decreasing():
     for r, s in ((2, 2), (3, 4), (5, 2)):
         mat = _tensor_sum_matrix(r, s)
         seq = [r * s] + rank_sequence(mat, r * s)
@@ -165,6 +182,61 @@ def test_exact_rank_dependent_rows():
     # the reduction of the second row by the first must cancel to nothing
     assert exact_rank([{0: 1, 1: 1}, {0: 2, 1: 2}]) == 1
     assert exact_rank([{0: 1, 1: 1}, {0: 2, 1: 3}]) == 2
+
+
+def _dense_rank(rows) -> int:
+    """Reference: dense Gauss-Jordan elimination over Fraction."""
+    cols = sorted({c for row in rows for c in row})
+    mat = [[Fraction(row.get(c, 0)) for c in cols] for row in rows]
+    rank = 0
+    for j in range(len(cols)):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        lead = mat[rank][j]
+        mat[rank] = [v / lead for v in mat[rank]]
+        for i, other in enumerate(mat):
+            if i != rank and other[j]:
+                f = other[j]
+                mat[i] = [v - f * w for v, w in zip(other, mat[rank])]
+        rank += 1
+    return rank
+
+
+def _random_sparse_rows(rng) -> list:
+    """Up to 8 sparse rows over up to 8 columns, with empty rows, explicit
+    zero entries, repeated rows (the same dict or an equal one) and
+    multiples of earlier rows."""
+    values = (0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3))
+    width = 1 + rng.below(8)
+    rows = []
+    for _ in range(rng.below(9)):
+        kind = rng.below(8) if rows else 0
+        if kind == 5:
+            rows.append({})
+        elif kind == 6:
+            earlier = rng.choice(rows)
+            rows.append(earlier if rng.below(2) else dict(earlier))
+        elif kind == 7:
+            f = rng.choice(values[1:])
+            rows.append({c: f * v for c, v in rng.choice(rows).items()})
+        else:
+            rows.append({c: rng.choice(values) for c in range(width) if rng.below(3)})
+    return rows
+
+
+def test_exact_rank_matches_dense_reference_and_leaves_rows_alone():
+    rng = SplitMix64(38)
+    for case in range(1200):
+        rows = _random_sparse_rows(rng)
+        before = [dict(row) for row in rows]
+        assert exact_rank(rows) == _dense_rank(before), (case, before)
+        assert rows == before, case
+        # rows as a dict view, as rank_sequence and nilpotent_rank pass them
+        mat = dict(enumerate(rows))
+        assert exact_rank(mat.values()) == _dense_rank(before), (case, before)
+        assert list(mat.values()) == before, case
 
 
 def test_oracle_examples(unit_model):
