@@ -22,8 +22,10 @@ is evaluated once however many labels read it.  `LABELS` is the one table
 of the labels, which the checks and the sweep read: a sweep checks its
 selectors and derives its plan, the `LABELS` entries they name, once, and
 `_pair_rows` emits each pair's rows from that plan.  `results_to_json`
-writes a string-keyed `inputs` dict from a form kept per key tuple: the
-sorted keys as JSON text and a getter of the values in that order.
+writes a row of the shape the checks make (a `str` theorem, `bool` flags, a
+non-empty `inputs` dict of `str` keys and `str` values) itself, its `inputs`
+from a form kept per key tuple, and any other row as the `json.dumps` text
+of its `to_json_dict()`.
 
 Minimality preconditions are checked and failures are surfaced as distinct
 results (precondition_failed=True), never skipped silently: the A-bound is
@@ -274,16 +276,12 @@ SWEEP_FAMILIES = {f: tuple(label for label in LABELS if label.partition("_")[0] 
                   for f in LABELS if "_" not in f}
 
 
-def _require_selectors(theorems):
-    for t in theorems:
-        if t not in SWEEP_FAMILIES:
-            raise ValueError(f"unknown theorem selector {t!r}")
-
-
 def _plan(theorems):
     """The `LABELS` entries (bound, mode, variant, shape) of the labels that the
     selectors name, in the order of `LABELS`; refuses an unknown selector."""
-    _require_selectors(theorems)
+    for t in theorems:
+        if t not in SWEEP_FAMILIES:
+            raise ValueError(f"unknown theorem selector {t!r}")
     return [LABELS[label] for family, labels in SWEEP_FAMILIES.items() if family in theorems
             for label in labels]
 
@@ -349,14 +347,14 @@ def pair_seed(base_seed: int, model_index: int, pair_index: int, side: int) -> i
 
 def check_sweep_args(theorems, models: int, pairs_per_model: int, max_terms: int, max_r: int):
     """Raise ValueError unless `run_sweep` would check something with these
-    arguments."""
+    arguments; return the sweep's plan, the `_plan` of its selectors."""
     if models < 1 or pairs_per_model < 1:
         raise ValueError("model and pair counts must be >= 1")
     if max_terms < 1 or max_r < 1:
         raise ValueError("max_terms and max_r must be >= 1")
     if not theorems:
         raise ValueError("select at least one theorem family")
-    _require_selectors(theorems)
+    return _plan(theorems)
 
 
 def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
@@ -366,8 +364,7 @@ def run_sweep(theorems, models: int, pairs_per_model: int, gen: GenParams,
     families.  Returns (results, summary); ordering is fixed by
     (model index, pair index, label) regardless of scheduling.  When given,
     sample_hook(model, x, y) sees every drawn pair."""
-    check_sweep_args(theorems, models, pairs_per_model, max_terms, max_r)
-    plan = _plan(theorems)
+    plan = check_sweep_args(theorems, models, pairs_per_model, max_terms, max_r)
     results: list[CheckResult] = []
     summary = SweepSummary()
     record = summary.record
@@ -406,13 +403,10 @@ def swan_bridge_gap(x: WDRep, y: WDRep, m: ModelInstance) -> Fraction:
     return Fraction(lv - m.L * expand_kernel(xs, ys, m).sw, m.L)
 
 
-# One report row of `results_to_json`: its keys in sorted order, indented as
-# `json.dumps(..., indent=1)` indents a row of a list.  A value that spans
-# lines starts each further line with _ROW_PAD, or inside `inputs` with
-# _INPUTS_PAD.
+# One report row of `results_to_json` on the fast path: its keys in sorted
+# order, indented as `json.dumps(..., indent=1)` indents a row of a list.
 _ROW = ('{\n  "equality": %s,\n  "holds": %s,\n  "inputs": %s,\n  "lhs": "%s",\n'
         '  "precondition_failed": %s,\n  "rhs": "%s",\n  "theorem": %s\n }')
-_ROW_PAD, _INPUTS_PAD = "\n  ", "\n   "
 
 
 class _Strings(dict):
@@ -422,17 +416,6 @@ class _Strings(dict):
     def __missing__(self, s):
         text = self[s] = encode_basestring_ascii(s)
         return text
-
-
-def _json_value(v, strings: _Strings, pad: str) -> str:
-    """The `indent=1, sort_keys=True` text of v where `pad` starts a line."""
-    if type(v) is str:
-        return strings[v]
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    return json.dumps(v, indent=1, sort_keys=True).replace("\n", pad)
 
 
 def _inputs_form(d):
@@ -451,35 +434,34 @@ def _inputs_form(d):
 def results_to_json(results) -> str:
     """The text of `json.dumps([r.to_json_dict() for r in results], indent=1,
     sort_keys=True) + "\\n"`, written row by row without the pure-Python
-    encoder that `indent` selects.  Each row is unpacked once; a dict
-    `inputs` is written from the form that `forms` keeps per key tuple, and
-    anything else by `_json_value`."""
+    encoder that `indent` selects.  A row of the shape the checks make, a
+    `str` theorem, `bool` flags and a non-empty `inputs` dict of `str` keys
+    and `str` values, is unpacked once and its `inputs` written from the
+    form that `forms` keeps per key tuple; any other row is the
+    `json.dumps` text of its `to_json_dict()`."""
     strings, forms = _Strings(), {}
     rows = []
-    for theorem, ln, ld, rn, rd, holds, equality, inputs, failed in results:
+    for r in results:
+        theorem, ln, ld, rn, rd, holds, equality, inputs, failed = r
         form = None
         if type(inputs) is dict:
             keys = tuple(inputs)
             form = forms.get(keys, False)
             if form is False:
                 form = forms[keys] = _inputs_form(inputs)
-        if form is None:
-            text = _json_value(inputs, strings, _ROW_PAD)
-        else:
+        if (form is not None and type(theorem) is str
+                and type(holds) is type(equality) is type(failed) is bool):
             template, getter, types = form
             values = getter(inputs)
-            text = template % (tuple(map(strings.__getitem__, values))
-                               if tuple(map(type, values)) == types else
-                               tuple([_json_value(v, strings, _INPUTS_PAD) for v in values]))
-        rows.append(_ROW % (
-            "true" if equality is True else "false" if equality is False else
-            _json_value(equality, strings, _ROW_PAD),
-            "true" if holds is True else "false" if holds is False else
-            _json_value(holds, strings, _ROW_PAD),
-            text,
-            ln if ld == 1 else f"{ln}/{ld}",
-            "false" if failed is False else "true" if failed is True else
-            _json_value(failed, strings, _ROW_PAD),
-            rn if rd == 1 else f"{rn}/{rd}",
-            strings[theorem] if type(theorem) is str else _json_value(theorem, strings, _ROW_PAD)))
+            if tuple(map(type, values)) == types:
+                rows.append(_ROW % (
+                    "true" if equality else "false",
+                    "true" if holds else "false",
+                    template % tuple(map(strings.__getitem__, values)),
+                    ln if ld == 1 else f"{ln}/{ld}",
+                    "true" if failed else "false",
+                    rn if rd == 1 else f"{rn}/{rd}",
+                    strings[theorem]))
+                continue
+        rows.append(json.dumps(r.to_json_dict(), indent=1, sort_keys=True).replace("\n", "\n "))
     return "[\n " + ",\n ".join(rows) + "\n]\n" if rows else "[]\n"

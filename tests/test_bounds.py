@@ -606,6 +606,28 @@ def test_report_writer_matches_json_dumps_on_odd_rows():
             write(mixed)
 
 
+def test_report_writer_calls_json_dumps_only_off_the_fast_path(monkeypatch):
+    # Every row a sweep makes takes the writer's fast path; of the sharpness
+    # suite, only the max-plus row, with int d1 and d2, is written whole by
+    # json.dumps, in one call.
+    import wdexp.bounds as bounds
+
+    results, _ = run_sweep(ALL_FAMILIES, 10, 50, GenParams.from_strings("0,1/2,1,2"), seed=0)
+    suite = sharpness_suite()
+    calls, dumps = [], json.dumps
+
+    def counting_dumps(obj, *args, **kwargs):
+        calls.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(bounds.json, "dumps", counting_dumps)
+    results_to_json(results)
+    assert len(results) > 1000 and calls == []
+    results_to_json(suite)
+    assert suite[-1].inputs["witness"] == "max-plus pair"
+    assert calls == [suite[-1].to_json_dict()]
+
+
 def test_report_writer_forms_match_json_dumps():
     # The writer keeps one form per key tuple of `inputs`: keys that hold a
     # `%` must not be read as format directives, a key tuple first seen with

@@ -238,6 +238,22 @@ def test_sharpness_exits_1_on_a_row_that_fails(tmp_path, capsys, monkeypatch):
         assert out_path.read_text(encoding="utf-8") == bounds.results_to_json(rows)
 
 
+def test_reports_are_the_json_dumps_text(tmp_path, capsys):
+    """The single-term report of `check` and the report of `sharpness` are,
+    byte for byte, the indent=1, sort_keys=True text of json.dumps; the
+    first has 474 rows and holds all ten labels."""
+    r1, s = tmp_path / "r1.json", tmp_path / "s.json"
+    assert _run(capsys, "check", "--models", "3", "--pairs", "20", "--max-terms", "1",
+                "--max-r", "2", "--out", str(r1))[0] == 0
+    assert _run(capsys, "sharpness", "--out", str(s))[0] == 0
+    for path in (r1, s):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n", path.name
+    rows = json.loads(r1.read_text(encoding="utf-8"))
+    assert len(rows) == 474
+    assert sorted({row["theorem"] for row in rows}) == sorted(bounds.LABELS)
+
+
 @pytest.mark.parametrize("command", ("check", "sharpness"))
 def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
     """An --out that cannot be written exits 2 with the error that writing
