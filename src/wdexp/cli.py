@@ -26,7 +26,7 @@ from .rep import format_rep, parse_rep, reps
 DEFAULT_LEVELS = "0,1/2,1,2"
 
 
-def _gen_params_from_args(args, seed: int) -> GenParams:
+def _gen_params_from_args(args) -> GenParams:
     return GenParams.from_strings(
         levels=args.levels,
         classes_per_level=args.classes_per_level,
@@ -34,7 +34,7 @@ def _gen_params_from_args(args, seed: int) -> GenParams:
         max_deg=args.max_deg,
         tree_depth=args.tree_depth,
         char_per_level=args.chars_per_level,
-        seed=seed,
+        seed=args.seed,
     )
 
 
@@ -86,7 +86,7 @@ def _cmd_minimal(args) -> int:
 
 
 def _cmd_gen_model(args) -> int:
-    params = _gen_params_from_args(args, args.seed)
+    params = _gen_params_from_args(args)
     _check_writable(args.out)
     model, stats = gen_model_with_stats(params)
     dump_model(model, args.out)
@@ -97,7 +97,7 @@ def _cmd_gen_model(args) -> int:
 
 def _cmd_check(args) -> int:
     theorems = tuple(t.strip(whitespace) for t in args.theorems.split(",") if t.strip(whitespace))
-    gen = _gen_params_from_args(args, args.seed)
+    gen = _gen_params_from_args(args)
     check_sweep_args(theorems, args.models, args.pairs, args.max_terms, args.max_r)
     if args.out:
         _check_writable(args.out)

@@ -12,7 +12,8 @@ on the level's grid (g the squared gcd of its dimensions), and become
 are read from that map once, so the cost does not grow with g.  Its
 constructor forces cross-level pairs to the max slope.
 
-Before that read, one raise per tree makes every entry satisfy
+Before that read, each tree's distances are raised once, so that every
+entry satisfies
 
     s(a,b) >= max(min_slope(a), min_slope(b)) / 2
 
@@ -21,24 +22,28 @@ character (the best twist can do).  This floor is what the bound theorems
 force on orbit data reachable by twisting; the bare axiom set does not imply
 it for free entries, and without it sweeps over decomposable minimal
 representations can manufacture counterexamples that no genuine family of
-representations realizes.  The floor of c is read off its level's tree,
-with hi = g*lam: ceil(min(hi, D(chi, dual c) over the level's characters
-chi) / 2) grid units, as u pairs with c at c's slope (M2) and the other
-levels' characters at a larger one (M3).  The raise walks each tree
-bottom-up, raising every leaf to its floor and every node to its
-children's values, so a node meets its floor, the largest under it.
-Raising heights keeps the tree laminar, so the ultrametric and
-dual-symmetry axioms survive it.
+representations realizes.  The floor of c is read off the distances its
+level's tree was drawn with, with hi = g*lam: ceil(min(hi, D(chi, dual c)
+over the level's characters chi) / 2) grid units, as u pairs with c at c's
+slope (M2) and the other levels' characters at a larger one (M3).  A second
+bottom-up walk of the same tree gives the raised distances: a leaf's value
+is its self-value raised to its floor, a node's is the largest of its
+height and its children's values, so a node meets its floor, the largest
+under it, and D(a,b) is the value of the LCA.  A tree is drawn once and
+then only read.  The values still never increase down the tree, so they
+form a laminar hierarchy too, and the ultrametric and dual-symmetry axioms
+hold for the raised distances.
 
 One raise is exact, because it moves no min_slope.  Heights never increase
 down a tree: `_build_tree` and `_expand_unit` draw each child at most its
-parent's height, and the raise keeps that.  No height exceeds hi, so a
-min_slope of hi stays put.  Otherwise let N be the node (or the character
+parent's height, and the raised values keep that.  No value exceeds hi, so
+a min_slope of hi stays put.  Otherwise let N be the node (or the character
 leaf, at 0) whose height D(chi, dual c) gives min_slope(c).  Dual pairs are
 sibling leaves, so every leaf x under N has its dual under N too, and
-min_slope(x) <= D(chi, dual x) <= height(N); so floor(x) <= height(N).  The
-raise leaves N, and with it min_slope(c), where it was, and a second raise
-would raise nothing.
+min_slope(x) <= D(chi, dual x) <= height(N); so floor(x) <= height(N).  N's
+value is then its height, and min_slope(c) is where it was: the raised
+distances meet the floors read off them, and floors read off the raised
+distances would raise nothing.
 
 Flags are computed last, by `exponents.class_minimality` on the bare model
 built from those entries, the rule the validator re-verifies them with, so
@@ -177,23 +182,15 @@ def _build_tree(rng, units, hi, depth) -> _Node:
     list of leaf descriptors (singleton for self-dual orbits, two ids for a
     dual pair)."""
     h = rng.below(hi + 1)
-    node = _Node(h, [])
     if len(units) == 1 or depth <= 0:
         groups = [[u] for u in units]
     else:
         k = 2 + rng.below(min(3, len(units) - 1))
         pool = list(units)
         rng.shuffle(pool)
-        groups = [[] for _ in range(k)]
-        for idx, u in enumerate(pool):
-            groups[idx % k].append(u)
-        groups = [grp for grp in groups if grp]
-    for grp in groups:
-        if len(grp) == 1:
-            node.children.append(_expand_unit(rng, grp[0], h))
-        else:
-            node.children.append(_build_tree(rng, grp, h, depth - 1))
-    return node
+        groups = [pool[i::k] for i in range(k)]  # k <= len(units): none empty
+    return _Node(h, [_expand_unit(rng, grp[0], h) if len(grp) == 1
+                     else _build_tree(rng, grp, h, depth - 1) for grp in groups])
 
 
 def _expand_unit(rng, unit, hi):
@@ -207,53 +204,36 @@ def _expand_unit(rng, unit, hi):
     return _Node(h, [_Leaf(ids[0], sv), _Leaf(ids[1], sv)])
 
 
-def _tree_distances(root: _Node) -> dict[tuple[str, str], int]:
-    """D(a,b) = LCA height for distinct leaves, self_value on the diagonal."""
+def _tree_distances(root: _Node, floor: dict[str, int]) -> tuple[dict[tuple[str, str], int], int]:
+    """The tree's distances raised to `floor`, in one bottom-up walk that
+    only reads the tree.  A leaf's value is max(self_value, its floor; 0
+    for an id `floor` lacks), and a node's is max(height, its children's
+    values), so it meets the largest floor under it.  D(a,b) is the value
+    of the LCA of distinct leaves a and b, and the leaf's value on the
+    diagonal.  Returns D and the number of values the floors raised."""
     dist: dict[tuple[str, str], int] = {}
-
-    def visit(node):
-        if isinstance(node, _Leaf):
-            dist[(node.id, node.id)] = node.self_value
-            return [node.id]
-        mine = []
-        child_sets = [visit(c) for c in node.children]
-        for a_idx in range(len(child_sets)):
-            for b_idx in range(a_idx + 1, len(child_sets)):
-                for a in child_sets[a_idx]:
-                    for b in child_sets[b_idx]:
-                        dist[(a, b)] = node.height
-                        dist[(b, a)] = node.height
-        for cs in child_sets:
-            mine.extend(cs)
-        return mine
-
-    visit(root)
-    return dist
-
-
-def _enforce_floors(root: _Node, floor: dict[str, int]) -> int:
-    """Raise each leaf self-value to its floor and each node height to its
-    children's values, bottom-up.  A node then sits at or above every
-    raised leaf under it, so it meets its own floor, the largest floor
-    under it, with no walk over its leaves.  Returns the number of raised
-    values."""
     raised = 0
 
-    def visit(node) -> int:
+    def visit(node) -> tuple[int, list[str]]:
         nonlocal raised
         if isinstance(node, _Leaf):
-            if node.self_value < floor[node.id]:
-                node.self_value = floor[node.id]
-                raised += 1
-            return node.self_value
-        target = max(node.height, *(visit(c) for c in node.children))
-        if target > node.height:
-            node.height = target
-            raised += 1
-        return node.height
+            value = max(node.self_value, floor.get(node.id, 0))
+            raised += value > node.self_value
+            dist[(node.id, node.id)] = value
+            return value, [node.id]
+        visited = [visit(c) for c in node.children]
+        value = max(node.height, *(v for v, _ in visited))
+        raised += value > node.height
+        for a_idx in range(len(visited)):
+            for b_idx in range(a_idx + 1, len(visited)):
+                for a in visited[a_idx][1]:
+                    for b in visited[b_idx][1]:
+                        dist[(a, b)] = value
+                        dist[(b, a)] = value
+        return value, [leaf for _, leaves in visited for leaf in leaves]
 
     visit(root)
-    return raised
+    return dist, raised
 
 
 # -- model assembly ----------------------------------------------------------
@@ -322,29 +302,27 @@ def _attempt(p: GenParams, rng: SplitMix64, stats: GenStats) -> ModelInstance:
 
     # One ultrametric tree per slope value present, in units of 1/g: every
     # dim m at the level makes m*lam an int, so hi = g*lam is one too.  Each
-    # tree is raised once to its floors, then s(a,b) = D(a, dual b) is read.
+    # tree is walked twice, for the drawn distances the floors are read from
+    # and for the distances raised to them; s(a,b) = D(a, dual b) is read
+    # from the second.
     by_slope: dict[Fraction, list[str]] = {}
     for cid in sorted(dims):
         by_slope.setdefault(slopes[cid], []).append(cid)
     entries = {}
     for lam in sorted(by_slope):
         ids = by_slope[lam]
-        units = []
-        seen = set()
-        for cid in ids:
-            if cid in seen:
-                continue
-            orbit = [cid] if dual[cid] == cid else [cid, dual[cid]]
-            seen.update(orbit)
-            units.append((orbit, dims[cid] == 1))
+        # ids is sorted and a dual sits at its class's level: one unit per
+        # orbit, at its smaller id.
+        units = [([c] if dual[c] == c else [c, dual[c]], dims[c] == 1)
+                 for c in ids if dual[c] >= c]
         g = math.gcd(*(dims[c] for c in ids)) ** 2
         hi = int(lam * g)
         tree = _build_tree(rng, units, hi, p.tree_depth)
-        dist = _tree_distances(tree)
+        drawn, _ = _tree_distances(tree, {})
         level_chars = [c for c in ids if dims[c] == 1]
-        stats.raised_entries += _enforce_floors(tree, {
-            c: -(-min([hi, *(dist[chi, dual[c]] for chi in level_chars)]) // 2) for c in ids})
-        dist = _tree_distances(tree)
+        dist, raised = _tree_distances(tree, {
+            c: -(-min([hi, *(drawn[chi, dual[c]] for chi in level_chars)]) // 2) for c in ids})
+        stats.raised_entries += raised
         value = {d: Fraction(d, g) for d in set(dist.values())}
         for a_idx, a in enumerate(ids):
             for b in ids[a_idx:]:

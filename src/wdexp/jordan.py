@@ -116,20 +116,15 @@ def rank_sequence(mat: dict, n: int) -> list[int]:
 
 def jordan_type_from_ranks(n: int, ranks: list[int]) -> Partition:
     """Block sizes from the rank sequence: the number of blocks of size at
-    least k is rank(M^(k-1)) - rank(M^k)."""
+    least k is the drop d_k = rank(M^(k-1)) - rank(M^k), so the Jordan type
+    is the conjugate partition of the drops, which must not increase."""
     seq = [n] + list(ranks)
-    while seq[-1] != 0:
+    if seq[-1] != 0:
         seq.append(0)
-    parts = []
-    for k in range(1, len(seq)):
-        at_least_k = seq[k - 1] - seq[k]
-        at_least_k1 = seq[k] - seq[k + 1] if k + 1 < len(seq) else 0
-        exactly_k = at_least_k - at_least_k1
-        if exactly_k < 0:
-            raise ValueError(f"rank sequence {seq} is not convex-decreasing")
-        parts.extend([k] * exactly_k)
-    parts.sort(reverse=True)
-    return Partition(tuple(parts))
+    drops = [a - b for a, b in zip(seq, seq[1:])]
+    if any(a < b for a, b in zip(drops, drops[1:] + [0])):
+        raise ValueError(f"rank sequence {seq} is not convex-decreasing")
+    return Partition(tuple(sum(d >= i for d in drops) for i in range(1, max(drops, default=0) + 1)))
 
 
 # -- tensor-sum operators ----------------------------------------------------

@@ -281,8 +281,8 @@ class Violation(NamedTuple):
 class ValidationReport:
     __slots__ = ("violations",)
 
-    def __init__(self, violations=None):
-        self.violations: list[Violation] = [] if violations is None else violations
+    def __init__(self):
+        self.violations: list[Violation] = []
 
     @property
     def ok(self) -> bool:

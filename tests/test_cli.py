@@ -254,6 +254,16 @@ def test_reports_are_the_json_dumps_text(tmp_path, capsys):
     assert sorted({row["theorem"] for row in rows}) == sorted(bounds.LABELS)
 
 
+def test_gen_model_83_class_line_is_pinned(tmp_path, capsys, monkeypatch):
+    """CI's 83-class `gen-model` line, repair rounds included, and the
+    digest it prints is the sha256 of the file it writes."""
+    monkeypatch.chdir(tmp_path)
+    digest = "9ce7fb9a8377734b13324903f6c8350ed98985bd8bddd9b8a2c86e8182cc7456"
+    assert _run(capsys, "gen-model", "--classes-per-level", "20", "-o", "p") == (
+        0, f"model {digest} (83 classes, 1 repair rounds) -> p\n", "")
+    assert hashlib.sha256((tmp_path / "p").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", ("check", "sharpness"))
 def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
     """An --out that cannot be written exits 2 with the error that writing

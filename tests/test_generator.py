@@ -233,3 +233,25 @@ def test_two_model_builds_per_attempt(monkeypatch):
         assert calls == 2 * stats.attempts, p
         rounds += stats.repair_rounds
     assert rounds > 0
+
+
+def test_trees_are_drawn_then_only_read(monkeypatch):
+    # a tree node or leaf whose slot is set a second time fails the draw: the
+    # floors are applied by reading each tree, never by rewriting it, on
+    # sampled grid points that raise something
+    class SetOnce:
+        __slots__ = ()
+
+        def __setattr__(self, name, value):
+            if hasattr(self, name):
+                raise AssertionError(f"{type(self).__name__}.{name} set twice")
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(wdexp.generator, "_Leaf",
+                        type("Leaf", (SetOnce, wdexp.generator._Leaf), {"__slots__": ()}))
+    monkeypatch.setattr(wdexp.generator, "_Node",
+                        type("Node", (SetOnce, wdexp.generator._Node), {"__slots__": ()}))
+    rounds = 0
+    for p in _pin_grid()[::7]:
+        rounds += gen_model_with_stats(p)[1].repair_rounds
+    assert rounds > 0

@@ -169,6 +169,18 @@ def test_jordan_type_from_bad_ranks_rejected():
         jordan_type_from_ranks(4, [1, 2, 0])
 
 
+def test_jordan_type_round_trips_every_small_partition():
+    # rank(N^k) = sum of max(lambda_i - k, 0) for the nilpotent N of Jordan
+    # type lambda, down to the first 0
+    count = 0
+    for n in range(1, 11):
+        for parts in _partitions(n):
+            ranks = [sum(max(p - k, 0) for p in parts) for k in range(1, parts[0] + 1)]
+            assert jordan_type_from_ranks(n, ranks) == Partition(parts), parts
+            count += 1
+    assert count == 138  # p(1) + ... + p(10)
+
+
 def test_exact_rank_rational_entries():
     rows = [
         {0: Fraction(1, 2), 1: Fraction(1, 3)},
